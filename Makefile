@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-kernel alloc-gate kernel-gate forensics-gate incident-gate scale-gate fleet-gate trace-gate benchtable ci report docscheck race-parallel compile-baseline race-server smoke-load serve-baseline serve-baseline-pr5 serve-baseline-pr7 serve-baseline-pr10
+.PHONY: build test vet race bench bench-kernel alloc-gate kernel-gate forensics-gate incident-gate scale-gate fleet-gate trace-gate fuzz-gate benchtable ci report docscheck race-parallel compile-baseline race-server smoke-load serve-baseline serve-baseline-pr5 serve-baseline-pr7 serve-baseline-pr10
 
 build:
 	$(GO) build ./...
@@ -116,8 +116,22 @@ trace-gate:
 	$(GO) test -race -run 'TestTrace|TestSpan' ./internal/server
 	$(GO) test -race ./internal/obs/tsdb
 
+# Fuzz gate: each native fuzz target runs for FUZZTIME (default 10s)
+# from its committed seed corpus (testdata/fuzz/<target>): the wire
+# frame decoder, the table-image decoder (typed refusals, bounded
+# allocation, accepted images re-marshal byte-identically) and the
+# differential kernel fuzzer (baked OnBatch/OnBranch against the
+# linked-list oracle under single-branch flips; zero alarms unflipped).
+# A failing input is written under testdata/fuzz; commit it as a seed
+# alongside the fix.
+FUZZTIME ?= 10s
+fuzz-gate:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/tables
+	$(GO) test -run '^$$' -fuzz '^FuzzKernel$$' -fuzztime $(FUZZTIME) ./internal/ipds
+
 # Full gate: what a PR must pass.
-ci: vet build docscheck race race-parallel race-server smoke-load bench alloc-gate kernel-gate forensics-gate incident-gate scale-gate fleet-gate trace-gate
+ci: vet build docscheck race race-parallel race-server smoke-load bench alloc-gate kernel-gate forensics-gate incident-gate scale-gate fleet-gate trace-gate fuzz-gate
 
 # Observability-driven per-workload table + JSON baseline.
 report:

@@ -28,6 +28,11 @@ func (p Params) Slot(base, pc uint64) int {
 	return int(h & uint64(p.Slots()-1))
 }
 
+// MaxSizeLog2 caps the hash space Find sizes a function's tables to.
+// The table decoder refuses images above it, so encoder and decoder
+// share one ceiling (and packed BAT targets fit the baked 30-bit field).
+const MaxSizeLog2 = 30
+
 // maxShift bounds the shift search space; shifts equal to 63 make the
 // shifted term vanish for realistic code sizes, so the space always
 // contains near-identity hashes.
@@ -47,7 +52,7 @@ func Find(base uint64, pcs []uint64, minLog2 uint8) (Params, error) {
 		start = minLog2
 	}
 	used := make(map[int]uint64, len(pcs))
-	for size := start; size <= 30; size++ {
+	for size := start; size <= MaxSizeLog2; size++ {
 		for s1 := uint8(1); s1 <= maxShift; s1++ {
 			for s2 := s1; s2 <= maxShift; s2++ {
 				p := Params{S1: s1, S2: s2, SizeLog2: size}

@@ -3,7 +3,6 @@ package ipds
 import (
 	"testing"
 
-	"repro/internal/ir"
 	"repro/internal/vm"
 	"repro/internal/wire"
 )
@@ -51,20 +50,8 @@ int main() {
 func benchTrace(tb testing.TB) (*world, []wire.Event) {
 	tb.Helper()
 	w := buildWorld(tb, benchSrc)
-	var evs []wire.Event
-	v := vm.New(w.prog, vm.DefaultConfig, []string{"1"})
-	v.AddHooks(vm.Hooks{
-		OnCall: func(fn *ir.Func) {
-			evs = append(evs, wire.Event{Kind: wire.EvEnter, PC: fn.Base})
-		},
-		OnRet: func(fn *ir.Func) {
-			evs = append(evs, wire.Event{Kind: wire.EvLeave})
-		},
-		OnBranch: func(br *ir.Instr, taken bool) {
-			evs = append(evs, wire.Event{Kind: wire.EvBranch, PC: br.PC, Taken: taken})
-		},
-	})
-	if res := v.Run(); res.Status != vm.Exited {
+	evs, res := captureTrace(w.prog, []string{"1"})
+	if res.Status != vm.Exited {
 		tb.Fatalf("trace program did not exit cleanly: %v", res.Status)
 	}
 	if len(evs) < 256 {
@@ -222,46 +209,5 @@ func TestOnBatchZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, func() { mr.OnBatch(bent) }); allocs != 0 {
 		t.Errorf("recorder-enabled OnBatch allocates %.1f per batch, want 0", allocs)
-	}
-}
-
-// TestOnBatchMatchesPerEvent holds the batched kernel to the per-event
-// one: same alarms (sequence, site, verdict), same stats, same final
-// stack state, clean and tampered.
-func TestOnBatchMatchesPerEvent(t *testing.T) {
-	w, evs := benchTrace(t)
-	bent := make([]wire.Event, len(evs))
-	copy(bent, evs)
-	for i := range bent {
-		if bent[i].Kind == wire.EvBranch && i%11 == 0 {
-			bent[i].Taken = !bent[i].Taken
-		}
-	}
-	for name, trace := range map[string][]wire.Event{"clean": evs, "tampered": bent} {
-		ref := New(w.img, DefaultConfig)
-		_, refCost := replayPerEvent(ref, trace)
-		got := New(w.img, DefaultConfig)
-		got.OnBatch(trace)
-		// The per-event kernel returns cost = 1 + BAT accesses per
-		// branch; the batched kernel must account the identical total
-		// through its flushed counters (bit-for-bit, not approximately).
-		if batchCost := got.Stats().Branches + got.Stats().BATAccesses; uint64(refCost) != batchCost {
-			t.Errorf("%s: batched cost %d != per-event cost sum %d", name, batchCost, refCost)
-		}
-		if ref.Stats() != got.Stats() {
-			t.Errorf("%s: stats diverge:\n per-event %+v\n batched   %+v", name, ref.Stats(), got.Stats())
-		}
-		ra, ga := ref.Alarms(), got.Alarms()
-		if len(ra) != len(ga) {
-			t.Fatalf("%s: alarm count %d (batched) != %d (per-event)", name, len(ga), len(ra))
-		}
-		for i := range ra {
-			if ra[i] != ga[i] {
-				t.Errorf("%s: alarm %d diverges: %+v vs %+v", name, i, ga[i], ra[i])
-			}
-		}
-		if ref.Depth() != got.Depth() {
-			t.Errorf("%s: depth %d != %d", name, got.Depth(), ref.Depth())
-		}
 	}
 }

@@ -17,7 +17,6 @@ package ipds
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/tables"
 	"repro/internal/wire"
 )
@@ -151,6 +150,8 @@ type Machine struct {
 	// batchAlarms is the machine-owned result buffer OnBatch returns a
 	// view of; reused (truncated, never freed) across batches.
 	batchAlarms []Alarm
+	// walkLens is the kernel's walk-length tally, empty between calls.
+	walkLens [batchWalkBuckets]uint64
 
 	// Flight recorder (nil when Config.Recorder == 0) and the bounded
 	// ring of captured alarm contexts; see recorder.go. ctxGap/ctxNext
@@ -324,133 +325,78 @@ func (m *Machine) fillTop() {
 	m.spillToFit()
 }
 
-// branch is the verification kernel shared by OnBranch and OnBatch: it
-// verifies one committed conditional branch and applies its BAT update
-// actions, returning everything by value so the hot path allocates
-// nothing — the BAT walk goes through tables.BATIter (a stack cursor,
-// no func value) and the alarm, when one fires, is copied into the
-// bounded ring rather than boxed.
-func (m *Machine) branch(pc uint64, taken bool) (alarm Alarm, fired bool, cost int) {
-	m.seq++
-	m.stats.Branches++
-	m.met.branches.Inc()
-	// Record before verifying, so the violating branch is always the
-	// last entry of a captured context's recent-event window.
-	m.record(EvBranch, pc, taken, 0)
-	if len(m.stack) == 0 {
-		return Alarm{}, false, 1
-	}
-	act := &m.stack[len(m.stack)-1]
-	img := act.img
-	if img == nil {
-		return Alarm{}, false, 1
-	}
-	if m.cfg.Strict && !img.ValidPC(pc) {
-		// The masked hash would alias this PC onto another branch's
-		// slot; refuse it instead of risking a bogus verify or update.
-		m.stats.StrictRejects++
-		m.met.strictRejects.Inc()
-		return Alarm{}, false, 1
-	}
-	slot := img.Slot(pc)
-	cost = 1 // BCV + BSV probe (single wide access)
-
-	if img.Checked(slot) {
-		m.stats.Verified++
-		m.met.verified.Inc()
-		if st := act.bsv[slot]; !st.Matches(taken) {
-			alarm = Alarm{
-				Seq: m.seq, PC: pc, Func: img.Name, Slot: slot,
-				Expected: st, Taken: taken,
-			}
-			fired = true
-			m.pushAlarm(alarm)
-		}
-	}
-
-	// Update phase: apply the BAT actions for this (branch, direction)
-	// event whether or not the branch is checked.
-	walked := 0
-	it := img.ActionList(slot, taken)
-	for e, ok := it.Next(); ok; e, ok = it.Next() {
-		switch e.Act {
-		case core.SetTaken:
-			act.bsv[e.Target] = tables.Taken
-		case core.SetNotTaken:
-			act.bsv[e.Target] = tables.NotTaken
-		default:
-			act.bsv[e.Target] = tables.Unknown
-		}
-		walked++
-	}
-	m.stats.Updates += uint64(walked)
-	m.stats.BATAccesses += uint64(walked)
-	if mm := m.met; mm != nil {
-		mm.updates.Add(uint64(walked))
-		mm.batAccesses.Add(uint64(walked))
-		mm.batWalk.Observe(uint64(walked))
-	}
-	cost += walked
-	return alarm, fired, cost
-}
-
-// OnBranch processes one committed conditional branch. It returns the
-// alarm raised (nil if the path is consistent) and the number of table
-// accesses the event cost (BSV/BCV probe plus BAT list walk), which the
-// CPU model converts into request-queue occupancy.
+// OnBranch processes one committed conditional branch: the
+// single-event case of the verification kernel (verify), flushing only
+// the walk-length bucket that event touched. It returns the alarm
+// raised (nil if the path is consistent) and the number of table
+// accesses the event cost (BSV/BCV probe plus BAT actions walked),
+// which the CPU model converts into request-queue occupancy.
 func (m *Machine) OnBranch(pc uint64, taken bool) (*Alarm, int) {
-	a, fired, cost := m.branch(pc, taken)
-	if !fired {
+	ev := [1]wire.Event{{Kind: wire.EvBranch, PC: pc, Taken: taken}}
+	m.batchAlarms = m.batchAlarms[:0]
+	walked := m.verify(ev[:])
+	if walked < batchWalkBuckets && m.walkLens[walked] != 0 {
+		m.walkLens[walked] = 0
+		m.met.batWalk.Observe(walked)
+	}
+	cost := 1 + int(walked)
+	if len(m.batchAlarms) == 0 {
 		return nil, cost
 	}
-	boxed := a
-	return &boxed, cost
+	a := m.batchAlarms[0]
+	return &a, cost
 }
 
-// batchWalkBuckets sizes the batch-local BAT walk-length tally OnBatch
-// flushes into the batWalk histogram: walks shorter than this (all of
-// them, in practice — see BakedInline) are counted in a stack array
-// and flushed with one ObserveN per length; longer walks observe
-// directly.
+// batchWalkBuckets sizes the BAT walk-length tally the kernel fills
+// for the batWalk histogram: walks shorter than this (all of them, in
+// practice — see BakedInline) are counted in Machine.walkLens and
+// flushed by the caller, OnBatch with one ObserveN per length; longer
+// walks observe directly.
 const batchWalkBuckets = 16
 
 // OnBatch drives a whole decoded event batch — function entries,
 // returns and committed branches, in stream order — through the
-// machine and returns the alarms the batch raised.
-//
-// This is the daemon's hot path, rewritten over the baked slot-record
-// form (tables.Baked): a run of consecutive branch events shares one
-// load of the top activation, its image and its baked records (the
-// stack cannot change between enter/leave events), each branch is
-// resolved with a single fixed-stride record probe fusing the checked
-// bit and the inline BAT actions, the flight-recorder store is inlined
-// behind a precomputed meta word, and Stats plus obs metrics
-// accumulate in batch-local scalars flushed once per call instead of
-// per event.
+// verification kernel and returns the alarms the batch raised.
 //
 // It is behaviourally identical to calling EnterFunc/LeaveFunc/
 // OnBranch per event: same alarms, same Stats, same table-stack state,
-// and the same per-event cost (1 + BAT actions walked — BATAccesses
-// advances exactly as the reference kernel's walk does, so the
-// internal/cpu timing model sees identical access counts). The golden
-// equivalence test in internal/server holds all three paths to that,
-// and TestOnBatchMatchesPerEvent pins the cost identity directly. It
-// performs zero heap allocations per event on a warmed machine.
+// and the same per-event cost (1 + BAT actions walked), so the
+// internal/cpu timing model sees identical access counts. The golden
+// equivalence test in internal/server and the linked-list oracle test
+// in this package hold it to that. It performs zero heap allocations
+// per event on a warmed machine.
 //
 // The returned slice is owned by the machine and valid only until the
-// next OnBatch or Reset call; callers that retain alarms must copy
-// them out before feeding the next batch.
+// next OnBatch, OnBranch or Reset call; callers that retain alarms must
+// copy them out before feeding the next event.
 func (m *Machine) OnBatch(evs []wire.Event) []Alarm {
 	m.batchAlarms = m.batchAlarms[:0]
+	m.verify(evs)
+	for l, c := range m.walkLens {
+		m.met.batWalk.ObserveN(uint64(l), c)
+	}
+	m.walkLens = [batchWalkBuckets]uint64{}
+	return m.batchAlarms
+}
 
-	// Batch-local accumulators, flushed once after the loop.
-	var (
-		branches uint64
-		verified uint64
-		updates  uint64
-		rejects  uint64
-		walkLens [batchWalkBuckets]uint64
-	)
+// verify is the verification kernel, over the baked slot-record form
+// (tables.Baked). Stack-shape events go through EnterFunc/LeaveFunc; a
+// run of consecutive branch events shares one load of the top
+// activation, its image and its baked records (the stack cannot change
+// between enter/leave events), each branch is resolved with a single
+// fixed-stride record probe fusing the checked bit and the inline BAT
+// actions, and the flight-recorder store is inlined behind a
+// precomputed meta word.
+//
+// It advances m.seq and the recorder and raises alarms (appending them
+// to m.batchAlarms). Stats and obs counters accumulate in locals
+// flushed once per call instead of per event; each walk's length is
+// tallied into m.walkLens for the caller to flush into the batWalk
+// histogram (walks too long for the tally observe directly). It
+// returns the BAT actions walked: each branch costs 1 + the actions it
+// walked.
+func (m *Machine) verify(evs []wire.Event) (walked uint64) {
+	var branches, verified, rejects uint64
 	seq := m.seq // kept in a register; synced to m.seq outside branch runs
 	strict := m.cfg.Strict
 	rec := m.rec.buf
@@ -478,16 +424,11 @@ func (m *Machine) OnBatch(evs []wire.Event) []Alarm {
 		// branch events starting here.
 		var (
 			img *tables.FuncImage
-			bk  *tables.Baked
 			bsv []tables.Status
 		)
 		if n := len(m.stack); n > 0 {
 			act := &m.stack[n-1]
-			if act.img != nil {
-				img = act.img
-				bk = img.Baked()
-				bsv = act.bsv
-			}
+			img, bsv = act.img, act.bsv
 		}
 		metaBase := uint64(EvBranch)&0xff | (uint64(len(m.stack))&recDepthMask)<<9
 
@@ -497,12 +438,11 @@ func (m *Machine) OnBatch(evs []wire.Event) []Alarm {
 		for end < len(evs) && evs[end].Kind == wire.EvBranch {
 			end++
 		}
+		runStart := i
 
-		switch {
-		case img == nil:
+		if img == nil {
 			// No protected frame on top: each branch only counts (and
-			// records), cost 1, like the reference kernel's early return.
-			runStart := i
+			// records), cost 1.
 			for ; i < end; i++ {
 				ev := &evs[i]
 				if rec != nil {
@@ -512,26 +452,11 @@ func (m *Machine) OnBatch(evs []wire.Event) []Alarm {
 					}
 					s := &rec[m.rec.total&recMask]
 					m.rec.total++
-					s.seq = seq + uint64(i-runStart) + 1
-					s.pc = ev.PC
-					s.meta = metaBase | t<<8
+					s.seq, s.pc, s.meta = seq+uint64(i-runStart)+1, ev.PC, metaBase|t<<8
 				}
 			}
-			run := uint64(i - runStart)
-			seq += run
-			branches += run
-		case bk == nil:
-			// Unbaked image (hand-assembled, never through Image.Index):
-			// fall back to the reference kernel, which keeps its own
-			// stats, so nothing accumulates locally for this run.
-			m.seq = seq
-			for ; i < end; i++ {
-				if a, fired, _ := m.branch(evs[i].PC, evs[i].Taken); fired {
-					m.batchAlarms = append(m.batchAlarms, a)
-				}
-			}
-			seq = m.seq
-		default:
+		} else {
+			bk := img.Baked()
 			recs := bk.Recs
 			acts := bk.Acts
 			// Hoist the slot hash into registers: the compiler cannot
@@ -540,7 +465,6 @@ func (m *Machine) OnBatch(evs []wire.Event) []Alarm {
 			base := img.Base
 			s1, s2 := img.Hash.S1, img.Hash.S2
 			mask := uint64(img.Hash.Slots() - 1)
-			runStart := i
 			for ; i < end; i++ {
 				ev := &evs[i]
 				pc := ev.PC
@@ -548,18 +472,18 @@ func (m *Machine) OnBatch(evs []wire.Event) []Alarm {
 				if ev.Taken {
 					t = 1
 				}
-				// Record before verifying, like the reference kernel, so
-				// a violating branch closes its captured context window.
-				// With the recorder off, seq/branches advance once per
-				// run (below), not per event.
+				// Record before verifying, so the violating branch is
+				// always the last entry of a captured context's
+				// recent-event window.
 				if rec != nil {
 					s := &rec[m.rec.total&recMask]
 					m.rec.total++
-					s.seq = seq + uint64(i-runStart) + 1
-					s.pc = pc
-					s.meta = metaBase | t<<8
+					s.seq, s.pc, s.meta = seq+uint64(i-runStart)+1, pc, metaBase|t<<8
 				}
 				if strict && !img.ValidPC(pc) {
+					// The masked hash would alias this PC onto another
+					// branch's slot; refuse it instead of risking a bogus
+					// verify or update.
 					rejects++
 					continue
 				}
@@ -582,10 +506,11 @@ func (m *Machine) OnBatch(evs []wire.Event) []Alarm {
 					m.batchAlarms = append(m.batchAlarms, a)
 					m.pushAlarm(a)
 				}
-				// Update phase: inline actions (unrolled — BakedInline is
-				// 4) or one contiguous scan of a flattened longer list.
-				// The overflow flag rides in the already-loaded Meta
-				// word, so the common inline case never touches Off/Tail.
+				// Update phase, checked or not: inline actions (unrolled
+				// — BakedInline is 4) or one contiguous scan of a
+				// flattened longer list. The overflow flag rides in the
+				// already-loaded Meta word, so the common inline case
+				// never touches Off/Tail.
 				dir := t ^ 1 // 0 taken, 1 not-taken (BATHeads convention)
 				n := int(r.Meta >> (2 + dir*3) & 7)
 				if n != 0 {
@@ -611,40 +536,34 @@ func (m *Machine) OnBatch(evs []wire.Event) []Alarm {
 					}
 					n = tail
 				}
-				// updates is derived from walkLens at flush; only walks too
-				// long for the tally are accumulated directly.
+				walked += uint64(n)
 				if n < batchWalkBuckets {
-					walkLens[n]++
+					m.walkLens[n]++
 				} else {
-					updates += uint64(n)
 					m.met.batWalk.Observe(uint64(n))
 				}
 			}
-			run := uint64(i - runStart)
-			seq += run
-			branches += run
 		}
+		run := uint64(i - runStart)
+		seq += run
+		branches += run
 		m.seq = seq
 	}
-	m.seq = seq
 
-	// Flush: owner-local Stats, then one atomic add per touched series.
-	mm := m.met
-	for l, c := range walkLens {
-		updates += uint64(l) * c
-		mm.batWalk.ObserveN(uint64(l), c)
-	}
+	// Flush: owner-local Stats, then one atomic add per series. Every
+	// BAT node walked applies one update action.
 	m.stats.Branches += branches
 	m.stats.Verified += verified
-	m.stats.Updates += updates
-	m.stats.BATAccesses += updates
+	m.stats.Updates += walked
+	m.stats.BATAccesses += walked
 	m.stats.StrictRejects += rejects
+	mm := m.met
 	mm.branches.Add(branches)
 	mm.verified.Add(verified)
-	mm.updates.Add(updates)
-	mm.batAccesses.Add(updates)
+	mm.updates.Add(walked)
+	mm.batAccesses.Add(walked)
 	mm.strictRejects.Add(rejects)
-	return m.batchAlarms
+	return walked
 }
 
 // pushAlarm records an alarm in the bounded ring and publishes it. The

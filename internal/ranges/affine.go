@@ -204,8 +204,9 @@ func BranchConstraint(f *ir.Func, br *ir.Instr) (Constraint, bool) {
 		case bOK && cb == 0:
 			setSide, zeroOther = a, true
 		case aOK && ca == 0:
+			// Eq/Ne are symmetric: no swap. Any other cond breaks out
+			// below and must reach the constant/affine split unswapped.
 			setSide, zeroOther = b, true
-			cond = cond.Swap()
 		}
 		if !zeroOther || (cond != ir.CondNe && cond != ir.CondEq) {
 			break

@@ -250,6 +250,43 @@ func TestBranchConstraintSwappedOperands(t *testing.T) {
 	}
 }
 
+// TestBranchConstraintZeroOperandKeepsOrder pins operand order when one
+// side is the constant 0 but the comparison is ordered, so there is no
+// `set` to unwrap: `0 < g` must mean g >= 1, and a forwarded constant 0
+// on the left (`x = 0; if (x < 5)`) must still test x < 5. Swapping the
+// condition for the 0 without unwrapping anything made the analysis
+// predict the opposite direction — a false positive at run time.
+func TestBranchConstraintZeroOperandKeepsOrder(t *testing.T) {
+	p := lowerFwd(t, `
+		int g;
+		int f() {
+			if (0 < g) { return 1; }
+			return 0;
+		}
+		int h() {
+			int x;
+			x = 0;
+			if (x < 5) { return 1; }
+			return 0;
+		}`)
+	f := p.ByName["f"]
+	c, ok := BranchConstraint(f, onlyBranch(t, f))
+	if !ok {
+		t.Fatal("f: no constraint")
+	}
+	if !c.Taken.Contains(1) || c.Taken.Contains(0) || !c.Not.Contains(0) {
+		t.Errorf("0 < g: taken = %v, not = %v; want [1,inf) / (-inf,0]", c.Taken, c.Not)
+	}
+	h := p.ByName["h"]
+	c, ok = BranchConstraint(h, onlyBranch(t, h))
+	if !ok {
+		t.Fatal("h: no constraint")
+	}
+	if !c.Taken.Contains(0) || !c.Taken.Contains(4) || c.Taken.Contains(5) {
+		t.Errorf("x < 5 with x = 0 forwarded: taken = %v, want (-inf,4]", c.Taken)
+	}
+}
+
 func TestBranchConstraintOffset(t *testing.T) {
 	// Figure 3.c: y<5 loaded, decremented, branch r1<10 — the root
 	// (loaded y) range on taken is y<11.

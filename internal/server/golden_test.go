@@ -14,13 +14,16 @@ import (
 // TestGoldenEquivalenceThreePaths is the behavioural anchor for the
 // zero-allocation kernel: one tampered telnetd trace fed through
 //
-//  1. the per-event API (EnterFunc/LeaveFunc/OnBranch),
+//  1. the per-event API (EnterFunc/LeaveFunc/OnBranch, the kernel's
+//     single-event case),
 //  2. the batched kernel (Machine.OnBatch, daemon-sized batches), and
 //  3. a live daemon session (ipdsclient over the wire protocol),
 //
 // must produce identical alarms (every field), identical machine Stats
-// and identical final table-stack depth. Any divergence means the hot
-// path optimisations changed behaviour, not just speed.
+// and identical final table-stack depth. Any divergence means the
+// serving layers changed behaviour, not just speed. All three paths
+// run the same kernel; the independent reference it is checked against
+// is the linked-list oracle in internal/ipds (TestKernelMatchesOracle).
 func TestGoldenEquivalenceThreePaths(t *testing.T) {
 	w := workload.ByName("telnetd")
 	if w == nil {
@@ -35,7 +38,7 @@ func TestGoldenEquivalenceThreePaths(t *testing.T) {
 		t.Fatal("empty telnetd trace")
 	}
 
-	// Path 1: per-event reference.
+	// Path 1: per-event entry point.
 	ref := ipds.New(art.Image, ipds.DefaultConfig)
 	refAlarms := ipdsclient.ReplayLocal(ref, trace)
 	if len(refAlarms) == 0 {

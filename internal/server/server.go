@@ -392,13 +392,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // register adds a session under a fresh id, refusing during drain. The
 // session's ring and verifier pin are established here, before any
-// frame can flow.
+// frame can flow. Its reader joins readerWG here too, under s.mu, so
+// the Add happens-before Shutdown sets draining and its Wait cannot
+// miss a session that registered; the caller owes a Done (readLoop's,
+// or its own if the handshake fails).
 func (s *Server) register(ss *session) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining.Load() {
 		return false
 	}
+	s.readerWG.Add(1)
 	s.nextID++
 	ss.id = s.nextID
 	ss.v = s.pinVerifier(ss.id)
@@ -490,13 +494,13 @@ func (s *Server) handleConn(conn net.Conn) {
 		// The session was never adopted by its verifier; unwind by hand.
 		conn.Close()
 		s.unregister(ss)
+		s.readerWG.Done()
 		return
 	}
 
 	// Adopt before the reader starts so the first published task always
 	// finds the verifier scanning (or parkable-and-wakeable).
 	ss.v.adopt(ss)
-	s.readerWG.Add(1)
 	go ss.readLoop()
 }
 

@@ -224,6 +224,12 @@ func (s *session) readLoop() {
 			d = drainGrace
 		}
 		s.conn.SetReadDeadline(time.Now().Add(d))
+		if !graced && srv.draining.Load() {
+			// Shutdown's deadline poke may have landed before this
+			// deadline replaced it: go around under the grace deadline
+			// instead of blocking for a full ReadTimeout.
+			continue
+		}
 		f, err := s.rd.NextInto(b)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {

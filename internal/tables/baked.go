@@ -57,9 +57,8 @@ type Baked struct {
 	Acts []uint32
 }
 
-// bakeStatus maps a BAT entry to the packed status its action writes,
-// mirroring the reference kernel's switch (SetTaken, SetNotTaken,
-// anything else clears to Unknown).
+// bakeStatus maps a BAT entry to the packed status its action writes
+// (SetTaken, SetNotTaken, and SetUnknown clearing to Unknown).
 func bakeStatus(e BATEntry) uint32 {
 	switch e.Act {
 	case core.SetTaken:
@@ -75,53 +74,44 @@ func bakeStatus(e BATEntry) uint32 {
 // (Image.Index bakes every function, so any image that reaches the
 // runtime through Encode, Unmarshal or the pipeline arrives baked);
 // calling it concurrently with readers is a data race, like Index.
-// Functions whose entries cannot be packed (corrupt targets outside
-// the slot space) are left unbaked — Baked returns nil and the runtime
-// falls back to the linked-list walk.
+// Bake has no failure path: it requires a well-formed image — BAT
+// targets inside the slot space and acyclic lists — which EncodeFunc
+// produces by construction and the decoder enforces on every record it
+// accepts. Hand-built fixtures must uphold the same invariants.
 func (fi *FuncImage) Bake() {
 	if fi.baked != nil {
 		return
 	}
-	n := len(fi.BATHeads)
-	b := &Baked{Recs: make([]SlotRec, n)}
-	for _, e := range fi.Entries {
-		if e.Target < 0 || e.Target >= n || uint64(e.Target) >= 1<<30 {
-			return // unpackable target: leave unbaked
-		}
-	}
+	b := &Baked{Recs: make([]SlotRec, len(fi.BATHeads))}
 	for slot := range b.Recs {
 		r := &b.Recs[slot]
 		if len(fi.BCV) > 0 && fi.Checked(slot) {
 			r.Meta |= 1
 		}
 		for dir := 0; dir < 2; dir++ {
-			// First pass: list length decides inline vs flattened.
-			count := 0
-			it := BATIter{entries: fi.Entries, idx: fi.BATHeads[slot][dir]}
-			for _, ok := it.Next(); ok; _, ok = it.Next() {
-				count++
+			// Flatten the list onto the overflow array in walk order, then
+			// move it inline if it is short enough.
+			off := len(b.Acts)
+			for i := fi.BATHeads[slot][dir]; i >= 0; i = fi.Entries[i].Next {
+				e := fi.Entries[i]
+				b.Acts = append(b.Acts, uint32(e.Target)<<2|bakeStatus(e))
 			}
-			it = BATIter{entries: fi.Entries, idx: fi.BATHeads[slot][dir]}
+			count := len(b.Acts) - off
 			if count <= BakedInline {
 				r.Meta |= uint32(count) << (2 + dir*3)
-				for k := 0; k < count; k++ {
-					e, _ := it.Next()
-					r.Inline[dir][k] = uint32(e.Target)<<2 | bakeStatus(e)
-				}
+				copy(r.Inline[dir][:], b.Acts[off:])
+				b.Acts = b.Acts[:off]
 				continue
 			}
 			r.Meta |= 1 << (8 + dir)
-			r.Off[dir] = uint32(len(b.Acts))
+			r.Off[dir] = uint32(off)
 			r.Tail[dir] = uint32(count)
-			for e, ok := it.Next(); ok; e, ok = it.Next() {
-				b.Acts = append(b.Acts, uint32(e.Target)<<2|bakeStatus(e))
-			}
 		}
 	}
 	fi.baked = b
 }
 
-// Baked returns the function's baked slot records, or nil when the
-// image has not been baked (hand-assembled fixtures that never went
-// through Image.Index or Bake).
+// Baked returns the function's baked slot records. It is non-nil for
+// every function of an indexed image; only a hand-built FuncImage that
+// never went through Image.Index or Bake returns nil.
 func (fi *FuncImage) Baked() *Baked { return fi.baked }

@@ -28,12 +28,25 @@ func bakedWalk(b *Baked, slot, dir int, bsv []Status) int {
 	return n
 }
 
-// refWalk replays the linked-list form with the reference kernel's
-// action switch.
+// listEntries walks the linked-list form of the (slot, dir) BAT list
+// from its head — the reference the baked form is derived from.
+func listEntries(fi *FuncImage, slot, dir int) []BATEntry {
+	var out []BATEntry
+	for i := fi.BATHeads[slot][dir]; i >= 0; i = fi.Entries[i].Next {
+		out = append(out, fi.Entries[i])
+	}
+	return out
+}
+
+// refWalk replays the linked-list form with the paper's action
+// semantics (SET_T, SET_NT, SET_UN).
 func refWalk(fi *FuncImage, slot int, taken bool, bsv []Status) int {
-	walked := 0
-	it := fi.ActionList(slot, taken)
-	for e, ok := it.Next(); ok; e, ok = it.Next() {
+	dir := 0
+	if !taken {
+		dir = 1
+	}
+	es := listEntries(fi, slot, dir)
+	for _, e := range es {
 		switch e.Act {
 		case core.SetTaken:
 			bsv[e.Target] = Taken
@@ -42,9 +55,8 @@ func refWalk(fi *FuncImage, slot int, taken bool, bsv []Status) int {
 		default:
 			bsv[e.Target] = Unknown
 		}
-		walked++
 	}
-	return walked
+	return len(es)
 }
 
 // TestBakedMatchesActionLists holds the baked form to the linked-list
@@ -153,23 +165,6 @@ func TestBakedOverflowTail(t *testing.T) {
 	fi.Bake()
 	if fi.Baked() != before {
 		t.Fatal("second Bake rebuilt the baked form")
-	}
-}
-
-// TestBakeRefusesUnpackableTargets leaves images with out-of-range BAT
-// targets unbaked, so the runtime falls back to the linked-list walk
-// instead of writing through a bogus packed index.
-func TestBakeRefusesUnpackableTargets(t *testing.T) {
-	fi := &FuncImage{
-		Name:     "corrupt",
-		NumSlots: 2,
-		BCV:      []uint64{0},
-		BATHeads: [][2]int32{{0, -1}, {-1, -1}},
-		Entries:  []BATEntry{{Target: 99, Act: core.SetTaken, Next: -1}},
-	}
-	fi.Bake()
-	if fi.Baked() != nil {
-		t.Fatal("corrupt image was baked")
 	}
 }
 

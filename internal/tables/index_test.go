@@ -98,37 +98,3 @@ func TestValidPCNoBranches(t *testing.T) {
 		}
 	}
 }
-
-// TestActionListMatchesActions holds the allocation-free iterator to the
-// callback walk over every (slot, direction) pair of every function.
-func TestActionListMatchesActions(t *testing.T) {
-	p, _, im := encode(t, testSrc)
-	for _, fn := range p.Funcs {
-		fi := im.FuncByName(fn.Name)
-		for slot := 0; slot < fi.NumSlots; slot++ {
-			for _, taken := range []bool{true, false} {
-				var want []BATEntry
-				walked := fi.Actions(slot, taken, func(e BATEntry) { want = append(want, e) })
-				var got []BATEntry
-				it := fi.ActionList(slot, taken)
-				for e, ok := it.Next(); ok; e, ok = it.Next() {
-					got = append(got, e)
-				}
-				if len(got) != walked || len(got) != len(want) {
-					t.Fatalf("%s slot %d taken=%v: iterator walked %d entries, callback %d",
-						fn.Name, slot, taken, len(got), walked)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("%s slot %d taken=%v entry %d: %+v != %+v",
-							fn.Name, slot, taken, i, got[i], want[i])
-					}
-				}
-				// A drained iterator stays drained.
-				if _, ok := it.Next(); ok {
-					t.Fatalf("%s slot %d: iterator yielded past the end", fn.Name, slot)
-				}
-			}
-		}
-	}
-}

@@ -13,6 +13,7 @@ package tables
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -44,41 +45,21 @@ func (s Status) String() string {
 	return "?"
 }
 
-// matchBits is the Matches truth table: bit (s<<1 | taken) holds the
-// verdict for status s. Unknown (bits 0,1) matches both directions,
-// Taken (bit 3) only taken, NotTaken (bit 4) only not-taken.
+// matchBits is the status/direction truth table: bit (s<<1 | taken)
+// is set when direction taken is compatible with status s. Unknown
+// (bits 0,1) matches both directions, Taken (bit 3) only taken,
+// NotTaken (bit 4) only not-taken.
 const matchBits = 0b011011
 
-// Matches reports whether an observed direction is compatible with the
-// expected status. It is a branch-free truth-table probe — it sits
-// inside the per-branch verification kernel, where a data-dependent
-// status switch would mispredict on exactly the irregular histories
-// the checker exists to examine. Statuses are always one of the three
-// defined constants (nothing in this package or the runtime produces
-// others).
-func (s Status) Matches(taken bool) bool {
-	t := uint(0)
-	if taken {
-		t = 1
-	}
-	return matchBits>>(uint(s)<<1|t)&1 != 0
-}
-
-// MatchFail is the branch-free complement of Matches for the batched
-// verification kernel: it returns 1 when the status is incompatible
-// with the direction bit t (1 = taken), 0 otherwise. The kernel ANDs
-// it with the slot's checked bit, so the only branch left on the
-// verify edge is the rare alarm dispatch.
+// MatchFail reports, as 1 or 0, whether the direction bit t (1 =
+// taken) is incompatible with the expected status. It is a branch-free
+// truth-table probe: the verification kernel ANDs it with the slot's
+// checked bit, so the only branch left on the verify edge is the rare
+// alarm dispatch — a data-dependent status switch would mispredict on
+// exactly the irregular histories the checker exists to examine.
+// Statuses are always one of the three defined constants.
 func (s Status) MatchFail(t uint64) uint64 {
 	return ^uint64(matchBits) >> (uint64(s)<<1 | t) & 1
-}
-
-// StatusFor converts a direction to the corresponding status.
-func StatusFor(taken bool) Status {
-	if taken {
-		return Taken
-	}
-	return NotTaken
 }
 
 // BATEntry is one node of a BAT action list.
@@ -159,58 +140,6 @@ func (fi *FuncImage) ValidPC(pc uint64) bool {
 		}
 	}
 	return lo < len(fi.BranchPCs) && fi.BranchPCs[lo] == pc
-}
-
-// setBranchPCs installs the sorted branch-PC list ValidPC searches.
-func (fi *FuncImage) setBranchPCs(pcs []uint64) {
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	fi.BranchPCs = pcs
-	fi.hasPCs = true
-}
-
-// BATIter is an allocation-free cursor over one (slot, direction) BAT
-// action list. The zero value is exhausted; obtain one with
-// FuncImage.ActionList. It is a value type: copying it forks the
-// cursor, and no call on it allocates or escapes to the heap — this is
-// what lets the runtime's branch hot path walk update lists without a
-// func value.
-type BATIter struct {
-	entries []BATEntry
-	idx     int32
-}
-
-// Next returns the next action entry, or ok=false when the list is
-// exhausted.
-func (it *BATIter) Next() (e BATEntry, ok bool) {
-	if it.idx < 0 {
-		return BATEntry{}, false
-	}
-	e = it.entries[it.idx]
-	it.idx = e.Next
-	return e, true
-}
-
-// ActionList returns a cursor over the BAT list for (slot, taken).
-func (fi *FuncImage) ActionList(slot int, taken bool) BATIter {
-	dir := 0
-	if !taken {
-		dir = 1
-	}
-	return BATIter{entries: fi.Entries, idx: fi.BATHeads[slot][dir]}
-}
-
-// Actions iterates the BAT list for (slot, taken), reporting the number
-// of entries walked (the runtime's per-update table accesses). The
-// runtime itself uses ActionList; this closure form remains for tests
-// and diagnostics.
-func (fi *FuncImage) Actions(slot int, taken bool, yield func(BATEntry)) int {
-	it := fi.ActionList(slot, taken)
-	n := 0
-	for e, ok := it.Next(); ok; e, ok = it.Next() {
-		yield(e)
-		n++
-	}
-	return n
 }
 
 // Image is the whole-program table set plus the function information
@@ -325,7 +254,8 @@ func EncodeFunc(ft *core.FuncTables) (*FuncImage, error) {
 	for i := range fi.BATHeads {
 		fi.BATHeads[i] = [2]int32{-1, -1}
 	}
-	fi.setBranchPCs(pcs)
+	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
+	fi.BranchPCs, fi.hasPCs = pcs, true
 	for br := range ft.Checked {
 		s := fi.Slot(br.PC)
 		fi.BCV[s/64] |= 1 << (s % 64)
@@ -362,12 +292,18 @@ func EncodeFunc(ft *core.FuncTables) (*FuncImage, error) {
 		fi.BATHeads[slot][dir] = prev
 	}
 
+	fi.setSizes()
+	return fi, nil
+}
+
+// setSizes fills in the Figure 8 bit sizes of the three tables.
+func (fi *FuncImage) setSizes() {
+	n := fi.NumSlots
 	fi.BSVBits = 2 * n
 	fi.BCVBits = n
 	ptrBits := log2ceil(len(fi.Entries) + 1)
 	slotBits := log2ceil(n)
 	fi.BATBits = 2*n*ptrBits + len(fi.Entries)*(slotBits+2+ptrBits)
-	return fi, nil
 }
 
 func log2ceil(n int) int {
@@ -470,23 +406,40 @@ func MarshalFunc(fi *FuncImage) []byte {
 	return appendFunc(nil, fi)
 }
 
+// Decoder refusals. Registry peers and the table cache's disk tier
+// hand Unmarshal and UnmarshalFunc untrusted bytes, so the decoder
+// checks every count against the bytes left before sizing anything from
+// it, and every BAT link, target and action before the image is baked.
+// Each refusal wraps exactly one of these (test with errors.Is). An
+// accepted image is one EncodeFunc could have produced: it bakes
+// without a failure path and re-marshals byte-identically.
+var (
+	ErrTruncated    = errors.New("tables: truncated image")
+	ErrBadMagic     = errors.New("tables: bad magic")
+	ErrNonCanonical = errors.New("tables: non-canonical image")
+	ErrHashSize     = errors.New("tables: hash size above encoder ceiling")
+	ErrBCVLength    = errors.New("tables: BCV length does not match slot count")
+	ErrBATLink      = errors.New("tables: BAT link out of range")
+	ErrBATCycle     = errors.New("tables: BAT list revisits an entry")
+	ErrBATTarget    = errors.New("tables: BAT target out of range")
+	ErrBATAction    = errors.New("tables: unknown BAT action")
+)
+
 // UnmarshalFunc reads a single function record produced by MarshalFunc,
-// returning the image and the number of bytes consumed.
+// returning the validated, baked image and the number of bytes
+// consumed.
 func UnmarshalFunc(data []byte) (*FuncImage, int, error) {
-	fi, off, err := readFunc(data, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	return fi, off, nil
+	return readFunc(data, 0)
 }
 
-// Unmarshal reads a serialised image.
+// Unmarshal reads a serialised image. Trailing bytes are refused, so an
+// accepted image is exactly the Marshal output of what it decodes to.
 func Unmarshal(data []byte) (*Image, error) {
 	if len(data) < 8 {
-		return nil, fmt.Errorf("tables: truncated image at header")
+		return nil, fmt.Errorf("%w at header", ErrTruncated)
 	}
 	if binary.LittleEndian.Uint32(data) != magic {
-		return nil, fmt.Errorf("tables: bad magic")
+		return nil, ErrBadMagic
 	}
 	nf := binary.LittleEndian.Uint32(data[4:])
 	off := 8
@@ -499,100 +452,124 @@ func Unmarshal(data []byte) (*Image, error) {
 		off = next
 		im.Funcs = append(im.Funcs, fi)
 	}
+	if off != len(data) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrNonCanonical, len(data)-off)
+	}
 	im.Index()
 	return im, nil
 }
 
-// readFunc decodes one function record starting at off, returning the
-// image and the offset just past the record.
+// readFunc decodes and validates one function record starting at off,
+// returning the baked image and the offset just past the record.
 func readFunc(data []byte, off int) (*FuncImage, int, error) {
-	fail := func(what string) error { return fmt.Errorf("tables: truncated image at %s", what) }
-	u32 := func() (uint32, bool) {
-		if off+4 > len(data) {
-			return 0, false
-		}
+	refuse := func(err error, format string, args ...any) (*FuncImage, int, error) {
+		return nil, 0, fmt.Errorf("%w: "+format, append([]any{err}, args...)...)
+	}
+	// fits reports whether nbytes remain. Counts come from the input,
+	// so it runs before anything is read or sized from one.
+	fits := func(nbytes uint64) bool { return nbytes <= uint64(len(data)-off) }
+	u32 := func() uint32 {
 		v := binary.LittleEndian.Uint32(data[off:])
 		off += 4
-		return v, true
+		return v
 	}
-	u64 := func() (uint64, bool) {
-		if off+8 > len(data) {
-			return 0, false
-		}
+	u64 := func() uint64 {
 		v := binary.LittleEndian.Uint64(data[off:])
 		off += 8
-		return v, true
+		return v
 	}
 
-	nameLen, ok := u32()
-	if !ok || off+int(nameLen) > len(data) {
-		return nil, 0, fail("name")
+	if !fits(4) {
+		return refuse(ErrTruncated, "name length")
+	}
+	nameLen := uint64(u32())
+	if !fits(nameLen + 8 + 4 + 4) { // name, base, hash params, branch pc count
+		return refuse(ErrTruncated, "name")
 	}
 	name := string(data[off : off+int(nameLen)])
 	off += int(nameLen)
-	base, ok := u64()
-	if !ok {
-		return nil, 0, fail("base")
-	}
-	if off+4 > len(data) {
-		return nil, 0, fail("hash params")
-	}
+	base := u64()
 	params := hashfn.Params{S1: data[off], S2: data[off+1], SizeLog2: data[off+2]}
+	if pad := data[off+3]; pad != 0 {
+		return refuse(ErrNonCanonical, "%s: hash padding byte %#x", name, pad)
+	}
+	if params.SizeLog2 > hashfn.MaxSizeLog2 {
+		return refuse(ErrHashSize, "%s: 2^%d slots", name, params.SizeLog2)
+	}
 	off += 4
-	nPCs, ok := u32()
-	if !ok {
-		return nil, 0, fail("branch pc count")
+	n := params.Slots()
+
+	nPCs := u32()
+	if !fits(8*uint64(nPCs) + 4) { // the pcs, then the BCV length
+		return refuse(ErrTruncated, "%s: branch pcs", name)
 	}
-	pcs := make([]uint64, 0, nPCs)
-	for j := uint32(0); j < nPCs; j++ {
-		pc, ok := u64()
+	pcs := make([]uint64, nPCs)
+	for j := range pcs {
+		if pcs[j] = u64(); j > 0 && pcs[j] < pcs[j-1] {
+			return refuse(ErrNonCanonical, "%s: branch pcs not sorted", name)
+		}
+	}
+	nBCV := u32()
+	if int(nBCV) != (n+63)/64 {
+		return refuse(ErrBCVLength, "%s: %d words for %d slots", name, nBCV, n)
+	}
+	if !fits(8*uint64(nBCV) + 4) { // the words, then the entry count
+		return refuse(ErrTruncated, "%s: bcv", name)
+	}
+	fi := &FuncImage{
+		Name: name, Base: base, Hash: params, NumSlots: n,
+		BranchPCs: pcs, hasPCs: true,
+		BCV: make([]uint64, nBCV),
+	}
+	for j := range fi.BCV {
+		fi.BCV[j] = u64()
+	}
+
+	// The entries and then the per-slot heads finish the record.
+	nEnt := u32()
+	if !fits(12*uint64(nEnt) + 8*uint64(n)) {
+		return refuse(ErrTruncated, "%s: bat", name)
+	}
+	link := func(v uint32) (int32, bool) {
+		i := int32(v)
+		return i, i >= -1 && int64(i) < int64(nEnt)
+	}
+	fi.Entries = make([]BATEntry, nEnt)
+	for j := range fi.Entries {
+		tgt, act, next := u32(), u32(), u32()
+		if tgt >= uint32(n) {
+			return refuse(ErrBATTarget, "%s: entry %d targets slot %d of %d", name, j, tgt, n)
+		}
+		if act > uint32(core.SetUnknown) {
+			return refuse(ErrBATAction, "%s: entry %d action %d", name, j, act)
+		}
+		nx, ok := link(next)
 		if !ok {
-			return nil, 0, fail("branch pc")
+			return refuse(ErrBATLink, "%s: entry %d next %d", name, j, int32(next))
 		}
-		pcs = append(pcs, pc)
+		fi.Entries[j] = BATEntry{Target: int(tgt), Act: core.Action(act), Next: nx}
 	}
-	nBCV, ok := u32()
-	if !ok {
-		return nil, 0, fail("bcv len")
-	}
-	fi := &FuncImage{Name: name, Base: base, Hash: params, NumSlots: params.Slots()}
-	fi.setBranchPCs(pcs)
-	for j := uint32(0); j < nBCV; j++ {
-		w, ok := u64()
-		if !ok {
-			return nil, 0, fail("bcv")
+	// Every list must end without revisiting an entry — no cycles, no
+	// tails shared between lists — which one visited bitmap over all
+	// the lists checks in O(entries).
+	seen := make([]uint64, (nEnt+63)/64)
+	fi.BATHeads = make([][2]int32, n)
+	for slot := range fi.BATHeads {
+		for dir := range fi.BATHeads[slot] {
+			h, ok := link(u32())
+			if !ok {
+				return refuse(ErrBATLink, "%s: slot %d head %d", name, slot, h)
+			}
+			fi.BATHeads[slot][dir] = h
+			for i := h; i >= 0; i = fi.Entries[i].Next {
+				if seen[i/64]&(1<<(i%64)) != 0 {
+					return refuse(ErrBATCycle, "%s: slot %d dir %d reaches entry %d twice", name, slot, dir, i)
+				}
+				seen[i/64] |= 1 << (i % 64)
+			}
 		}
-		fi.BCV = append(fi.BCV, w)
 	}
-	nEnt, ok := u32()
-	if !ok {
-		return nil, 0, fail("entry count")
-	}
-	for j := uint32(0); j < nEnt; j++ {
-		tgt, ok1 := u32()
-		act, ok2 := u32()
-		next, ok3 := u32()
-		if !ok1 || !ok2 || !ok3 {
-			return nil, 0, fail("entry")
-		}
-		fi.Entries = append(fi.Entries, BATEntry{
-			Target: int(tgt), Act: core.Action(act), Next: int32(next),
-		})
-	}
-	fi.BATHeads = make([][2]int32, fi.NumSlots)
-	for j := 0; j < fi.NumSlots; j++ {
-		h0, ok1 := u32()
-		h1, ok2 := u32()
-		if !ok1 || !ok2 {
-			return nil, 0, fail("heads")
-		}
-		fi.BATHeads[j] = [2]int32{int32(h0), int32(h1)}
-	}
-	n := fi.NumSlots
-	fi.BSVBits = 2 * n
-	fi.BCVBits = n
-	ptrBits := log2ceil(len(fi.Entries) + 1)
-	slotBits := log2ceil(n)
-	fi.BATBits = 2*n*ptrBits + len(fi.Entries)*(slotBits+2+ptrBits)
+	fi.setSizes()
+	fi.Bake()
 	return fi, off, nil
 }

@@ -30,7 +30,7 @@ int g() {
 	return 0;
 }`
 
-func encode(t *testing.T, src string) (*ir.Program, *core.Result, *Image) {
+func encode(t testing.TB, src string) (*ir.Program, *core.Result, *Image) {
 	t.Helper()
 	mp, err := minic.Compile(src)
 	if err != nil {
@@ -90,10 +90,9 @@ func TestEncodeActionsRoundTrip(t *testing.T) {
 	fi := im.FuncByName("f")
 	for ev, ups := range ft.Actions {
 		slot := fi.Slot(ev.Br.PC)
-		var got []BATEntry
-		walked := fi.Actions(slot, ev.Dir == 0, func(e BATEntry) { got = append(got, e) })
-		if walked != len(ups) {
-			t.Fatalf("event %v: walked %d, want %d", ev, walked, len(ups))
+		got := listEntries(fi, slot, int(ev.Dir))
+		if len(got) != len(ups) {
+			t.Fatalf("event %v: walked %d, want %d", ev, len(got), len(ups))
 		}
 		for i, u := range ups {
 			if got[i].Target != fi.Slot(u.Target.PC) || got[i].Act != u.Act {
@@ -173,17 +172,14 @@ func TestUnmarshalErrors(t *testing.T) {
 }
 
 func TestStatusHelpers(t *testing.T) {
-	if !Unknown.Matches(true) || !Unknown.Matches(false) {
+	if Unknown.MatchFail(1) != 0 || Unknown.MatchFail(0) != 0 {
 		t.Error("unknown matches anything")
 	}
-	if !Taken.Matches(true) || Taken.Matches(false) {
+	if Taken.MatchFail(1) != 0 || Taken.MatchFail(0) != 1 {
 		t.Error("taken matching")
 	}
-	if NotTaken.Matches(true) || !NotTaken.Matches(false) {
+	if NotTaken.MatchFail(1) != 1 || NotTaken.MatchFail(0) != 0 {
 		t.Error("not-taken matching")
-	}
-	if StatusFor(true) != Taken || StatusFor(false) != NotTaken {
-		t.Error("StatusFor")
 	}
 	if Unknown.String() != "UN" || Taken.String() != "T" || NotTaken.String() != "NT" {
 		t.Error("status strings")

@@ -2,9 +2,10 @@
 # checkallocs.sh — allocation-regression gate for the IPDS hot path.
 #
 # Runs the kernel benchmarks with -benchmem and fails if any of them
-# reports a nonzero allocs/op: the batched verification kernel and the
-# per-event kernel must stay allocation-free per event on a warmed
-# machine. (The AllocsPerRun unit gates in internal/ipds and
+# reports a nonzero allocs/op: the verification kernel must stay
+# allocation-free per event on a warmed machine through both of its
+# entry points — batched OnBatch (with and without the flight recorder)
+# and OnBranch, its single-event case. (The AllocsPerRun unit gates in internal/ipds and
 # internal/wire cover the same property under `make test`; this script
 # holds the benchmarks themselves to it, so a regression shows up even
 # if someone relaxes the unit tests.)

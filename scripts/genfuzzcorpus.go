@@ -1,7 +1,8 @@
 //go:build ignore
 
 // genfuzzcorpus regenerates internal/wire's checked-in fuzz seed
-// corpus (testdata/fuzz/FuzzDecode). The native seeds in fuzz_test.go
+// corpus (testdata/fuzz/FuzzDecode), and internal/tables' FuzzUnmarshal
+// corpus (see tableSeeds). The native seeds in wire's fuzz_test.go
 // cover whatever sampleFrames covers at HEAD; the checked-in corpus
 // pins the frame kinds that earned dedicated fuzzing attention —
 // the AlarmCtx forensic frame and the Incident summary frame, whose
@@ -15,13 +16,18 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 	"strconv"
 
+	"repro/internal/ir"
+	"repro/internal/pipeline"
+	"repro/internal/tables"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 // hash fills a content hash with a recognisable byte pattern.
@@ -84,8 +90,9 @@ func main() {
 		"seed-batch-traced-empty": wire.Batch{TraceID: 1, OriginNs: 1},
 	}
 	write := func(name string, payload []byte) {
-		// Native corpus entry: the fuzz target takes the frame payload
-		// (the bytes after the 4-byte length prefix).
+		// Native corpus entry for a target taking one []byte: FuzzDecode
+		// takes the frame payload (the bytes after the 4-byte length
+		// prefix), FuzzUnmarshal the marshalled image.
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(payload)))
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
@@ -110,4 +117,92 @@ func main() {
 	for name, payload := range raw {
 		write(name, payload)
 	}
+
+	dir = filepath.Join("internal", "tables", "testdata", "fuzz", "FuzzUnmarshal")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		log.Fatal(err)
+	}
+	for name, data := range tableSeeds() {
+		write(name, data)
+	}
+}
+
+// tableSeeds returns the FuzzUnmarshal corpus: every workload's table
+// image, plus one-function images each carrying one hostile record
+// shape (internal/tables' TestUnmarshalRejectsHostileSeeds names the
+// typed error each must be refused with). The hostile records are a
+// telnetd function with one invariant broken; MarshalFunc never
+// validates, so it writes them as given.
+func tableSeeds() map[string][]byte {
+	out := map[string][]byte{}
+	var donor *tables.FuncImage
+	for _, w := range workload.All() {
+		art, err := pipeline.Compile(w.Source, ir.DefaultOptions)
+		if err != nil {
+			log.Fatalf("%s: %v", w.Name, err)
+		}
+		out["image-"+w.Name] = art.Image.Marshal()
+		for _, fi := range art.Image.Funcs {
+			if _, _, n := longest(fi); donor == nil && n >= 2 {
+				donor = fi
+			}
+		}
+	}
+	image := func(rec []byte) []byte {
+		return append(binary.LittleEndian.AppendUint32([]byte("SDPI"), 1), rec...) // magic "IPDS", 1 function
+	}
+	slot, dir, _ := longest(donor)
+	head := donor.BATHeads[slot][dir]
+	last := head
+	for donor.Entries[last].Next >= 0 {
+		last = donor.Entries[last].Next
+	}
+	for name, edit := range map[string]func(fi *tables.FuncImage){
+		"hostile-head-range":   func(fi *tables.FuncImage) { fi.BATHeads[slot][dir] = int32(len(fi.Entries)) },
+		"hostile-next-range":   func(fi *tables.FuncImage) { fi.Entries[head].Next = int32(len(fi.Entries) + 5) },
+		"hostile-next-cycle":   func(fi *tables.FuncImage) { fi.Entries[last].Next = head },
+		"hostile-shared-tail":  func(fi *tables.FuncImage) { fi.BATHeads[slot^1][dir] = fi.Entries[head].Next },
+		"hostile-target-range": func(fi *tables.FuncImage) { fi.Entries[head].Target = fi.NumSlots },
+		"hostile-action":       func(fi *tables.FuncImage) { fi.Entries[head].Act = 7 },
+		"hostile-short-bcv":    func(fi *tables.FuncImage) { fi.BCV = fi.BCV[:len(fi.BCV)-1] },
+		"hostile-unsorted-pcs": func(fi *tables.FuncImage) { fi.BranchPCs[0], fi.BranchPCs[1] = fi.BranchPCs[1], fi.BranchPCs[0] },
+	} {
+		fi, _, err := tables.UnmarshalFunc(tables.MarshalFunc(donor)) // a private copy
+		if err != nil {
+			log.Fatal(err)
+		}
+		edit(fi)
+		out[name] = image(tables.MarshalFunc(fi))
+	}
+	rec := tables.MarshalFunc(donor)
+	params := 4 + len(donor.Name) + 8 // offset of the hash params; the PC count follows them
+	patch := func(off int, b ...byte) []byte {
+		return image(append(append(append([]byte(nil), rec[:off]...), b...), rec[off+len(b):]...))
+	}
+	out["hostile-hash-pad"] = patch(params+3, 1)
+	out["hostile-npcs"] = patch(params+4, 0xf0, 0xff, 0xff, 0xff)
+	out["hostile-trailing"] = append(image(rec), 0)
+	// A ~50-byte record claiming 2^34 slots: a decoder that trusts
+	// SizeLog2 sizes the heads (and the baked records) off it first.
+	tiny := &tables.FuncImage{Name: "f", BCV: []uint64{0}, BATHeads: [][2]int32{{-1, -1}}}
+	tiny.Hash.SizeLog2 = 34
+	out["hostile-sizelog2"] = image(tables.MarshalFunc(tiny))
+	return out
+}
+
+// longest returns the (slot, direction) of fi's longest BAT list and its
+// length.
+func longest(fi *tables.FuncImage) (slot, dir, n int) {
+	for s, hs := range fi.BATHeads {
+		for d, h := range hs {
+			k := 0
+			for i := h; i >= 0; i = fi.Entries[i].Next {
+				k++
+			}
+			if k > n {
+				slot, dir, n = s, d, k
+			}
+		}
+	}
+	return slot, dir, n
 }
