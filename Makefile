@@ -121,14 +121,18 @@ trace-gate:
 # frame decoder, the table-image decoder (typed refusals, bounded
 # allocation, accepted images re-marshal byte-identically) and the
 # differential kernel fuzzer (baked OnBatch/OnBranch against the
-# linked-list oracle under single-branch flips; zero alarms unflipped).
-# A failing input is written under testdata/fuzz; commit it as a seed
+# linked-list oracle under single-branch flips; zero alarms unflipped),
+# plus the other untrusted decoders: compile-cache blobs (accepted
+# blobs re-encode byte-identically) and textual event lines (accepted
+# lines round-trip through Event.Text). A failing input is written under testdata/fuzz; commit it as a seed
 # alongside the fix.
 FUZZTIME ?= 10s
 fuzz-gate:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/tables
 	$(GO) test -run '^$$' -fuzz '^FuzzKernel$$' -fuzztime $(FUZZTIME) ./internal/ipds
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlob$$' -fuzztime $(FUZZTIME) ./internal/tcache
+	$(GO) test -run '^$$' -fuzz '^FuzzParseEventText$$' -fuzztime $(FUZZTIME) ./internal/wire
 
 # Full gate: what a PR must pass.
 ci: vet build docscheck race race-parallel race-server smoke-load bench alloc-gate kernel-gate forensics-gate incident-gate scale-gate fleet-gate trace-gate fuzz-gate

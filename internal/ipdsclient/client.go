@@ -120,12 +120,11 @@ type Client struct {
 
 	mu        sync.Mutex
 	marks     []batchMark
-	alarms    []wire.Alarm
+	alarms    alarmLog
 	ctxs      []wire.AlarmCtx
 	incidents []wire.Incident
 	acked     uint64
 	ackLat    []time.Duration
-	alarmLat  []time.Duration
 	srvErr    *wire.Error
 	readerErr error
 
@@ -177,11 +176,10 @@ func dialConn(conn net.Conn, cfg Config, prev *Client, evBase, brBase uint64) (*
 		c.sent, c.branches = evBase, brBase
 		prev.mu.Lock()
 		c.acked = prev.acked
-		c.alarms = append([]wire.Alarm(nil), prev.alarms...)
+		c.alarms = prev.alarms.fork()
 		c.ctxs = append([]wire.AlarmCtx(nil), prev.ctxs...)
 		c.incidents = append([]wire.Incident(nil), prev.incidents...)
 		c.ackLat = append([]time.Duration(nil), prev.ackLat...)
-		c.alarmLat = append([]time.Duration(nil), prev.alarmLat...)
 		prev.mu.Unlock()
 		c.ctxN.Store(prev.ctxN.Load())
 	}
@@ -231,6 +229,11 @@ func (c *Client) readLoop(rd *wire.Reader) {
 	defer close(c.readerD)
 	for {
 		typ, raw, err := rd.NextHeader()
+		if err == nil && typ == wire.TypeAlarm {
+			if err = c.alarm(raw); err == nil {
+				continue
+			}
+		}
 		if err == nil && typ == wire.TypeAlarmCtx {
 			c.ctxN.Add(1)
 			if c.cfg.DiscardCtx {
@@ -266,22 +269,6 @@ func (c *Client) readLoop(rd *wire.Reader) {
 				c.marks = c.marks[retired+1:]
 			}
 			c.mu.Unlock()
-		case wire.Alarm:
-			fr.Seq += c.brBase
-			c.mu.Lock()
-			c.alarms = append(c.alarms, fr)
-			// The alarm's Seq counts branch events; find the batch that
-			// carried it for a delivery-latency sample.
-			for _, mk := range c.marks {
-				if fr.Seq <= mk.branchHi {
-					c.alarmLat = append(c.alarmLat, now.Sub(mk.sent))
-					break
-				}
-			}
-			c.mu.Unlock()
-			if c.cfg.OnAlarm != nil {
-				c.cfg.OnAlarm(fr)
-			}
 		case wire.AlarmCtx:
 			// Keep Alarm/AlarmCtx Seq pairing intact across redials.
 			fr.Seq += c.brBase
@@ -308,6 +295,39 @@ func (c *Client) readLoop(rd *wire.Reader) {
 			return
 		}
 	}
+}
+
+// alarm decodes one Alarm frame payload straight into the alarm log:
+// no Frame boxing, and the function name is interned rather than
+// copied per alarm.
+func (c *Client) alarm(raw []byte) error {
+	var a wire.Alarm
+	fn, err := wire.DecodeAlarmInto(raw, &a)
+	if err != nil {
+		return err
+	}
+	now := time.Now()
+	a.Seq += c.brBase
+	c.mu.Lock()
+	a.Func, err = c.alarms.add(a, fn)
+	if err == nil {
+		// The alarm's Seq counts branch events; find the batch that
+		// carried it for a delivery-latency sample.
+		for _, mk := range c.marks {
+			if a.Seq <= mk.branchHi {
+				c.alarms.lat.add(now.Sub(mk.sent))
+				break
+			}
+		}
+	}
+	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if c.cfg.OnAlarm != nil {
+		c.cfg.OnAlarm(a)
+	}
+	return nil
 }
 
 // Send buffers events, flushing whole batches as the threshold fills.
@@ -509,9 +529,14 @@ func Redial(c *Client) (*Client, error) {
 func (c *Client) Alarms() []wire.Alarm {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]wire.Alarm, len(c.alarms))
-	copy(out, c.alarms)
-	return out
+	return c.alarms.alarms()
+}
+
+// AlarmCount returns len(Alarms()) without building the list.
+func (c *Client) AlarmCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.alarms.recs.n
 }
 
 // AlarmContexts returns the forensic contexts received so far (in
@@ -572,7 +597,7 @@ func (c *Client) Latencies() (ack, alarm []time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ack = append([]time.Duration(nil), c.ackLat...)
-	alarm = append([]time.Duration(nil), c.alarmLat...)
+	alarm = c.alarms.latencies()
 	return ack, alarm
 }
 

@@ -185,7 +185,7 @@ func RunLoad(cfg LoadConfig) LoadResult {
 			ack, al := c.Latencies()
 			mu.Lock()
 			events += c.Acked()
-			alarms += uint64(len(c.Alarms()))
+			alarms += uint64(c.AlarmCount())
 			ctxs += c.CtxCount()
 			if inc := c.Incidents(); len(inc) > len(incidents) {
 				incidents = inc // keep the fullest drain-time list, not a sum

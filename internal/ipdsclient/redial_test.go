@@ -78,6 +78,12 @@ func TestRedialResumesSession(t *testing.T) {
 		t.Fatalf("redial: %v", err)
 	}
 	defer c2.Close()
+	// The resumed log shares the first session's full chunks; the new
+	// session's alarms must never show through c.
+	before := c.Alarms()
+	if len(before) == 0 {
+		t.Fatal("pass 1 raised no alarms; the redial isolation check is vacuous")
+	}
 	if err := c2.Send(trace...); err != nil {
 		t.Fatalf("send pass 2: %v", err)
 	}
@@ -88,8 +94,17 @@ func TestRedialResumesSession(t *testing.T) {
 	if want := uint64(2 * len(trace)); c2.Sent() != want || c2.Acked() != want {
 		t.Fatalf("resumed session sent/acked = %d/%d, want %d/%d", c2.Sent(), c2.Acked(), want, want)
 	}
+	after := c.Alarms()
+	if len(after) != len(before) || c.AlarmCount() != len(before) {
+		t.Fatalf("previous client's alarms grew from %d to %d across the resumed session", len(before), len(after))
+	}
+	for i := range before {
+		if after[i] != before[i] {
+			t.Fatalf("previous client's alarm %d changed from %+v to %+v", i, before[i], after[i])
+		}
+	}
 	got := c2.Alarms()
-	if len(got) != len(ref) {
+	if len(got) != len(ref) || c2.AlarmCount() != len(got) {
 		t.Fatalf("resumed session raised %d alarms, want %d", len(got), len(ref))
 	}
 	for i, a := range got {

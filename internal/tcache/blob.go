@@ -91,7 +91,10 @@ func EncodeBlob(fi *tables.FuncImage, ft *core.FuncTables) []byte {
 // the encoded FuncImage and the FuncTables diagnostics. fn must be the
 // function the blob was keyed for (same KeyFunc): instruction IDs in
 // the blob are resolved through fn.Instrs. Any structural mismatch
-// returns an error, which callers treat as a cache miss.
+// returns an error, which callers treat as a cache miss. So does any
+// blob EncodeBlob would not have written — unsorted or repeated checked
+// branches or events, or trailing bytes — so an accepted blob
+// re-encodes byte-identically.
 func DecodeBlob(blob []byte, fn *ir.Func) (*tables.FuncImage, *core.FuncTables, error) {
 	off := 0
 	fail := func(what string) error { return fmt.Errorf("tcache: truncated blob at %s", what) }
@@ -145,11 +148,16 @@ func DecodeBlob(blob []byte, fn *ir.Func) (*tables.FuncImage, *core.FuncTables, 
 	if !ok {
 		return nil, nil, fail("checked count")
 	}
+	var prevID uint32
 	for i := uint32(0); i < nChecked; i++ {
 		id, ok := u32()
 		if !ok {
 			return nil, nil, fail("checked id")
 		}
+		if i > 0 && id <= prevID {
+			return nil, nil, fmt.Errorf("tcache: checked branches not strictly ascending")
+		}
+		prevID = id
 		br, err := instr(id)
 		if err != nil {
 			return nil, nil, err
@@ -161,12 +169,22 @@ func DecodeBlob(blob []byte, fn *ir.Func) (*tables.FuncImage, *core.FuncTables, 
 	if !ok {
 		return nil, nil, fail("event count")
 	}
+	var prevBr, prevDir uint32
 	for i := uint32(0); i < nEvents; i++ {
 		brID, ok1 := u32()
 		dir, ok2 := u32()
 		nUps, ok3 := u32()
 		if !ok1 || !ok2 || !ok3 {
 			return nil, nil, fail("event header")
+		}
+		if i > 0 && (brID < prevBr || brID == prevBr && dir <= prevDir) {
+			return nil, nil, fmt.Errorf("tcache: events not strictly ascending")
+		}
+		prevBr, prevDir = brID, dir
+		// Each update is 8 bytes; a count past the bytes left is
+		// corrupt, and refusing it first bounds the allocation below.
+		if uint64(nUps)*8 > uint64(len(blob)-off) {
+			return nil, nil, fail("updates")
 		}
 		br, err := instr(brID)
 		if err != nil {
@@ -223,6 +241,9 @@ func DecodeBlob(blob []byte, fn *ir.Func) (*tables.FuncImage, *core.FuncTables, 
 			Kind: core.CorrKind(kind), Source: src, Dir: cfg.Direction(dir),
 			Via: via, Target: tgt, Act: core.Action(act), Obj: ir.ObjID(obj),
 		})
+	}
+	if off != len(blob) {
+		return nil, nil, fmt.Errorf("tcache: %d trailing bytes after blob", len(blob)-off)
 	}
 	return fi, ft, nil
 }

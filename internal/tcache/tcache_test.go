@@ -16,7 +16,7 @@ import (
 
 // lower compiles MiniC source up to the alias phase (the cache's
 // inputs) without importing the pipeline (which imports tcache).
-func lower(t *testing.T, src string) (*ir.Program, *alias.Analysis) {
+func lower(t testing.TB, src string) (*ir.Program, *alias.Analysis) {
 	t.Helper()
 	file, err := minic.Parse(src)
 	if err != nil {

@@ -162,3 +162,22 @@ func TestNextIntoMixedFrames(t *testing.T) {
 		t.Fatalf("tail = %v, want io.EOF", err)
 	}
 }
+
+// TestDecodeAlarmIntoDoesNotAlloc holds the client's alarm decode to
+// zero allocations: no Frame boxing, and the name aliases the payload.
+func TestDecodeAlarmIntoDoesNotAlloc(t *testing.T) {
+	enc, err := Append(nil, Alarm{Seq: 1 << 33, PC: 0x4a, Func: "handle_cmd", Slot: 9, Expected: 2, Taken: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a Alarm
+	allocs := testing.AllocsPerRun(100, func() {
+		fn, err := DecodeAlarmInto(enc[4:], &a)
+		if err != nil || string(fn) != "handle_cmd" {
+			t.Fatalf("DecodeAlarmInto = %q, %v", fn, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("DecodeAlarmInto allocates %.1f times per alarm, want 0", allocs)
+	}
+}

@@ -78,28 +78,45 @@ func (d *decoder) uvarint(what string) (uint64, error) {
 	return v, nil
 }
 
-// str reads a uvarint length and that many bytes, capped at MaxString.
-func (d *decoder) str(what string) (string, error) {
-	n, err := d.uvarint(what + " length")
-	if err != nil {
-		return "", err
+// bytes reads a uvarint length and that many bytes, capped at
+// MaxString, and returns them aliasing the payload. The error labels
+// are only built on failure, so a successful read never allocates.
+func (d *decoder) bytes(what string) ([]byte, error) {
+	n, m := binary.Uvarint(d.b[d.off:])
+	if m <= 0 {
+		return nil, d.fail(what + " length")
 	}
+	d.off += m
 	if n > MaxString {
-		return "", fmt.Errorf("wire: %s length %d exceeds MaxString", what, n)
+		return nil, fmt.Errorf("wire: %s length %d exceeds MaxString", what, n)
 	}
 	if d.off+int(n) > len(d.b) {
-		return "", d.fail(what)
+		return nil, d.fail(what)
 	}
-	s := string(d.b[d.off : d.off+int(n)])
+	s := d.b[d.off : d.off+int(n)]
 	d.off += int(n)
 	return s, nil
 }
 
-// done rejects trailing garbage, which would otherwise let a sender
+// str is bytes copied out into a string.
+func (d *decoder) str(what string) (string, error) {
+	b, err := d.bytes(what)
+	return string(b), err
+}
+
+// end rejects trailing garbage, which would otherwise let a sender
 // smuggle bytes past version checks.
-func (d *decoder) done(f Frame) (Frame, error) {
+func (d *decoder) end(t FrameType) error {
 	if d.off != len(d.b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %s frame", len(d.b)-d.off, f.Type())
+		return fmt.Errorf("wire: %d trailing bytes after %s frame", len(d.b)-d.off, t)
+	}
+	return nil
+}
+
+// done is end for a decoded frame.
+func (d *decoder) done(f Frame) (Frame, error) {
+	if err := d.end(f.Type()); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -257,6 +274,22 @@ func (d *decoder) events(evs []Event) ([]Event, error) {
 	return evs, nil
 }
 
+// intoDecoder applies Decode's payload checks for a decoder of one
+// frame type (named by who, for the error) and returns a cursor over
+// the payload body.
+func intoDecoder(payload []byte, t FrameType, who string) (decoder, error) {
+	if len(payload) == 0 {
+		return decoder{}, fmt.Errorf("wire: empty frame")
+	}
+	if len(payload) > MaxFrame {
+		return decoder{}, fmt.Errorf("wire: frame payload %d exceeds MaxFrame", len(payload))
+	}
+	if FrameType(payload[0]) != t {
+		return decoder{}, fmt.Errorf("wire: %s on %s frame", who, FrameType(payload[0]))
+	}
+	return decoder{b: payload[1:]}, nil
+}
+
 // DecodeBatchInto parses a Batch frame payload into *b, reusing the
 // capacity of b.Events instead of allocating a fresh slice — the
 // zero-allocation (steady-state) counterpart of Decode for the one
@@ -266,16 +299,10 @@ func (d *decoder) events(evs []Event) ([]Event, error) {
 func DecodeBatchInto(payload []byte, b *Batch) error {
 	b.Events = b.Events[:0]
 	b.TraceID, b.OriginNs = 0, 0
-	if len(payload) == 0 {
-		return fmt.Errorf("wire: empty frame")
+	d, err := intoDecoder(payload, TypeBatch, "DecodeBatchInto")
+	if err != nil {
+		return err
 	}
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("wire: frame payload %d exceeds MaxFrame", len(payload))
-	}
-	if FrameType(payload[0]) != TypeBatch {
-		return fmt.Errorf("wire: DecodeBatchInto on %s frame", FrameType(payload[0]))
-	}
-	d := decoder{b: payload[1:]}
 	evs, err := d.events(b.Events)
 	if err != nil {
 		return err
@@ -289,6 +316,17 @@ func DecodeBatchInto(payload []byte, b *Batch) error {
 
 func (d *decoder) alarm() (Frame, error) {
 	var a Alarm
+	fn, err := d.alarmBody(&a)
+	if err != nil {
+		return nil, err
+	}
+	a.Func = string(fn)
+	return d.done(a)
+}
+
+// alarmBody decodes an Alarm frame's fields into *a, except Func,
+// whose bytes it returns aliasing the payload.
+func (d *decoder) alarmBody(a *Alarm) ([]byte, error) {
 	var err error
 	if a.Seq, err = d.uvarint("alarm seq"); err != nil {
 		return nil, err
@@ -312,10 +350,28 @@ func (d *decoder) alarm() (Frame, error) {
 		return nil, err
 	}
 	a.Taken = tk != 0
-	if a.Func, err = d.str("alarm func"); err != nil {
+	return d.bytes("alarm func")
+}
+
+// DecodeAlarmInto parses an Alarm frame payload into *a — the alarm
+// counterpart of DecodeBatchInto. There is no Frame boxing and no
+// string copy: a.Func is cleared and the function name comes back as
+// fn, aliasing payload (so valid only as long as payload is). It
+// accepts and refuses exactly the payloads Decode does for TypeAlarm;
+// any other frame type is an error.
+func DecodeAlarmInto(payload []byte, a *Alarm) (fn []byte, err error) {
+	*a = Alarm{}
+	d, err := intoDecoder(payload, TypeAlarm, "DecodeAlarmInto")
+	if err != nil {
 		return nil, err
 	}
-	return d.done(a)
+	if fn, err = d.alarmBody(a); err != nil {
+		return nil, err
+	}
+	if err := d.end(TypeAlarm); err != nil {
+		return nil, err
+	}
+	return fn, nil
 }
 
 func (d *decoder) incident() (Frame, error) {

@@ -60,6 +60,31 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("DecodeBatchInto accepted a non-batch payload")
 		}
 
+		// DecodeAlarmInto likewise on every alarm payload: same verdict,
+		// same fields, and the aliased name holds Decode's Func bytes.
+		var al Alarm
+		fn, alarmErr := DecodeAlarmInto(payload, &al)
+		if len(payload) > 0 && FrameType(payload[0]) == TypeAlarm {
+			if (err == nil) != (alarmErr == nil) {
+				t.Fatalf("Decode err=%v but DecodeAlarmInto err=%v", err, alarmErr)
+			}
+			if err == nil {
+				want := fr.(Alarm)
+				if string(fn) != want.Func {
+					t.Fatalf("DecodeAlarmInto name %q, Decode %q", fn, want.Func)
+				}
+				if al.Func != "" {
+					t.Fatalf("DecodeAlarmInto set Func %q; the name belongs in fn", al.Func)
+				}
+				al.Func = want.Func
+				if al != want {
+					t.Fatalf("DecodeAlarmInto %+v, Decode %+v", al, want)
+				}
+			}
+		} else if alarmErr == nil {
+			t.Fatalf("DecodeAlarmInto accepted a non-alarm payload")
+		}
+
 		if err != nil {
 			return
 		}

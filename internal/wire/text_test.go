@@ -105,3 +105,29 @@ func TestTextRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseEventText feeds ParseEventText arbitrary lines. It must not
+// panic, and every event it accepts must render (Event.Text) to a line
+// that parses back to the same event.
+func FuzzParseEventText(f *testing.F) {
+	for _, line := range strings.Split(goldenText, "\n") {
+		f.Add(line)
+	}
+	for _, line := range []string{"", "#", "  enter 64  ", "branch 0X4A T", "branch 0b101 NT", "enter 0o17",
+		"branch 0x1_0 T", "enter 0xffffffffffffffff", "enter 0x10000000000000000", "leave x", "branch 0x4a"} {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		ev, err := ParseEventText(line)
+		if err != nil {
+			return
+		}
+		again, err := ParseEventText(ev.Text())
+		if err != nil {
+			t.Fatalf("%q parsed to %+v, whose text %q does not parse: %v", line, ev, ev.Text(), err)
+		}
+		if again != ev {
+			t.Fatalf("%q parsed to %+v, but its text %q parses to %+v", line, ev, ev.Text(), again)
+		}
+	})
+}

@@ -10,7 +10,9 @@
 // (PR 8) the registry frames, whose length-prefixed blob is the
 // largest attacker-controlled allocation in the protocol, and (PR 10)
 // trace-extended Batch frames, whose trailing extension area is the
-// protocol's forward-compatibility valve. Run from the repo root:
+// protocol's forward-compatibility valve, and Alarm frames with an
+// empty and a MaxString-long function name, the bounds of the name
+// slice DecodeAlarmInto hands back. Run from the repo root:
 //
 //	go run scripts/genfuzzcorpus.go
 package main
@@ -22,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 
 	"repro/internal/ir"
 	"repro/internal/pipeline"
@@ -88,6 +91,13 @@ func main() {
 			OriginNs: 1_700_000_000_123_456_789,
 		},
 		"seed-batch-traced-empty": wire.Batch{TraceID: 1, OriginNs: 1},
+		// Alarm names at both ends of the MaxString bound, the edges of
+		// DecodeAlarmInto's aliased name slice.
+		"seed-alarm-empty-func": wire.Alarm{Seq: 7, PC: 0x4a, Slot: 3, Expected: 1},
+		"seed-alarm-maxstring-func": wire.Alarm{
+			Seq: 1 << 40, PC: 0x7fffffff12, Slot: 1 << 31, Expected: 2, Taken: true,
+			Func: strings.Repeat("f", wire.MaxString),
+		},
 	}
 	write := func(name string, payload []byte) {
 		// Native corpus entry for a target taking one []byte: FuzzDecode
