@@ -2,11 +2,11 @@ package ring
 
 import "sync/atomic"
 
-// Parker is the busy-spin-then-park half of the per-core serve loops:
-// a goroutine that has found its rings empty (or full) for long enough
-// blocks here until the opposite side publishes more work. It is a
-// one-slot wake channel plus a "parked" flag, with a protocol that
-// makes the classic lost-wakeup race impossible:
+// Parker is the wait half of the per-core serve loops: a goroutine
+// that finds its rings empty (or full) blocks here until the opposite
+// side publishes more work (or frees a slot). It is a one-slot wake
+// channel plus a "parked" flag, with a protocol that makes the classic
+// lost-wakeup race impossible:
 //
 //	sleeper:                      waker:
 //	  Prepare()   (parked = true)   ...publish work...

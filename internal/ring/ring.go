@@ -1,5 +1,5 @@
 // Package ring provides the single-producer/single-consumer bounded
-// ring buffer and the spin-then-park primitive underneath the daemon's
+// ring buffer and the park/wake primitive underneath the daemon's
 // per-core serve path (internal/server).
 //
 // Concurrency contract. An SPSC ring has exactly two parties: ONE
@@ -20,9 +20,9 @@
 // collectable and ownership handoffs single-owner.
 //
 // Parker is the companion wait primitive: a consumer (or producer)
-// that has spun over empty (or full) rings long enough announces
-// intent with Prepare, re-checks its condition, and Parks; the other
-// side calls Wake after publishing. The Prepare/re-check/Park order
+// that finds its ring empty (or full) announces intent with Prepare,
+// re-checks its condition, and Parks; the other side calls Wake after
+// publishing (or popping). The Prepare/re-check/Park order
 // plus sequentially-consistent atomics make the lost-wakeup race
 // impossible (see Parker).
 package ring

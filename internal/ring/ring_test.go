@@ -256,3 +256,118 @@ func TestParkerNoLostWakeup(t *testing.T) {
 		t.Fatalf("wakes %d > parks %d + 1", p.Wakes(), p.Parks())
 	}
 }
+
+// TestParkerProducerNoLostWakeup is the producer-side mirror of
+// TestParkerNoLostWakeup, shaped like the daemon's reader→verifier
+// handoff: the producer parks on its own Parker whenever the ring is
+// full, the consumer parks on another whenever it is empty, and each
+// side Wakes the other's after every publish or pop. Nobody spins, so
+// a lost wakeup on either side deadlocks the test (caught by the
+// timeout).
+func TestParkerProducerNoLostWakeup(t *testing.T) {
+	const total = 50_000
+	r := New[int](4)
+	prod, cons := NewParker(), NewParker()
+	done := make(chan struct{})
+	go func() { // consumer
+		defer close(done)
+		dst := make([]int, 3)
+		next := 0
+		for next < total {
+			n := r.PopSlice(dst[:1+next%3])
+			if n == 0 {
+				cons.Prepare()
+				if r.Len() == 0 {
+					cons.Park()
+				} else {
+					cons.Cancel()
+				}
+				continue
+			}
+			prod.Wake()
+			for _, v := range dst[:n] {
+				if v != next {
+					t.Errorf("popped %d, want %d", v, next)
+					return
+				}
+				next++
+			}
+		}
+	}()
+	go func() { // producer
+		for i := 0; i < total; i++ {
+			for !r.TryPush(i) {
+				prod.Prepare()
+				if r.Len() == r.Cap() {
+					prod.Park()
+				} else {
+					prod.Cancel()
+				}
+			}
+			cons.Wake()
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("handoff stalled: lost wakeup (producer parks %d, consumer parks %d)", prod.Parks(), cons.Parks())
+	}
+	t.Logf("producer parks %d, consumer parks %d", prod.Parks(), cons.Parks())
+	if prod.Parks() == 0 {
+		t.Log("producer never parked (fast consumer); parks=0 is legal but weakens the test")
+	}
+	for _, p := range []*Parker{prod, cons} {
+		if p.Wakes() > p.Parks()+1 {
+			t.Fatalf("wakes %d > parks %d + 1", p.Wakes(), p.Parks())
+		}
+	}
+}
+
+// BenchmarkParkHandoff prices one item crossing to a goroutine that
+// is parked waiting for it: a ping-pong over two capacity-1 rings, so
+// every item finds its consumer parked and each handoff pays a full
+// Wake → unpark → pop. This is the per-frame cost a serve loop pays
+// for parking as soon as it is idle instead of spinning first.
+func BenchmarkParkHandoff(b *testing.B) {
+	ping, pong := New[int](1), New[int](1)
+	pkPing, pkPong := NewParker(), NewParker()
+	// recv pops one item from r, parking on pk while r is empty.
+	recv := func(r *SPSC[int], pk *Parker) int {
+		for {
+			if v, ok := r.TryPop(); ok {
+				return v
+			}
+			pk.Prepare()
+			if r.Len() == 0 {
+				pk.Park()
+			} else {
+				pk.Cancel()
+			}
+		}
+	}
+	go func() { // echo
+		for {
+			v := recv(ping, pkPing)
+			pong.TryPush(v) // capacity 1, and the bench side drained it
+			pkPong.Wake()
+			if v < 0 {
+				return
+			}
+		}
+	}()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ping.TryPush(i)
+		pkPing.Wake()
+		if v := recv(pong, pkPong); v != i {
+			b.Fatalf("echo %d, want %d", v, i)
+		}
+	}
+	b.StopTimer()
+	ping.TryPush(-1)
+	pkPing.Wake()
+	recv(pong, pkPong)
+	handoffs := float64(2 * b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/handoffs, "ns/handoff")
+	b.ReportMetric(float64(pkPing.Parks()+pkPong.Parks())/handoffs, "parks/handoff")
+}

@@ -30,13 +30,33 @@ func (discardConn) SetDeadline(t time.Time) error      { return nil }
 func (discardConn) SetReadDeadline(t time.Time) error  { return nil }
 func (discardConn) SetWriteDeadline(t time.Time) error { return nil }
 
+// stall holds the analyzer off the queue until the returned release
+// is called: offers land in a fresh channel the consumer goroutine is
+// not ranging over (run reads st.ch once, when it starts), and release
+// hands them to it in order. The caller must be the stage's only
+// producer while stalled.
+func (st *incidentStage) stall() (release func()) {
+	live := st.ch
+	st.ch = make(chan incMsg, cap(live))
+	return func() {
+		held := st.ch
+		st.ch = live
+		close(held)
+		for m := range held {
+			live <- m
+		}
+	}
+}
+
 // BenchmarkVerifyBatchIncident measures the verifier's per-batch cost
 // with the incident stage enabled — the serve path's side of the
 // analytics contract. It drives verifyBatch directly (no sockets, no
-// client), so the allocs/op it reports is the verifier goroutine's
-// own: `make alloc-gate` requires it to stay 0 even while every alarm
-// is offered to the incident queue and every forensic capture is
-// deep-copied across it.
+// client), and the analyzer is stalled for the timed section (the
+// roomy queue absorbs every offer), so the allocs/op it reports — which
+// b.ReportAllocs counts process-wide — is the verifier's and its core
+// writer's alone: `make alloc-gate` requires it to stay 0 even while
+// every alarm is offered to the incident queue and every forensic
+// capture is deep-copied across it.
 func BenchmarkVerifyBatchIncident(b *testing.B) {
 	w := workload.ByName("telnetd")
 	if w == nil {
@@ -79,14 +99,18 @@ func BenchmarkVerifyBatchIncident(b *testing.B) {
 		srv.Shutdown(ctx)
 	}()
 
-	// The session borrows verifier 0's writer ring: that verifier owns
-	// no sessions here, so until Shutdown (strictly after the timed
-	// section) the bench goroutine is the ring's sole producer and the
-	// SPSC contract holds. The core writer drains the ring for real —
-	// coalescing into wbuf, "writing" to the discard conn, releasing
+	// The bench goroutine plays a verifier of its own, outside the
+	// server's pool: it is the sole producer into its writer's ring and
+	// the sole sleeper on its Parker (send parks there while the ring is
+	// full), as a verifier loop would be. Its core writer runs for real
+	// — coalescing into wbuf, "writing" to the discard conn, releasing
 	// pooled frames — so the measurement covers the whole verifier-side
-	// serve path.
-	v := srv.verifiers[0]
+	// serve path. The stop op ends that writer before Shutdown waits on
+	// it.
+	v := newVerifier(srv, len(srv.verifiers))
+	srv.writerWG.Add(1)
+	go v.wr.loop()
+	defer v.send(writeOp{stop: true})
 	ss := &session{
 		srv:       srv,
 		conn:      discardConn{},
@@ -116,18 +140,27 @@ func BenchmarkVerifyBatchIncident(b *testing.B) {
 		}
 	}
 	// Warm everything the steady state reuses: pools, encode buffers,
-	// the machine's rings, the analyzer's signal and series maps, the
-	// forensic-context free list. The sync barrier then lets the
-	// analyzer goroutine drain its backlog so every pooled context is
-	// back in inventory before the timed section.
+	// the machine's rings, the analyzer's signal and series maps. Then
+	// rehearse the timed section — the same batches, analyzer stalled —
+	// so the forensic-context free list holds a copy for every capture
+	// the timed section makes, and the frame-buffer pool already holds
+	// as many buffers as that run keeps in flight. Each sync barrier
+	// lets the analyzer drain its backlog, putting every context back
+	// on the free list.
 	feed(max(512, 64*len(chunks)))
 	srv.incidents.sync()
+	release := srv.incidents.stall()
+	feed(b.N)
+	release()
+	srv.incidents.sync()
+	release = srv.incidents.stall()
 	events = 0
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	feed(b.N)
 	b.StopTimer()
+	release()
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(events)/s, "events/s")
 	}

@@ -39,10 +39,13 @@ type incidentStage struct {
 	an *incident.Analyzer
 	ch chan incMsg
 
-	// ctxPool recycles the deep copies that carry forensic captures
+	// ctxFree recycles the deep copies that carry forensic captures
 	// across the queue (the machine-owned originals are only valid
-	// until the machine's next batch).
-	ctxPool sync.Pool
+	// until the machine's next batch). It is a free list rather than a
+	// sync.Pool because a GC empties a Pool, after which every verifier
+	// would allocate its copies afresh; copies in flight never outnumber
+	// the queue, so a free list that size keeps every copy ever made.
+	ctxFree chan *ipds.AlarmContext
 
 	wg sync.WaitGroup
 
@@ -62,10 +65,10 @@ func newIncidentStage(cfg incident.Config, queue int, reg *obs.Registry) *incide
 	st := &incidentStage{
 		an:      incident.NewAnalyzer(cfg),
 		ch:      make(chan incMsg, queue),
+		ctxFree: make(chan *ipds.AlarmContext, queue),
 		dropped: reg.Counter("incident_queue_dropped_total"),
 		depth:   reg.Gauge("incident_queue_depth"),
 	}
-	st.ctxPool.New = func() any { return &ipds.AlarmContext{} }
 	st.wg.Add(1)
 	go st.run()
 	return st
@@ -82,7 +85,7 @@ func (st *incidentStage) run() {
 			close(m.done)
 		case m.ctx != nil:
 			st.an.ObserveContext(m.ctx)
-			st.ctxPool.Put(m.ctx)
+			st.freeCtx(m.ctx)
 		default:
 			st.an.Observe(m.ev)
 		}
@@ -101,15 +104,28 @@ func (st *incidentStage) offer(ev incident.AlarmEvent) {
 }
 
 // offerCtx feeds one forensic capture, non-blocking. The capture is
-// deep-copied into a pooled context first; c stays caller-owned.
+// deep-copied into a recycled context first; c stays caller-owned.
 func (st *incidentStage) offerCtx(c *ipds.AlarmContext) {
-	cc := st.ctxPool.Get().(*ipds.AlarmContext)
+	var cc *ipds.AlarmContext
+	select {
+	case cc = <-st.ctxFree:
+	default:
+		cc = &ipds.AlarmContext{}
+	}
 	c.CopyInto(cc)
 	select {
 	case st.ch <- incMsg{ctx: cc}:
 	default:
-		st.ctxPool.Put(cc)
+		st.freeCtx(cc)
 		st.dropped.Inc()
+	}
+}
+
+// freeCtx returns a context copy to the free list.
+func (st *incidentStage) freeCtx(cc *ipds.AlarmContext) {
+	select {
+	case st.ctxFree <- cc:
+	default:
 	}
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -46,12 +45,6 @@ const verifyPop = 32
 // cycle coalesces into at most one conn.Write per distinct session.
 const writePop = 64
 
-// spinPasses is how many empty scan passes (each ending in a
-// runtime.Gosched) a per-core loop burns before parking. Spinning
-// absorbs the sub-microsecond gaps of a saturated stream; parking
-// keeps an idle daemon at zero CPU.
-const spinPasses = 128
-
 // pinVerifier picks the verifier a session id is pinned to: the same
 // mix-then-jump consistent hash (fleet.Mix, fleet.Jump) the router
 // uses one level up to pick the node. Session ids are sequential, so
@@ -76,6 +69,10 @@ type writeOp struct {
 // verifier is one per-core verify loop. It exclusively owns the
 // ipds.Machine of every session pinned to it, scans their rings round
 // robin, and is the only producer into its core's writer ring.
+//
+// pk is the loop's only wait: it parks there when no owned ring has
+// work (woken by readers, adopt and Shutdown) and when its writer ring
+// is full (woken by the writer after every pop).
 type verifier struct {
 	srv *Server
 	id  int
@@ -112,16 +109,18 @@ func (m chMutex) unlock() { <-m }
 
 // newVerifier wires one verifier/writer pair for core id.
 func newVerifier(s *Server, id int) *verifier {
+	pk := ring.NewParker()
 	return &verifier{
 		srv:  s,
 		id:   id,
-		pk:   ring.NewParker(),
+		pk:   pk,
 		inMu: newChMutex(),
 		wr: &coreWriter{
 			srv:   s,
 			id:    id,
 			ring:  ring.New[writeOp](s.cfg.AlarmQueue),
 			pk:    ring.NewParker(),
+			vpk:   pk,
 			spans: newSpanRing(s.cfg.TraceRing),
 		},
 	}
@@ -154,11 +153,11 @@ func (v *verifier) anyReady() bool {
 
 // loop is the per-core verify loop: adopt newcomers, scan owned
 // session rings round robin, verify batches, forward control frames,
-// finish sessions whose reader is done — then spin, then park.
+// finish sessions whose reader is done — and park on the first pass
+// that finds nothing to do.
 func (v *verifier) loop() {
 	defer v.srv.workerWG.Done()
 	var tasks [verifyPop]task
-	spins := 0
 	for {
 		if v.hasNew.Load() {
 			v.inMu.lock()
@@ -171,6 +170,11 @@ func (v *verifier) loop() {
 		for i := 0; i < len(v.sessions); {
 			ss := v.sessions[i]
 			n := ss.ring.PopSlice(tasks[:])
+			if n > 0 {
+				// Slots were freed: a reader parked on the full ring
+				// can publish again while this core verifies.
+				ss.pk.Wake()
+			}
 			finished := false
 			for j := 0; j < n; j++ {
 				t := tasks[j]
@@ -198,16 +202,11 @@ func (v *verifier) loop() {
 			}
 		}
 		if worked {
-			spins = 0
 			continue
 		}
 		if v.srv.stopping.Load() && !v.hasNew.Load() && len(v.sessions) == 0 {
 			v.send(writeOp{stop: true})
 			return
-		}
-		if spins++; spins < spinPasses {
-			runtime.Gosched()
-			continue
 		}
 		v.pk.Prepare()
 		if v.anyReady() {
@@ -215,29 +214,27 @@ func (v *verifier) loop() {
 		} else {
 			v.pk.Park()
 		}
-		spins = 0
 	}
 }
 
-// send pushes one op into the core's writer ring, blocking (counted as
+// send pushes one op into the core's writer ring, parking (counted as
 // backpressure) while the writer is behind — the per-core analogue of
 // the old per-session alarm-queue stall. The verifier is the ring's
-// only producer.
+// only producer. A full ring means the writer is awake (every push
+// Wakes it, and it re-checks the ring before parking), so the wait
+// needs only the writer's Wake after its next pop.
 func (v *verifier) send(op writeOp) {
 	w := v.wr
-	if w.ring.TryPush(op) {
-		w.pk.Wake()
-		return
-	}
-	v.srv.met.backpressure.Inc()
-	v.stalls.Add(1)
-	spins := 0
-	for !w.ring.TryPush(op) {
-		w.pk.Wake()
-		if spins++; spins < spinPasses {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
+	if !w.ring.TryPush(op) {
+		v.srv.met.backpressure.Inc()
+		v.stalls.Add(1)
+		for {
+			v.pk.Prepare()
+			if w.ring.TryPush(op) {
+				v.pk.Cancel()
+				break
+			}
+			v.pk.Park()
 		}
 	}
 	w.pk.Wake()
@@ -290,6 +287,7 @@ type coreWriter struct {
 	id   int
 	ring *ring.SPSC[writeOp]
 	pk   *ring.Parker
+	vpk  *ring.Parker // the verifier's, woken after every pop
 
 	// spans is the core's committed trace-record ring (/debug/trace).
 	// The writer is its only committer: a traced batch's record is
@@ -339,29 +337,26 @@ func (w *coreWriter) flush(ss *session) {
 // loop is the per-core write loop: pop a cycle of ops, append each
 // frame to its session's write buffer (releasing the pooled encoding
 // immediately after the copy — the ownership rule that keeps pooling
-// safe), then flush every session the cycle touched.
+// safe), then flush every session the cycle touched. It parks as soon
+// as the ring is empty.
 func (w *coreWriter) loop() {
 	defer w.srv.writerWG.Done()
 	var ops [writePop]writeOp
 	dirty := make([]*session, 0, writePop)
-	spins := 0
 	for {
 		n := w.ring.PopSlice(ops[:])
 		if n == 0 {
-			if spins++; spins < spinPasses {
-				runtime.Gosched()
-				continue
-			}
 			w.pk.Prepare()
 			if w.ring.Len() > 0 {
 				w.pk.Cancel()
 			} else {
 				w.pk.Park()
 			}
-			spins = 0
 			continue
 		}
-		spins = 0
+		// The pop freed slots for a verifier parked on a full ring;
+		// when it is not parked, Wake costs one atomic load.
+		w.vpk.Wake()
 		for i := 0; i < n; i++ {
 			op := ops[i]
 			ops[i] = writeOp{}
@@ -414,9 +409,10 @@ func (w *coreWriter) loop() {
 // CoreStats is one verifier core's slice of the serve work: the
 // per-core breakdown behind BENCH_pr6.json and `ipdsload -selfserve`.
 // Events/Batches/Alarms are lifetime totals for sessions pinned to
-// this core; Parks/Wakes count the verifier's spin-then-park cycles
-// (WriterParks the writer's); Stalls counts writer-ring-full waits;
-// RingHighWater is the deepest any session ring pinned here ever got.
+// this core; Parks/Wakes count the verifier's parks, idle or on a
+// full writer ring (WriterParks the writer's); Stalls counts
+// writer-ring-full waits; RingHighWater is the deepest any session
+// ring pinned here ever got.
 type CoreStats struct {
 	Core          int    `json:"core"`
 	Sessions      int    `json:"sessions"`       // live now

@@ -10,6 +10,7 @@ import (
 	"repro/internal/ipds"
 	"repro/internal/ipdsclient"
 	"repro/internal/ir"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/server"
 	"repro/internal/workload"
@@ -39,7 +40,9 @@ func TestScalePerCoreMatchesLocal(t *testing.T) {
 	}
 	store := server.NewImageStore(nil)
 	hash := store.Add(w.Name, art.Image)
+	reg := obs.NewRegistry()
 	srv := server.New(store, server.Config{
+		Reg:        reg,
 		Verifiers:  verifiers,
 		RingSize:   4, // force reader stalls and verifier park/wake churn
 		AlarmQueue: 4, // force verifier→writer backpressure
@@ -138,5 +141,10 @@ func TestScalePerCoreMatchesLocal(t *testing.T) {
 	// wall time doing it (the ipdsload kernel_ns_per_event source).
 	if verifyNs == 0 {
 		t.Error("per-core verify_ns sum to 0 after verifying events")
+	}
+	// The tiny rings exist to drive the park-on-full paths (a reader on
+	// its session ring, a verifier on its writer ring): show they ran.
+	if got := reg.Counter("server_backpressure_stalls_total").Value(); got == 0 {
+		t.Error("server_backpressure_stalls_total = 0 with capacity-4 rings: the park-on-full paths never ran")
 	}
 }

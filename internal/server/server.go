@@ -408,6 +408,7 @@ func (s *Server) register(ss *session) bool {
 	ss.v = s.pinVerifier(ss.id)
 	ss.core = ss.v.id
 	ss.ring = ring.New[task](s.cfg.RingSize)
+	ss.pk = ring.NewParker()
 	s.sessions[ss.id] = ss
 	s.met.sessionsTotal.Inc()
 	s.met.sessionsActive.Set(int64(len(s.sessions)))

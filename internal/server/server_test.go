@@ -80,7 +80,7 @@ func startWorld(t *testing.T, cfg server.Config) *testWorld {
 }
 
 // startWorldWith serves an already-compiled artifact set.
-func startWorldWith(t *testing.T, art *pipeline.Artifacts, name string, cfg server.Config) *testWorld {
+func startWorldWith(t testing.TB, art *pipeline.Artifacts, name string, cfg server.Config) *testWorld {
 	t.Helper()
 	reg := obs.NewRegistry()
 	if cfg.Reg == nil {

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,6 +37,7 @@ type session struct {
 	rd        *wire.Reader
 	m         *ipds.Machine
 	ring      *ring.SPSC[task]
+	pk        *ring.Parker // the reader parks here on a full ring
 	v         *verifier
 	program   string
 	forensics bool // the machine records; emit AlarmCtx after each Alarm
@@ -106,16 +106,17 @@ func isClosedErr(err error) bool {
 // verifier wakeup instead of one each.
 const readStage = 16
 
-// publish pushes the staged tasks into the session's ring, blocking
+// publish pushes the staged tasks into the session's ring, parking
 // (counted as backpressure, once per stall) while the pinned verifier
 // is behind, and wakes the verifier. The reader is the ring's only
-// producer.
+// producer and s.pk's only sleeper; the verifier Wakes s.pk after
+// every pop that takes items.
 func (s *session) publish(staged []task) {
 	if len(staged) == 0 {
 		return
 	}
 	s.srv.met.readFrames.Observe(uint64(len(staged)))
-	off, spins, stalled := 0, 0, false
+	off, stalled := 0, false
 	for off < len(staged) {
 		n := s.ring.PushSlice(staged[off:])
 		if n > 0 {
@@ -127,10 +128,12 @@ func (s *session) publish(staged []task) {
 			stalled = true
 			s.srv.met.backpressure.Inc()
 		}
-		if spins++; spins < spinPasses {
-			runtime.Gosched()
+		// The ring is full, so the verifier has been woken and will pop.
+		s.pk.Prepare()
+		if s.ring.Len() < s.ring.Cap() {
+			s.pk.Cancel()
 		} else {
-			time.Sleep(20 * time.Microsecond)
+			s.pk.Park()
 		}
 	}
 	s.srv.met.ringDepth.Observe(uint64(s.ring.Len()))
