@@ -108,9 +108,11 @@ fleet-gate:
 # run with every batch stamped (-trace-sample 1) must commit exactly
 # one span per verified batch, each chain complete and monotonic
 # client → router → core → ack flush; the daemon-side span tests and
-# the tsdb metric-history tests ride along, all under -race. The
-# sampling-off zero-alloc invariant is held separately by alloc-gate
-# (scripts/checkallocs.sh).
+# the tsdb metric-history tests ride along, all under -race. Untraced
+# traffic's zero-alloc invariant from the verifier on — every 64th
+# batch's span record and its commit into the wait histograms included
+# — is held separately by alloc-gate (BenchmarkVerifyBatchIncident in
+# scripts/checkallocs.sh); no gate bench runs the reader.
 trace-gate:
 	$(GO) test -race -run 'TestTraceGate' ./internal/fleet
 	$(GO) test -race -run 'TestTrace|TestSpan' ./internal/server

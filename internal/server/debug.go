@@ -85,7 +85,7 @@ func (s *Server) Debug() DebugInfo {
 	}
 	if spans := s.TraceSpans(); len(spans) > 0 {
 		info.TraceN = len(spans)
-		info.E2EP50Ns, info.E2EP99Ns = s.TraceE2E()
+		info.E2EP50Ns, info.E2EP99Ns = e2eQuantiles(spans)
 	}
 	for _, ss := range live {
 		d := DebugSession{

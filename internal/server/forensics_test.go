@@ -314,15 +314,17 @@ func TestDrainFlushesSessionTelemetry(t *testing.T) {
 	}
 	// The serve-path telemetry filled while the session ran: batch
 	// verify latency, ring depth and write coalescing all saw
-	// every batch (the sampled span histograms only see 1-in-64 batches,
-	// so a short session legitimately leaves them empty; the first batch
-	// of every session is always sampled, so queue-wait is never empty).
+	// every batch. The span wait histograms see 1-in-64 batches, and
+	// the first batch of every session is always sampled, so neither
+	// is empty either.
 	for _, h := range []string{"server_verify_ns", "server_ring_depth", "server_write_coalesced_bytes"} {
 		if got := w.reg.Histogram(h).Count(); got == 0 {
 			t.Fatalf("%s histogram is empty after a served session", h)
 		}
 	}
-	if got := w.reg.Histogram("server_queue_wait_ns").Count(); got == 0 {
-		t.Fatal("server_queue_wait_ns is empty; the first batch of a session is always sampled")
+	for _, h := range []string{"server_queue_wait_ns", "server_write_wait_ns"} {
+		if got := w.reg.Histogram(h).Count(); got == 0 {
+			t.Fatalf("%s is empty; the first batch of a session is always sampled", h)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/ipds"
 	"repro/internal/ipdsclient"
 	"repro/internal/ir"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -55,8 +56,9 @@ func (st *incidentStage) stall() (release func()) {
 // roomy queue absorbs every offer), so the allocs/op it reports — which
 // b.ReportAllocs counts process-wide — is the verifier's and its core
 // writer's alone: `make alloc-gate` requires it to stay 0 even while
-// every alarm is offered to the incident queue and every forensic
-// capture is deep-copied across it.
+// every alarm is offered to the incident queue, every forensic capture
+// is deep-copied across it, and every 64th batch's span record feeds
+// the (live) wait histograms.
 func BenchmarkVerifyBatchIncident(b *testing.B) {
 	w := workload.ByName("telnetd")
 	if w == nil {
@@ -92,7 +94,7 @@ func BenchmarkVerifyBatchIncident(b *testing.B) {
 	// A roomy queue: benchmark iterations outrun the analyzer goroutine,
 	// and overflow drops — while allocation-free — would leave the
 	// Observe path itself unmeasured.
-	srv := New(store, Config{IncidentQueue: 1 << 16})
+	srv := New(store, Config{IncidentQueue: 1 << 16, Reg: obs.NewRegistry()})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -136,7 +138,10 @@ func BenchmarkVerifyBatchIncident(b *testing.B) {
 			bt := srv.batchPool.Get().(*wire.Batch)
 			bt.Events = chunks[i%len(chunks)]
 			events += len(bt.Events)
-			srv.verifyBatch(v, ss, task{b: bt})
+			// Sampled as the reader samples — every spanSampleEvery-th
+			// batch leases a span record — so the writer's span commit
+			// and wait-histogram path is measured too.
+			srv.verifyBatch(v, ss, task{b: bt, sp: ss.sample(bt)})
 		}
 	}
 	// Warm everything the steady state reuses: pools, encode buffers,
@@ -161,6 +166,9 @@ func BenchmarkVerifyBatchIncident(b *testing.B) {
 	feed(b.N)
 	b.StopTimer()
 	release()
+	if srv.met.writeWaitNs.Count() == 0 {
+		b.Fatal("no sampled span reached the wait histograms")
+	}
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(events)/s, "events/s")
 	}

@@ -20,22 +20,16 @@ type metrics struct {
 	batchLen       *obs.Histogram
 	verifyNs       *obs.Histogram
 
-	// Serve-path telemetry: ring and coalescing shape plus the sampled
-	// pipeline spans. readFrames is the reader-side coalescing twin of
+	// Serve-path telemetry: ring and coalescing shape plus the span
+	// waits. readFrames is the reader-side coalescing twin of
 	// coalesceBytes — frames one socket read delivered per ring publish.
+	// The wait histograms are fed at span commit from every sampled
+	// batch's record (DESIGN.md §9), so their _count counts samples.
 	ringDepth     *obs.Histogram // server_ring_depth (at publish)
 	readFrames    *obs.Histogram // server_read_coalesced_frames (per publish)
 	coalesceBytes *obs.Histogram // server_write_coalesced_bytes (per flush)
-	queueWaitNs   *obs.Histogram // server_queue_wait_ns (sampled batches)
-	writeWaitNs   *obs.Histogram // server_write_wait_ns (sampled batches)
-
-	// Sampling companions (DESIGN.md §9): the wait histograms above see
-	// only every spanSampleEvery-th batch, so their _count undercounts
-	// traffic by the sampling factor. These paired counters record how
-	// many observations actually fed each series, letting a reader
-	// de-bias rates without knowing the sampling constant.
-	queueWaitSampled *obs.Counter // server_queue_wait_sampled_total
-	writeWaitSampled *obs.Counter // server_write_wait_sampled_total
+	queueWaitNs   *obs.Histogram // server_queue_wait_ns (ReadNs → DequeueNs)
+	writeWaitNs   *obs.Histogram // server_write_wait_ns (OfferEndNs → AckNs)
 
 	// e2eNs is the traced-batch end-to-end latency (client origin → ack
 	// flush), observed at span commit time — only traced batches feed it.
@@ -59,30 +53,28 @@ type metrics struct {
 
 func newMetrics(r *obs.Registry) metrics {
 	return metrics{
-		sessionsActive:   r.Gauge("server_sessions_active"),
-		sessionsTotal:    r.Counter("server_sessions_total"),
-		eventsTotal:      r.Counter("server_events_total"),
-		batchesTotal:     r.Counter("server_batches_total"),
-		backpressure:     r.Counter("server_backpressure_stalls_total"),
-		alarmsTotal:      r.Counter("server_alarms_total"),
-		errorsTotal:      r.Counter("server_errors_total"),
-		evictionsTotal:   r.Counter("server_evictions_total"),
-		batchLen:         r.Histogram("server_batch_events"),
-		verifyNs:         r.Histogram("server_verify_ns"),
-		ringDepth:        r.Histogram("server_ring_depth"),
-		readFrames:       r.Histogram("server_read_coalesced_frames"),
-		coalesceBytes:    r.Histogram("server_write_coalesced_bytes"),
-		queueWaitNs:      r.Histogram("server_queue_wait_ns"),
-		writeWaitNs:      r.Histogram("server_write_wait_ns"),
-		queueWaitSampled: r.Counter("server_queue_wait_sampled_total"),
-		writeWaitSampled: r.Counter("server_write_wait_sampled_total"),
-		e2eNs:            r.Histogram("server_e2e_ns"),
-		ctxTotal:         r.Counter("server_alarm_ctx_total"),
-		ctxDropped:       r.Counter("server_alarm_ctx_dropped_total"),
-		mBranches:        r.Counter("server_machine_branches_total"),
-		mVerified:        r.Counter("server_machine_verified_total"),
-		mAlarmsDropped:   r.Counter("server_alarms_dropped_total"),
-		mStrictRejects:   r.Counter("server_strict_rejects_total"),
+		sessionsActive: r.Gauge("server_sessions_active"),
+		sessionsTotal:  r.Counter("server_sessions_total"),
+		eventsTotal:    r.Counter("server_events_total"),
+		batchesTotal:   r.Counter("server_batches_total"),
+		backpressure:   r.Counter("server_backpressure_stalls_total"),
+		alarmsTotal:    r.Counter("server_alarms_total"),
+		errorsTotal:    r.Counter("server_errors_total"),
+		evictionsTotal: r.Counter("server_evictions_total"),
+		batchLen:       r.Histogram("server_batch_events"),
+		verifyNs:       r.Histogram("server_verify_ns"),
+		ringDepth:      r.Histogram("server_ring_depth"),
+		readFrames:     r.Histogram("server_read_coalesced_frames"),
+		coalesceBytes:  r.Histogram("server_write_coalesced_bytes"),
+		queueWaitNs:    r.Histogram("server_queue_wait_ns"),
+		writeWaitNs:    r.Histogram("server_write_wait_ns"),
+		e2eNs:          r.Histogram("server_e2e_ns"),
+		ctxTotal:       r.Counter("server_alarm_ctx_total"),
+		ctxDropped:     r.Counter("server_alarm_ctx_dropped_total"),
+		mBranches:      r.Counter("server_machine_branches_total"),
+		mVerified:      r.Counter("server_machine_verified_total"),
+		mAlarmsDropped: r.Counter("server_alarms_dropped_total"),
+		mStrictRejects: r.Counter("server_strict_rejects_total"),
 	}
 }
 

@@ -243,10 +243,8 @@ func (v *verifier) send(op writeOp) {
 // sendFrame encodes f into a pooled buffer and queues it for the
 // session's writer.
 func (v *verifier) sendFrame(ss *session, f wire.Frame) {
-	fb := v.srv.bufPool.Get().(*frameBuf)
-	fb.b = wire.MustAppend(fb.b[:0], f)
-	fb.t0 = time.Time{} // pooled; a stale sample stamp would skew spans
-	fb.sp = nil
+	fb := v.srv.leaseBuf()
+	fb.b = wire.MustAppend(fb.b, f)
 	v.send(writeOp{s: ss, fb: fb})
 }
 
@@ -309,19 +307,13 @@ func (w *coreWriter) flush(ss *session) {
 		ss.conn.SetWriteDeadline(time.Now().Add(w.srv.cfg.WriteTimeout))
 		if _, err := ss.conn.Write(ss.wbuf); err != nil {
 			ss.wfailed = true
-		} else {
-			if !ss.wspan.IsZero() {
-				w.srv.met.writeWaitNs.Observe(uint64(time.Since(ss.wspan).Nanoseconds()))
-				w.srv.met.writeWaitSampled.Inc()
+		} else if len(ss.wspans) > 0 {
+			// One clock read stamps every sampled batch this flush acked.
+			now := nowNs()
+			for _, sp := range ss.wspans {
+				w.srv.spanCommit(w, sp, now)
 			}
-			if len(ss.wspans) > 0 {
-				// One clock read stamps every traced batch this flush acked.
-				now := nowNs()
-				for _, sp := range ss.wspans {
-					w.srv.spanCommit(w, sp, now)
-				}
-				ss.wspans = ss.wspans[:0]
-			}
+			ss.wspans = ss.wspans[:0]
 		}
 	}
 	if ss.wfailed {
@@ -330,7 +322,6 @@ func (w *coreWriter) flush(ss *session) {
 		}
 		ss.wspans = ss.wspans[:0]
 	}
-	ss.wspan = time.Time{}
 	ss.wbuf = ss.wbuf[:0]
 }
 
@@ -368,9 +359,6 @@ func (w *coreWriter) loop() {
 			ss := op.s
 			if op.fb != nil {
 				if !ss.wfailed {
-					if ss.wspan.IsZero() {
-						ss.wspan = op.fb.t0
-					}
 					ss.wbuf = append(ss.wbuf, op.fb.b...)
 					if op.fb.sp != nil {
 						// Detach the span record from the pooled buffer: it

@@ -111,10 +111,12 @@ type Config struct {
 	Incident incident.Config
 
 	// TraceRing is the per-core capacity of the committed span-record
-	// ring behind /debug/trace (default 256; negative disables trace
-	// expansion entirely). Records are only ever created for batches a
-	// client stamped with the wire trace extension — unstamped traffic
-	// pays one branch and allocates nothing, whatever this is set to.
+	// ring behind /debug/trace (default 256; negative disables it, and
+	// stamped batches are then sampled like unstamped ones). Only
+	// batches a client stamped with the wire trace extension are kept
+	// there. The span records the daemon leases for 1 batch in 64 on
+	// its own feed only the wait histograms, whatever this is set to;
+	// they come from a pool, so unstamped traffic allocates nothing.
 	TraceRing int
 
 	// Reg receives server_* metrics; nil disables (free).
@@ -177,12 +179,8 @@ type task struct {
 	b    *wire.Batch
 	fb   *frameBuf
 	done bool
-	// t0 is non-zero on sampled batches (1 in spanSampleEvery per
-	// session): the reader's publish time, observed by the verifier as
-	// server_queue_wait_ns — the reader→verifier leg of the sampled
-	// pipeline span.
-	t0 time.Time
-	// sp is non-nil on client-trace-stamped batches: the pooled span
+	// sp is non-nil on sampled batches — client-trace-stamped ones and
+	// every spanSampleEvery-th batch of a session: the pooled span
 	// record the stages fill in as the batch moves through them (see
 	// trace.go). Ownership rides the ring with the batch; the core
 	// writer commits and releases it at ack-flush time.
@@ -200,11 +198,7 @@ type task struct {
 // is still queued, or a reuse would corrupt bytes in flight.
 type frameBuf struct {
 	b []byte
-	// t0 is non-zero when this buffer continues a sampled batch's span:
-	// the verifier's queue time, observed by the writer (once the bytes
-	// are on the wire) as server_write_wait_ns — the verifier→writer leg.
-	t0 time.Time
-	// sp continues a trace-stamped batch's span record into the writer:
+	// sp continues a sampled batch's span record into the writer:
 	// non-nil only when the buffer carries such a batch's alarms+ack.
 	// The writer detaches it on append (into session.wspans) and the
 	// flush that puts the bytes on the wire commits it.
@@ -227,8 +221,8 @@ type Server struct {
 	batchPool sync.Pool
 	bufPool   sync.Pool
 
-	// spanPool recycles trace span records (trace.go); leased by the
-	// reader for stamped batches only, released by the core writer.
+	// spanPool recycles span records (trace.go); leased by the reader
+	// for sampled batches only, released by the core writer.
 	spanPool sync.Pool
 
 	// incidents is the off-path analytics stage (nil when disabled):
@@ -513,10 +507,6 @@ func (s *Server) handleConn(conn net.Conn) {
 func (s *Server) verifyBatch(v *verifier, ss *session, t task) {
 	n := len(t.b.Events)
 	start := time.Now()
-	if !t.t0.IsZero() {
-		s.met.queueWaitNs.Observe(uint64(start.Sub(t.t0).Nanoseconds()))
-		s.met.queueWaitSampled.Inc()
-	}
 	if t.sp != nil {
 		t.sp.DequeueNs = start.UnixNano()
 	}
@@ -532,10 +522,7 @@ func (s *Server) verifyBatch(v *verifier, ss *session, t task) {
 	// The batch's alarms and its ack ride one pooled buffer: one ring
 	// operation and (after writer coalescing) one socket write per
 	// batch, however many alarms it raised.
-	fb := s.bufPool.Get().(*frameBuf)
-	fb.b = fb.b[:0]
-	fb.t0 = time.Time{}
-	fb.sp = nil
+	fb := s.leaseBuf()
 	for i := range alarms {
 		s.met.alarmsTotal.Inc()
 		var err error
@@ -611,9 +598,6 @@ func (s *Server) verifyBatch(v *verifier, ss *session, t task) {
 	ss.updateRate(start.UnixNano(), total)
 	done := ss.events.Add(uint64(n))
 	fb.b = wire.AppendAck(fb.b, wire.Ack{Events: done})
-	if !t.t0.IsZero() {
-		fb.t0 = time.Now()
-	}
 	if t.sp != nil {
 		// Incident offer + forensics emission + ack encode are done; the
 		// record rides the frame buffer to the core writer, which stamps
@@ -622,6 +606,14 @@ func (s *Server) verifyBatch(v *verifier, ss *session, t task) {
 		fb.sp = t.sp
 	}
 	v.send(writeOp{s: ss, fb: fb})
+}
+
+// leaseBuf leases an empty outbound frame buffer. The core writer, its
+// only releaser, clears sp before the Put, so only b needs resetting.
+func (s *Server) leaseBuf() *frameBuf {
+	fb := s.bufPool.Get().(*frameBuf)
+	fb.b = fb.b[:0]
+	return fb
 }
 
 // alarmFrame converts a machine alarm to its wire form.

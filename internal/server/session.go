@@ -18,7 +18,7 @@ import (
 //     only producer
 //   - m (the machine) and the rate-window fields: the pinned per-core
 //     verifier, exclusively — the ring's only consumer
-//   - wbuf/wdirty/wfailed/wspan and conn writes: the core writer
+//   - wbuf/wdirty/wfailed/wspans and conn writes: the core writer
 //     goroutine, exclusively
 //   - the remaining counters are atomics, written by their owner and
 //     read by the debug endpoint
@@ -45,7 +45,7 @@ type session struct {
 	stopSpan  func()
 
 	// sampleCnt is reader-owned: it picks every spanSampleEvery-th
-	// batch to carry pipeline-span timestamps.
+	// batch to carry a span record.
 	sampleCnt uint64
 
 	// events counts fully verified events (ack currency):
@@ -85,9 +85,8 @@ type session struct {
 	wbuf    []byte
 	wdirty  bool
 	wfailed bool
-	wspan   time.Time // first sampled frame's queue time in this cycle
 
-	// wspans holds the trace records of this cycle's coalesced traced
+	// wspans holds the span records of this cycle's coalesced sampled
 	// batches: detached from their frame buffers at append time,
 	// committed (ack stamp) when the cycle's single write lands.
 	wspans []*SpanRec
@@ -144,10 +143,8 @@ func (s *session) publish(staged []task) {
 // verifier forwards it to the core writer, keeping the writer ring
 // single-producer.
 func (s *session) stageCtrl(staged []task, f wire.Frame) []task {
-	fb := s.srv.bufPool.Get().(*frameBuf)
-	fb.b = wire.MustAppend(fb.b[:0], f)
-	fb.t0 = time.Time{} // pooled; a stale sample stamp would skew spans
-	fb.sp = nil
+	fb := s.srv.leaseBuf()
+	fb.b = wire.MustAppend(fb.b, f)
 	return append(staged, task{fb: fb})
 }
 
@@ -262,27 +259,7 @@ func (s *session) readLoop() {
 				staged = s.stageCtrl(staged, wire.Error{Code: wire.ErrProtocol, Msg: "batch exceeds advertised maximum"})
 				goto out
 			}
-			// Every spanSampleEvery-th batch carries timestamps through
-			// the pipeline, feeding the sampled reader→verifier→writer
-			// span histograms at negligible steady-state cost.
-			var t0 time.Time
-			if s.sampleCnt%spanSampleEvery == 0 {
-				t0 = time.Now()
-			}
-			s.sampleCnt++
-			// A client-stamped trace context expands into a full span
-			// record; the untraced steady state pays this one predictable
-			// branch and nothing else.
-			var sp *SpanRec
-			if fr.TraceID != 0 && srv.cfg.TraceRing > 0 {
-				sp = srv.spanGet()
-				sp.TraceID = fr.TraceID
-				sp.OriginNs = int64(fr.OriginNs)
-				sp.Session = s.id
-				sp.Core = s.core
-				sp.ReadNs = nowNs()
-			}
-			staged = append(staged, task{b: fr, t0: t0, sp: sp})
+			staged = append(staged, task{b: fr, sp: s.sample(fr)})
 			// Publish when the socket buffer is dry — the next NextInto
 			// would block — or the stage is full. (A frame split across
 			// TCP segments can briefly block with tasks staged; its tail
@@ -308,13 +285,34 @@ out:
 	s.publish(staged)
 }
 
+// sample leases the span record a just-read batch carries through the
+// pipeline, or returns nil. A client-stamped batch and every
+// spanSampleEvery-th batch of the session are sampled: the record's
+// stamps feed the wait histograms, and a stamped one is also kept for
+// /debug/trace. Reader-owned, like sampleCnt.
+func (s *session) sample(fr *wire.Batch) *SpanRec {
+	traced := fr.TraceID != 0 && s.srv.cfg.TraceRing > 0
+	n := s.sampleCnt
+	s.sampleCnt++
+	if !traced && n%spanSampleEvery != 0 {
+		return nil
+	}
+	sp := s.srv.spanPool.Get().(*SpanRec)
+	*sp = SpanRec{Session: s.id, Core: s.core, ReadNs: nowNs()}
+	if traced {
+		sp.TraceID = fr.TraceID
+		sp.OriginNs = int64(fr.OriginNs)
+	}
+	return sp
+}
+
 // maxWriteCoalesce bounds a session's merged write buffer: big enough
 // to swallow a burst of per-batch alarm+ack buffers in one syscall,
 // small enough to keep write latency and memory per session bounded.
 const maxWriteCoalesce = 256 << 10
 
-// spanSampleEvery picks which batches carry pipeline-span timestamps
-// (reader publish → verifier pop → writer flush). 1-in-64 keeps the
-// histograms live on any sustained stream while the extra time.Now()
-// calls stay invisible next to the verify kernel itself.
+// spanSampleEvery picks which unstamped batches carry a span record
+// (reader publish → verifier pop → writer flush) for the wait
+// histograms. 1-in-64 keeps them live on any sustained stream while
+// the extra clock reads stay invisible next to the verify kernel.
 const spanSampleEvery = 64

@@ -17,19 +17,27 @@ import (
 // exports the rings as Chrome trace-event JSON (chrome://tracing,
 // Perfetto), one track per verifier core.
 //
-// Cost model: an untraced batch pays exactly one predictable branch
-// (TraceID == 0) on the reader — the PR 4/7/9 zero-alloc serve path,
-// alloc-gate enforced. A traced batch borrows its record from a pool,
+// The same records are the daemon's only latency sampler: the reader
+// also leases one for every spanSampleEvery-th batch of a session,
+// stamped or not, and every committed record feeds the
+// server_queue_wait_ns and server_write_wait_ns histograms.
+//
+// Cost model: an unsampled batch pays two predictable branches on the
+// reader (trace stamp, sample counter) — the zero-alloc serve path,
+// alloc-gate enforced. A sampled batch borrows its record from a pool,
 // stamps five timestamps as it moves through the stages it already
-// moves through, and is committed by the core writer under a mutex no
-// unsampled batch ever touches.
+// moves through, and feeds the wait histograms at ack-flush time.
+// Only a client-stamped record goes on into the e2e histogram and the
+// core's ring, under a mutex no untraced batch ever touches.
 
-// SpanRec is one traced batch's per-stage latency record. All *Ns
-// fields except OriginNs are the daemon's clock (unix nanoseconds)
-// stamped by the stage that owns the batch at that moment, so within
-// a record ReadNs ≤ DequeueNs ≤ VerifyEndNs ≤ OfferEndNs ≤ AckNs by
-// construction. OriginNs is the client's clock: the wire leg derived
-// from it absorbs any cross-host skew, never the daemon-side ordering.
+// SpanRec is one sampled batch's per-stage latency record; TraceID is
+// 0 on one the daemon sampled on its own, which never reaches the
+// rings or TraceSpans. All *Ns fields except OriginNs are the daemon's
+// clock (unix nanoseconds) stamped by the stage that owns the batch at
+// that moment, so within a record ReadNs ≤ DequeueNs ≤ VerifyEndNs ≤
+// OfferEndNs ≤ AckNs by construction. OriginNs is the client's clock:
+// the wire leg derived from it absorbs any cross-host skew, never the
+// daemon-side ordering.
 type SpanRec struct {
 	TraceID uint64 `json:"trace_id"`
 	Session uint64 `json:"session"`
@@ -58,7 +66,7 @@ func (r SpanRec) E2ENs() int64 {
 
 // spanRing is one core's bounded committed-record ring. The core's
 // writer is the only committer; the debug endpoint snapshots under the
-// same mutex. Unsampled traffic never touches it.
+// same mutex. Untraced traffic never touches it.
 type spanRing struct {
 	mu  sync.Mutex
 	buf []SpanRec
@@ -117,7 +125,12 @@ func (s *Server) TraceSpans() []SpanRec {
 // currently retained span records, in nanoseconds; zeros when nothing
 // has been traced.
 func (s *Server) TraceE2E() (p50, p99 int64) {
-	recs := s.TraceSpans()
+	return e2eQuantiles(s.TraceSpans())
+}
+
+// e2eQuantiles reports the p50 and p99 of recs' end-to-end latencies;
+// zeros for no records.
+func e2eQuantiles(recs []SpanRec) (p50, p99 int64) {
 	if len(recs) == 0 {
 		return 0, 0
 	}
@@ -149,8 +162,8 @@ type chromeTraceEvent struct {
 // traceStages turns one record into its Chrome stage events. Stages
 // are emitted only when their interval is well-formed, so a record
 // from a skewed client still renders its daemon-side stages.
-func traceStages(r SpanRec, t0 int64) []chromeTraceEvent {
-	us := func(ns int64) float64 { return float64(ns-t0) / 1e3 }
+func traceStages(r SpanRec, epoch int64) []chromeTraceEvent {
+	us := func(ns int64) float64 { return float64(ns-epoch) / 1e3 }
 	args := map[string]any{
 		"trace_id": r.TraceID,
 		"session":  r.Session,
@@ -186,19 +199,19 @@ func traceStages(r SpanRec, t0 int64) []chromeTraceEvent {
 // record so the trace starts at t=0.
 func (s *Server) WriteChromeTrace(w http.ResponseWriter) {
 	recs := s.TraceSpans()
-	var t0 int64
+	var epoch int64
 	for _, r := range recs {
 		base := r.ReadNs
 		if r.OriginNs > 0 && r.OriginNs < base {
 			base = r.OriginNs
 		}
-		if t0 == 0 || base < t0 {
-			t0 = base
+		if epoch == 0 || base < epoch {
+			epoch = base
 		}
 	}
 	evs := []chromeTraceEvent{}
 	for _, r := range recs {
-		evs = append(evs, traceStages(r, t0)...)
+		evs = append(evs, traceStages(r, epoch)...)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(evs)
@@ -223,22 +236,26 @@ func (s *Server) TraceHandler() http.Handler {
 	})
 }
 
-// spanGet leases a zeroed record from the span pool.
-func (s *Server) spanGet() *SpanRec {
-	sp := s.spanPool.Get().(*SpanRec)
-	*sp = SpanRec{}
-	return sp
-}
-
 // spanCommit finishes a record at ack-flush time: stamps AckNs, feeds
-// the e2e histogram, commits the value into the core's ring and
-// returns the lease to the pool. Runs on the core writer.
+// the wait histograms and, for a client-stamped record, the e2e
+// histogram and the core's ring, then returns the lease to the pool.
+// Runs on the core writer.
 func (s *Server) spanCommit(w *coreWriter, sp *SpanRec, ackNs int64) {
 	sp.AckNs = ackNs
-	if e2e := sp.E2ENs(); e2e > 0 {
-		s.met.e2eNs.Observe(uint64(e2e))
+	// The span clock is the wall clock: a sample straddling a clock
+	// step backwards comes out negative and is skipped.
+	if d := sp.DequeueNs - sp.ReadNs; d >= 0 {
+		s.met.queueWaitNs.Observe(uint64(d))
 	}
-	w.spans.commit(*sp)
+	if d := sp.AckNs - sp.OfferEndNs; d >= 0 {
+		s.met.writeWaitNs.Observe(uint64(d))
+	}
+	if sp.TraceID != 0 {
+		if e2e := sp.E2ENs(); e2e > 0 {
+			s.met.e2eNs.Observe(uint64(e2e))
+		}
+		w.spans.commit(*sp)
+	}
 	s.spanPool.Put(sp)
 }
 

@@ -7,14 +7,23 @@ import (
 	"time"
 
 	"repro/internal/ipdsclient"
+	"repro/internal/ir"
+	"repro/internal/pipeline"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
-// sendTraced drives one session with every batch stamped and returns
-// the number of event batches the client flushed.
+// sendTraced drives one session over the guard trace with every
+// sample-th batch stamped (0 = none) and returns the number of event
+// batches the client flushed.
 func sendTraced(t *testing.T, w *testWorld, program string, batch, sample int) int {
 	t.Helper()
-	trace := ipdsclient.Capture(w.art, nil)
+	return sendEvents(t, w, program, ipdsclient.Capture(w.art, nil), batch, sample)
+}
+
+// sendEvents is sendTraced over an explicit event stream.
+func sendEvents(t *testing.T, w *testWorld, program string, trace []wire.Event, batch, sample int) int {
+	t.Helper()
 	c, err := ipdsclient.Dial(ipdsclient.Config{
 		Addr: w.addr, Image: w.hash, Program: program,
 		Batch: batch, TraceSample: sample,
@@ -71,30 +80,65 @@ func TestTraceSpansE2E(t *testing.T) {
 	}
 }
 
-// TestTraceSamplingAndDisable pins the opt-in contracts: an unstamped
-// client leaves the rings untouched, 1-in-N stamping commits only the
-// sampled batches, and TraceRing < 0 disables the plane entirely even
-// for stamping clients.
+// TestTraceSamplingAndDisable pins the sampler contracts. The span
+// rings are opt-in: an unstamped client leaves them untouched, 1-in-N
+// stamping commits only the stamped batches, and TraceRing < 0 keeps
+// them empty even for stamping clients. The wait histograms are not:
+// the daemon samples every 64th batch of a session on its own, every
+// stamped batch is a sample too, and only stamped batches feed
+// server_e2e_ns.
 func TestTraceSamplingAndDisable(t *testing.T) {
-	w := startWorld(t, server.Config{TraceRing: 1024})
-	sendTraced(t, w, "untraced", 8, 0)
-	if n := len(w.srv.TraceSpans()); n != 0 {
-		t.Fatalf("unstamped client committed %d spans", n)
+	// A session of a few hundred single-event batches spans several
+	// 64-batch sampling periods; the guard trace alone is shorter.
+	art, err := pipeline.Compile(guardSrc, ir.DefaultOptions)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
 	}
+	var long []wire.Event
+	for i := 0; i < 5; i++ {
+		long = append(long, ipdsclient.Capture(art, nil)...)
+	}
+	// run serves one session of single-event batches, drains the
+	// daemon (span commits happen on the core writers; drain flushes
+	// them) and checks the span count, both wait histograms and the
+	// e2e histogram against the number of batches B it verified.
+	run := func(name string, cfg server.Config, sample int, spans, waits, e2e func(b uint64) uint64) {
+		t.Helper()
+		w := startWorld(t, cfg)
+		sent := sendEvents(t, w, name, long, 1, sample)
+		w.shut(t)
+		b := w.reg.Counter("server_batches_total").Value()
+		if b != uint64(sent) || b <= 64 {
+			t.Fatalf("%s: daemon verified %d batches, client flushed %d (want > 64)", name, b, sent)
+		}
+		if n := uint64(len(w.srv.TraceSpans())); n != spans(b) {
+			t.Errorf("%s: committed %d spans for %d batches, want %d", name, n, b, spans(b))
+		}
+		for _, h := range []string{"server_queue_wait_ns", "server_write_wait_ns"} {
+			if n := w.reg.Histogram(h).Count(); n != waits(b) {
+				t.Errorf("%s: %s saw %d observations for %d batches, want %d", name, h, n, b, waits(b))
+			}
+		}
+		if n := w.reg.Histogram("server_e2e_ns").Count(); n != e2e(b) {
+			t.Errorf("%s: server_e2e_ns saw %d observations for %d batches, want %d", name, n, b, e2e(b))
+		}
+	}
+	none := func(uint64) uint64 { return 0 }
+	every64 := func(b uint64) uint64 { return (b + 63) / 64 }
+	all := func(b uint64) uint64 { return b }
+	run("untraced", server.Config{TraceRing: 1024}, 0, none, every64, none)
+	run("stamped", server.Config{TraceRing: 1024}, 1, all, all, all)
+	run("ring-off", server.Config{TraceRing: -1}, 1, none, every64, none)
+
+	w := startWorld(t, server.Config{TraceRing: 1024})
 	batches := sendTraced(t, w, "sampled", 8, 4)
-	w.shut(t)                 // commits happen on the core writers; drain flushes them
+	w.shut(t)
 	want := (batches + 3) / 4 // flushes 0, 4, 8, … carry the stamp
 	if n := len(w.srv.TraceSpans()); n != want {
 		t.Fatalf("1-in-4 sampling committed %d spans for %d batches, want %d", n, batches, want)
 	}
 	if p50, p99 := w.srv.TraceE2E(); p50 <= 0 || p99 < p50 {
 		t.Fatalf("TraceE2E = %d/%d", p50, p99)
-	}
-
-	off := startWorld(t, server.Config{TraceRing: -1})
-	sendTraced(t, off, "traced", 8, 1)
-	if n := len(off.srv.TraceSpans()); n != 0 {
-		t.Fatalf("TraceRing<0 daemon committed %d spans", n)
 	}
 }
 

@@ -25,7 +25,8 @@ echo "$out" | grep -q '^BenchmarkOnBatchRecorder' || {
 }
 
 # The verifier's serve path with the incident stage enabled: feeding
-# the analytics queue must not cost the verify loop a single
+# the analytics queue, and committing every 64th batch's span record
+# into the wait histograms, must not cost the verify loop a single
 # allocation per batch.
 srvout=$(go test -run '^$' -bench 'BenchmarkVerifyBatchIncident' -benchtime 2000x -benchmem ./internal/server)
 echo "$srvout"
