@@ -179,9 +179,9 @@ serve-baseline-pr7:
 
 # PR10 serving baseline: the trace plane's price and product. The
 # 8-session load point is recorded three times back-to-back — an
-# untraced control, the same load stamping every 64th batch (which
-# also forces the client onto the re-encoding Send path), and the
-# stamped load routed over 3 nodes. Traced rows carry trace_spans and
+# untraced control, the same load stamping every 64th batch (the
+# client stamps copies of frames from the same pre-encoded block the
+# control replays), and the stamped load routed over 3 nodes. Traced rows carry trace_spans and
 # the span-derived e2e_p50_ns/e2e_p99_ns the bench table renders.
 serve-baseline-pr10:
 	rm -f BENCH_pr10.json

@@ -48,9 +48,12 @@
 // /debug/incidents view; against a remote daemon it is the drain-time
 // wire copy the daemon streamed to the last-closing session.
 //
-// -trace-sample N stamps every Nth flushed batch with a wire-level
-// trace id and origin timestamp; the daemon expands each stamped batch
-// into a per-stage span record. Self-served runs then report (and
+// -trace-sample N stamps every Nth Batch frame each session writes
+// with a wire-level trace id and an origin timestamp taken at the
+// write; the daemon expands each stamped batch into a per-stage span
+// record. Traced runs replay the same pre-encoded block as untraced
+// ones — stamped frames go out as copies — so tracing does not change
+// the client's send path. Self-served runs then report (and
 // record in the -json row as e2e_p50_ns/e2e_p99_ns) the end-to-end
 // batch latency quantiles from those spans. Against a remote daemon,
 // fetch the spans with the trace subcommand:

@@ -9,6 +9,7 @@
 package ipdsclient
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sort"
@@ -57,22 +58,20 @@ type Config struct {
 	// measure the client's allocator instead of the daemon.
 	DiscardCtx bool
 
-	// TraceSample, when > 0, stamps every TraceSample-th flushed batch
-	// with the wire trace extension (a fresh trace id plus the client's
-	// clock at flush), making the daemon expand that batch into a
-	// per-stage span record behind /debug/trace. 0 (the default) sends
-	// batches byte-identical to a pre-trace client.
+	// TraceSample, when > 0, stamps every TraceSample-th Batch frame
+	// the client writes — by Send or SendEncoded alike — with the wire
+	// trace extension (a fresh trace id plus the client's clock at the
+	// write), making the daemon expand that batch into a per-stage span
+	// record behind /debug/trace. 0 (the default) sends batches
+	// byte-identical to a pre-trace client.
 	TraceSample int
 }
 
 func (c Config) withDefaults() Config {
-	if c.Batch <= 0 || c.Batch > wire.MaxBatch {
-		if c.Batch > wire.MaxBatch {
-			c.Batch = wire.MaxBatch
-		} else {
-			c.Batch = 512
-		}
+	if c.Batch <= 0 {
+		c.Batch = 512
 	}
+	c.Batch = min(c.Batch, wire.MaxBatch)
 	if c.Timeout <= 0 {
 		c.Timeout = 10 * time.Second
 	}
@@ -94,10 +93,11 @@ type batchMark struct {
 // a single goroutine; alarm and ack delivery runs on an internal
 // reader goroutine.
 type Client struct {
-	cfg  Config
-	conn net.Conn
-	buf  []byte
-	pend []wire.Event
+	cfg     Config
+	conn    net.Conn
+	buf     []byte       // Send's encoded batch
+	scratch []byte       // stamped copy of a write's frames
+	pend    []wire.Event // Send's sub-batch tail, cap Batch
 
 	sent     uint64 // events flushed (cumulative across redials)
 	branches uint64 // branch events flushed (cumulative across redials)
@@ -111,8 +111,9 @@ type Client struct {
 	brBase uint64
 
 	// Trace stamping state (single sender goroutine, like pend): flushCnt
-	// picks every TraceSample-th batch, traceBase keys this session's
-	// trace ids so two clients' samples stay distinguishable fleet-wide.
+	// counts the Batch frames written by Send and SendEncoded alike and
+	// picks every TraceSample-th, traceBase keys this session's trace ids
+	// so two clients' samples stay distinguishable fleet-wide.
 	flushCnt  uint64
 	traceBase uint64
 
@@ -135,14 +136,20 @@ type Client struct {
 // Dial connects, performs the hello handshake and starts the reader.
 func Dial(cfg Config) (*Client, error) {
 	cfg = cfg.withDefaults()
-	conn, err := net.DialTimeout("tcp", cfg.Addr, cfg.Timeout)
+	conn, err := dialTCP(cfg)
 	if err != nil {
 		return nil, err
 	}
+	return DialConn(conn, cfg)
+}
+
+// dialTCP opens the TCP connection Dial and Redial hand to dialConn.
+func dialTCP(cfg Config) (net.Conn, error) {
+	conn, err := net.DialTimeout("tcp", cfg.Addr, cfg.Timeout)
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	return DialConn(conn, cfg)
+	return conn, err
 }
 
 // DialConn performs the handshake and starts the reader over an
@@ -183,41 +190,39 @@ func dialConn(conn net.Conn, cfg Config, prev *Client, evBase, brBase uint64) (*
 		prev.mu.Unlock()
 		c.ctxN.Store(prev.ctxN.Load())
 	}
+	fail := func(err error) (*Client, error) {
+		conn.Close()
+		return nil, err
+	}
 	hello, err := wire.Append(nil, wire.Hello{
 		Version: wire.Version,
 		Image:   cfg.Image,
 		Program: cfg.Program,
 	})
 	if err != nil {
-		conn.Close()
-		return nil, err
+		return fail(err)
 	}
 	conn.SetDeadline(time.Now().Add(cfg.Timeout))
 	if _, err := conn.Write(hello); err != nil {
-		conn.Close()
-		return nil, err
+		return fail(err)
 	}
 	rd := wire.NewReader(conn)
 	f, err := rd.Next()
 	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("ipdsclient: handshake: %w", err)
+		return fail(fmt.Errorf("ipdsclient: handshake: %w", err))
 	}
 	switch fr := f.(type) {
 	case wire.HelloAck:
 		if fr.Version != wire.Version {
-			conn.Close()
-			return nil, fmt.Errorf("ipdsclient: server speaks version %d, want %d", fr.Version, wire.Version)
+			return fail(fmt.Errorf("ipdsclient: server speaks version %d, want %d", fr.Version, wire.Version))
 		}
 		if int(fr.MaxBatch) > 0 && c.cfg.Batch > int(fr.MaxBatch) {
 			c.cfg.Batch = int(fr.MaxBatch)
 		}
 	case wire.Error:
-		conn.Close()
-		return nil, fmt.Errorf("ipdsclient: refused: %s: %s", fr.Code, fr.Msg)
+		return fail(fmt.Errorf("ipdsclient: refused: %s: %s", fr.Code, fr.Msg))
 	default:
-		conn.Close()
-		return nil, fmt.Errorf("ipdsclient: handshake: unexpected %v frame", f.Type())
+		return fail(fmt.Errorf("ipdsclient: handshake: unexpected %v frame", f.Type()))
 	}
 	conn.SetDeadline(time.Time{})
 	go c.readLoop(rd)
@@ -330,63 +335,57 @@ func (c *Client) alarm(raw []byte) error {
 	return nil
 }
 
-// Send buffers events, flushing whole batches as the threshold fills.
+// Send ships evs in whole batches — topping up a buffered partial batch
+// first, then encoding straight from evs — and buffers the sub-batch
+// tail. Each batch is one mark and one write (Redial rolls back to one).
 func (c *Client) Send(evs ...wire.Event) error {
-	c.pend = append(c.pend, evs...)
-	for len(c.pend) >= c.cfg.Batch {
-		if err := c.flushN(c.cfg.Batch); err != nil {
+	if c.pend == nil {
+		c.pend = make([]wire.Event, 0, c.cfg.Batch)
+	}
+	if len(c.pend) > 0 {
+		k := min(c.cfg.Batch-len(c.pend), len(evs))
+		c.pend, evs = append(c.pend, evs[:k]...), evs[k:]
+		if len(c.pend) < c.cfg.Batch {
+			return nil
+		}
+		if err := c.Flush(); err != nil {
 			return err
 		}
 	}
+	for ; len(evs) >= c.cfg.Batch; evs = evs[c.cfg.Batch:] {
+		if err := c.flush(evs[:c.cfg.Batch]); err != nil {
+			return err
+		}
+	}
+	c.pend = append(c.pend, evs...)
 	return nil
 }
 
 // Flush sends any buffered partial batch.
 func (c *Client) Flush() error {
-	for len(c.pend) > 0 {
-		n := len(c.pend)
-		if n > c.cfg.Batch {
-			n = c.cfg.Batch
-		}
-		if err := c.flushN(n); err != nil {
-			return err
-		}
+	if len(c.pend) == 0 {
+		return nil
 	}
+	if err := c.flush(c.pend); err != nil {
+		return err
+	}
+	c.pend = c.pend[:0]
 	return nil
 }
 
-func (c *Client) flushN(n int) error {
-	evs := c.pend[:n]
-	b := wire.Batch{Events: evs}
-	if s := c.cfg.TraceSample; s > 0 && c.flushCnt%uint64(s) == 0 {
-		b.TraceID = c.traceBase + c.flushCnt
-		b.OriginNs = uint64(time.Now().UnixNano())
-	}
-	c.flushCnt++
-	c.buf = c.buf[:0]
+// flush encodes evs as one untraced Batch frame and ships it.
+func (c *Client) flush(evs []wire.Event) error {
 	var err error
-	c.buf, err = wire.Append(c.buf, b)
-	if err != nil {
+	if c.buf, err = wire.Append(c.buf[:0], wire.Batch{Events: evs}); err != nil {
 		return err
 	}
-	evLo, brLo := c.sent, c.branches
+	var branches uint64
 	for _, ev := range evs {
 		if ev.Kind == wire.EvBranch {
-			c.branches++
+			branches++
 		}
 	}
-	c.sent += uint64(n)
-	mark := batchMark{evLo: evLo, events: c.sent, brLo: brLo, branchHi: c.branches, sent: time.Now()}
-	c.mu.Lock()
-	c.marks = append(c.marks, mark)
-	c.mu.Unlock()
-	c.conn.SetWriteDeadline(time.Now().Add(c.cfg.Timeout))
-	if _, err := c.conn.Write(c.buf); err != nil {
-		return fmt.Errorf("ipdsclient: %w", err)
-	}
-	copy(c.pend, c.pend[n:])
-	c.pend = c.pend[:len(c.pend)-n]
-	return nil
+	return c.ship(c.buf, uint64(len(evs)), branches)
 }
 
 // SendEncoded ships pre-encoded Batch frames — typically built once
@@ -396,13 +395,27 @@ func (c *Client) flushN(n int) error {
 // frames' contents (total events, total branch events); they feed the
 // same ack/alarm latency marks Send maintains, with one mark covering
 // the whole block. Events buffered by Send are flushed first so stream
-// order is preserved.
+// order is preserved. Under Config.TraceSample the frames are stamped
+// like Send's, into a copy: the caller's block is never written.
 func (c *Client) SendEncoded(frames []byte, events, branches uint64) error {
 	if err := c.Flush(); err != nil {
 		return err
 	}
 	if len(frames) == 0 || events == 0 {
 		return nil
+	}
+	return c.ship(frames, events, branches)
+}
+
+// ship writes encoded Batch frames holding events events, branches of
+// them branch events, as one mark and one write. It is the only writer
+// of Batch bytes, so it alone stamps traces.
+func (c *Client) ship(frames []byte, events, branches uint64) error {
+	if c.cfg.TraceSample > 0 {
+		var err error
+		if frames, err = c.stamp(frames); err != nil {
+			return err
+		}
 	}
 	evLo, brLo := c.sent, c.branches
 	c.sent += events
@@ -416,6 +429,38 @@ func (c *Client) SendEncoded(frames []byte, events, branches uint64) error {
 		return fmt.Errorf("ipdsclient: %w", err)
 	}
 	return nil
+}
+
+// stamp walks frames by their length prefixes and returns them with
+// every TraceSample-th frame, counted by flushCnt, carrying the trace
+// extension and this write's origin. Stamped output is built in the
+// client's scratch buffer; a write that stamps nothing returns frames.
+func (c *Client) stamp(frames []byte) ([]byte, error) {
+	n, every, origin := c.flushCnt, uint64(c.cfg.TraceSample), uint64(time.Now().UnixNano())
+	out, copied := c.scratch[:0], 0
+	for off := 0; off < len(frames); n++ {
+		if len(frames)-off < 4 {
+			return nil, fmt.Errorf("ipdsclient: truncated frame header at byte %d", off)
+		}
+		end := off + 4 + int(binary.LittleEndian.Uint32(frames[off:]))
+		if end > len(frames) {
+			return nil, fmt.Errorf("ipdsclient: frame at byte %d overruns the block", off)
+		}
+		if n%every == 0 {
+			var err error
+			if out, err = wire.StampBatch(append(out, frames[copied:off]...), frames[off:end], c.traceBase+n, origin); err != nil {
+				return nil, fmt.Errorf("ipdsclient: %w", err)
+			}
+			copied = end
+		}
+		off = end
+	}
+	c.flushCnt = n
+	if copied == 0 {
+		return frames, nil
+	}
+	c.scratch = append(out, frames[copied:]...)
+	return c.scratch, nil
 }
 
 // Drain flushes, sends Bye, and waits until the server has verified
@@ -515,12 +560,9 @@ func Redial(c *Client) (*Client, error) {
 		}
 		evBase, brBase = acked, brLo
 	}
-	conn, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.Timeout)
+	conn, err := dialTCP(c.cfg)
 	if err != nil {
 		return nil, err
-	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
 	}
 	return dialConn(conn, c.cfg, c, evBase, brBase)
 }

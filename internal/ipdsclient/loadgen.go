@@ -36,12 +36,10 @@ type LoadConfig struct {
 	// Timeout bounds each session's network operations.
 	Timeout time.Duration
 
-	// TraceSample, when > 0, stamps every TraceSample-th batch of each
-	// session with the wire trace extension (Config.TraceSample). A
-	// tracing run takes the re-encoding Send path — the shared
-	// pre-encoded block cannot carry per-batch origin timestamps — so
-	// throughput numbers from a traced run measure the traced protocol,
-	// not the replay fast path.
+	// TraceSample, when > 0, stamps every TraceSample-th Batch frame
+	// each session writes with the wire trace extension, origin taken
+	// at write time (Config.TraceSample). Traced and untraced runs
+	// replay the same pre-encoded block; stamped frames are copies.
 	TraceSample int
 }
 
@@ -110,7 +108,7 @@ func RunLoad(cfg LoadConfig) LoadResult {
 		blockEvents   int
 		blockBranches uint64
 	)
-	if len(cfg.Trace) > 0 && cfg.TraceSample <= 0 {
+	if len(cfg.Trace) > 0 {
 		const targetBlock = 16384 // events per block: enough to amortize per-write marks
 		reps := targetBlock / len(cfg.Trace)
 		if c := cfg.EventsPerConn / len(cfg.Trace); c >= 1 && c < reps {
@@ -132,67 +130,67 @@ func RunLoad(cfg LoadConfig) LoadResult {
 		}
 	}
 
+	// session runs one connection to its drain and folds its results in.
+	session := func(id int) error {
+		c, err := Dial(Config{
+			Addr:    cfg.Addr,
+			Image:   cfg.Image,
+			Program: fmt.Sprintf("%s#%d", cfg.Program, id),
+			Batch:   cfg.Batch,
+			Timeout: cfg.Timeout,
+			// Forensic contexts are counted, not decoded: the load
+			// run measures the daemon, not this process's allocator.
+			DiscardCtx:  true,
+			TraceSample: cfg.TraceSample,
+		})
+		if err != nil {
+			return err
+		}
+		defer c.Close()
+		// The pre-encoded block requires the negotiated per-frame
+		// limit to cover the batch size it was built with; a daemon
+		// advertising a smaller MaxBatch gets the re-encoding path.
+		useBlock := len(block) > 0 && c.Batch() >= batch
+		for sent := 0; sent < cfg.EventsPerConn && len(cfg.Trace) > 0; {
+			var err error
+			if useBlock {
+				err = c.SendEncoded(block, uint64(blockEvents), blockBranches)
+				sent += blockEvents
+			} else {
+				err = c.Send(cfg.Trace...)
+				sent += len(cfg.Trace)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		if err := c.Drain(); err != nil {
+			return err
+		}
+		ack, al := c.Latencies()
+		mu.Lock()
+		defer mu.Unlock()
+		events += c.Acked()
+		alarms += uint64(c.AlarmCount())
+		ctxs += c.CtxCount()
+		if inc := c.Incidents(); len(inc) > len(incidents) {
+			incidents = inc // keep the fullest drain-time list, not a sum
+		}
+		ackLat = append(ackLat, ack...)
+		alarmLat = append(alarmLat, al...)
+		return nil
+	}
+
 	start := time.Now()
 	for i := 0; i < cfg.Sessions; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := Dial(Config{
-				Addr:    cfg.Addr,
-				Image:   cfg.Image,
-				Program: fmt.Sprintf("%s#%d", cfg.Program, id),
-				Batch:   cfg.Batch,
-				Timeout: cfg.Timeout,
-				// Forensic contexts are counted, not decoded: the load
-				// run measures the daemon, not this process's allocator.
-				DiscardCtx:  true,
-				TraceSample: cfg.TraceSample,
-			})
-			if err != nil {
+			if err := session(id); err != nil {
 				mu.Lock()
 				errs = append(errs, fmt.Errorf("session %d: %w", id, err))
 				mu.Unlock()
-				return
 			}
-			defer c.Close()
-			// The pre-encoded block requires the negotiated per-frame
-			// limit to cover the batch size it was built with; a daemon
-			// advertising a smaller MaxBatch gets the re-encoding path.
-			useBlock := len(block) > 0 && c.Batch() >= batch
-			sent := 0
-			for sent < cfg.EventsPerConn && len(cfg.Trace) > 0 {
-				var err error
-				if useBlock {
-					err = c.SendEncoded(block, uint64(blockEvents), blockBranches)
-					sent += blockEvents
-				} else {
-					err = c.Send(cfg.Trace...)
-					sent += len(cfg.Trace)
-				}
-				if err != nil {
-					mu.Lock()
-					errs = append(errs, fmt.Errorf("session %d: %w", id, err))
-					mu.Unlock()
-					return
-				}
-			}
-			if err := c.Drain(); err != nil {
-				mu.Lock()
-				errs = append(errs, fmt.Errorf("session %d: %w", id, err))
-				mu.Unlock()
-				return
-			}
-			ack, al := c.Latencies()
-			mu.Lock()
-			events += c.Acked()
-			alarms += uint64(c.AlarmCount())
-			ctxs += c.CtxCount()
-			if inc := c.Incidents(); len(inc) > len(incidents) {
-				incidents = inc // keep the fullest drain-time list, not a sum
-			}
-			ackLat = append(ackLat, ack...)
-			alarmLat = append(alarmLat, al...)
-			mu.Unlock()
 		}(i)
 	}
 	wg.Wait()

@@ -97,10 +97,7 @@ func ReplayLocalBatched(m *ipds.Machine, evs []wire.Event, batch int) []ipds.Ala
 	}
 	var out []ipds.Alarm
 	for len(evs) > 0 {
-		n := batch
-		if n > len(evs) {
-			n = len(evs)
-		}
+		n := min(batch, len(evs))
 		out = append(out, m.OnBatch(evs[:n])...)
 		evs = evs[n:]
 	}

@@ -1,8 +1,10 @@
 package server_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -202,5 +204,101 @@ func TestSpanE2EFallback(t *testing.T) {
 	none := server.SpanRec{ReadNs: 400, AckNs: 600}
 	if got := none.E2ENs(); got != 200 {
 		t.Fatalf("originless e2e = %d, want 200", got)
+	}
+}
+
+// TestTraceSendEncodedMatchesSend is TestSendEncodedMatchesSend with
+// tracing on: the client's one frame writer stamps Send's batches and
+// a shared pre-encoded block's frames on one schedule. A Send session,
+// a SendEncoded session and a session mixing both must give the same
+// alarms and acks; each must commit exactly one span per TraceSample
+// frames it wrote, with per-session ids one TraceSample apart in send
+// order; and stamping must leave the shared block untouched.
+func TestTraceSendEncodedMatchesSend(t *testing.T) {
+	art, err := pipeline.Compile(guardSrc, ir.DefaultOptions)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	// Several passes, so one trace spans whole batches plus a tail: Send
+	// tops up, ships whole batches and buffers, and the mixed session's
+	// SendEncoded first flushes the tail its Send left.
+	var trace []wire.Event
+	for i := 0; i < 5; i++ {
+		trace = append(trace, ipdsclient.Capture(art, nil)...)
+	}
+	trace = ipdsclient.Tamper(trace, 5)
+	const loops, batch, sample = 20, 64, 3
+	block := wire.AppendBatches(nil, trace, batch)
+	saved := bytes.Clone(block)
+	var branches uint64
+	for _, ev := range trace {
+		if ev.Kind == wire.EvBranch {
+			branches++
+		}
+	}
+
+	type result struct {
+		alarms []wire.Alarm
+		acked  uint64
+	}
+	run := func(name string, encoded func(i int) bool) result {
+		t.Helper()
+		w := startWorldWith(t, art, "guard", server.Config{TraceRing: 4096})
+		c, err := ipdsclient.Dial(ipdsclient.Config{
+			Addr: w.addr, Image: w.hash, Program: name, Batch: batch, TraceSample: sample,
+		})
+		if err != nil {
+			t.Fatalf("%s: dial: %v", name, err)
+		}
+		defer c.Close()
+		for i := 0; i < loops; i++ {
+			if encoded(i) {
+				err = c.SendEncoded(block, uint64(len(trace)), branches)
+			} else {
+				err = c.Send(trace...)
+			}
+			if err != nil {
+				t.Fatalf("%s: send %d: %v", name, i, err)
+			}
+		}
+		if err := c.Drain(); err != nil {
+			t.Fatalf("%s: drain: %v", name, err)
+		}
+		w.shut(t)
+
+		frames := w.reg.Counter("server_batches_total").Value()
+		spans := w.srv.TraceSpans()
+		t.Logf("%s: %d frames, %d spans, %d alarms", name, frames, len(spans), c.AlarmCount())
+		if want := (frames + sample - 1) / sample; uint64(len(spans)) != want {
+			t.Errorf("%s: committed %d spans for %d frames, want %d", name, len(spans), frames, want)
+		}
+		for i := 1; i < len(spans); i++ {
+			if spans[i].Session != spans[0].Session || spans[i].TraceID != spans[i-1].TraceID+sample {
+				t.Errorf("%s: span %d (session %d, id %d) breaks the 1-in-%d schedule after id %d",
+					name, i, spans[i].Session, spans[i].TraceID, sample, spans[i-1].TraceID)
+				break
+			}
+		}
+		return result{c.Alarms(), c.Acked()}
+	}
+
+	ref := run("send", func(int) bool { return false })
+	if len(ref.alarms) == 0 {
+		t.Fatal("reference session raised no alarms; test is vacuous")
+	}
+	for name, encoded := range map[string]func(int) bool{
+		"sendencoded": func(int) bool { return true },
+		"mixed":       func(i int) bool { return i%2 == 1 },
+	} {
+		got := run(name, encoded)
+		if got.acked != ref.acked {
+			t.Errorf("%s: acked %d events, want %d", name, got.acked, ref.acked)
+		}
+		if !reflect.DeepEqual(got.alarms, ref.alarms) {
+			t.Errorf("%s: %d alarms diverged from Send's %d", name, len(got.alarms), len(ref.alarms))
+		}
+	}
+	if !bytes.Equal(block, saved) {
+		t.Fatal("traced SendEncoded wrote into the shared block")
 	}
 }

@@ -13,20 +13,21 @@ import (
 // sized from an attacker-controlled count without first checking that
 // the bytes backing that count are actually present.
 func Decode(payload []byte) (Frame, error) {
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("wire: empty frame")
+	d, err := newDecoder(payload)
+	if err != nil {
+		return nil, err
 	}
-	if len(payload) > MaxFrame {
-		return nil, fmt.Errorf("wire: frame payload %d exceeds MaxFrame", len(payload))
-	}
-	d := decoder{b: payload[1:]}
-	switch t := FrameType(payload[0]); t {
+	switch FrameType(payload[0]) {
 	case TypeHello:
 		return d.hello()
 	case TypeHelloAck:
 		return d.helloAck()
 	case TypeBatch:
-		return d.batch()
+		b := Batch{Events: []Event{}} // non-nil: an empty batch decodes to empty, not absent
+		if err := DecodeBatchInto(payload, &b); err != nil {
+			return nil, err
+		}
+		return b, nil
 	case TypeAlarm:
 		return d.alarm()
 	case TypeAlarmCtx:
@@ -39,12 +40,10 @@ func Decode(payload []byte) (Frame, error) {
 		return d.errorFrame()
 	case TypeBye:
 		return d.done(Bye{})
-	case TypeImageGet:
-		return d.imageGet()
+	case TypeImageGet, TypeImageMissing:
+		return d.hashOnly(FrameType(payload[0]))
 	case TypeImageBlob:
 		return d.imageBlob()
-	case TypeImageMissing:
-		return d.imageMissing()
 	default:
 		return nil, fmt.Errorf("wire: unknown frame type %d", payload[0])
 	}
@@ -54,6 +53,18 @@ func Decode(payload []byte) (Frame, error) {
 type decoder struct {
 	b   []byte
 	off int
+}
+
+// newDecoder refuses an empty or oversized payload and returns a cursor
+// over the body behind its type byte.
+func newDecoder(payload []byte) (decoder, error) {
+	if len(payload) == 0 {
+		return decoder{}, fmt.Errorf("wire: empty frame")
+	}
+	if len(payload) > MaxFrame {
+		return decoder{}, fmt.Errorf("wire: frame payload %d exceeds MaxFrame", len(payload))
+	}
+	return decoder{b: payload[1:]}, nil
 }
 
 func (d *decoder) fail(what string) error {
@@ -78,17 +89,57 @@ func (d *decoder) uvarint(what string) (uint64, error) {
 	return v, nil
 }
 
-// bytes reads a uvarint length and that many bytes, capped at
-// MaxString, and returns them aliasing the payload. The error labels
-// are only built on failure, so a successful read never allocates.
-func (d *decoder) bytes(what string) ([]byte, error) {
+// u31 reads a uvarint bounded by 1<<31, the range of the protocol's
+// uint32 fields.
+func (d *decoder) u31(what string) (uint32, error) {
+	v, err := d.uvarint(what)
+	if err == nil && v > 1<<31 {
+		err = fmt.Errorf("wire: %s %d out of range", what, v)
+	}
+	return uint32(v), err
+}
+
+// count reads an element count of at most max, each element costing at
+// least one payload byte: a count past the bytes left is hostile, and
+// refusing it bounds any slice sized from the count by the payload
+// actually present.
+func (d *decoder) count(what string, max uint64) (int, error) {
+	n, m := binary.Uvarint(d.b[d.off:])
+	if m <= 0 {
+		return 0, d.fail(what + " count") // labels built only on failure
+	}
+	d.off += m
+	if n > max || n > uint64(len(d.b)-d.off) {
+		return 0, &countError{what, n, max}
+	}
+	return int(n), nil
+}
+
+// countError is count's refusal, formatted only when read: a hostile
+// count costs the decoder one allocation.
+type countError struct {
+	what   string
+	n, max uint64
+}
+
+func (e *countError) Error() string {
+	if e.n > e.max {
+		return fmt.Sprintf("wire: %s count %d exceeds %d", e.what, e.n, e.max)
+	}
+	return fmt.Sprintf("wire: %s count %d exceeds payload", e.what, e.n)
+}
+
+// bytes reads a uvarint length of at most max and that many bytes, and
+// returns them aliasing the payload. The error labels are only built
+// on failure, so a successful read never allocates.
+func (d *decoder) bytes(what string, max uint64) ([]byte, error) {
 	n, m := binary.Uvarint(d.b[d.off:])
 	if m <= 0 {
 		return nil, d.fail(what + " length")
 	}
 	d.off += m
-	if n > MaxString {
-		return nil, fmt.Errorf("wire: %s length %d exceeds MaxString", what, n)
+	if n > max {
+		return nil, fmt.Errorf("wire: %s length %d exceeds %d", what, n, max)
 	}
 	if d.off+int(n) > len(d.b) {
 		return nil, d.fail(what)
@@ -100,7 +151,7 @@ func (d *decoder) bytes(what string) ([]byte, error) {
 
 // str is bytes copied out into a string.
 func (d *decoder) str(what string) (string, error) {
-	b, err := d.bytes(what)
+	b, err := d.bytes(what, MaxString)
 	return string(b), err
 }
 
@@ -128,11 +179,9 @@ func (d *decoder) hello() (Frame, error) {
 		return nil, err
 	}
 	h.Version = v
-	if d.off+HashLen > len(d.b) {
-		return nil, d.fail("hello image hash")
+	if h.Image, err = d.hash("hello image hash"); err != nil {
+		return nil, err
 	}
-	copy(h.Image[:], d.b[d.off:])
-	d.off += HashLen
 	if h.Program, err = d.str("hello program"); err != nil {
 		return nil, err
 	}
@@ -155,18 +204,6 @@ func (d *decoder) helloAck() (Frame, error) {
 	}
 	h.MaxBatch = uint32(mb)
 	return d.done(h)
-}
-
-func (d *decoder) batch() (Frame, error) {
-	evs, err := d.events([]Event{}) // non-nil: an empty batch decodes to empty, not absent
-	if err != nil {
-		return nil, err
-	}
-	b := Batch{Events: evs}
-	if err := d.batchExt(&b.TraceID, &b.OriginNs); err != nil {
-		return nil, err
-	}
-	return d.done(b)
 }
 
 // batchExt decodes the optional extension area trailing a batch's
@@ -206,20 +243,11 @@ func (d *decoder) batchExt(tid, origin *uint64) error {
 // events decodes a batch body, appending onto evs (which may be nil or
 // a reused slice already truncated by the caller).
 func (d *decoder) events(evs []Event) ([]Event, error) {
-	n, err := d.uvarint("batch count")
+	n, err := d.count("batch", MaxBatch)
 	if err != nil {
 		return nil, err
 	}
-	if n > MaxBatch {
-		return nil, fmt.Errorf("wire: batch of %d events exceeds MaxBatch", n)
-	}
-	// Every event costs at least one byte, so a count exceeding the
-	// remaining bytes is hostile; refusing here bounds the allocation
-	// below by the actual payload size.
-	if int(n) > len(d.b)-d.off {
-		return nil, fmt.Errorf("wire: batch count %d exceeds payload", n)
-	}
-	if need := len(evs) + int(n); cap(evs) < need {
+	if need := len(evs) + n; cap(evs) < need {
 		grown := make([]Event, len(evs), need)
 		copy(grown, evs)
 		evs = grown
@@ -230,7 +258,7 @@ func (d *decoder) events(evs []Event) ([]Event, error) {
 	// binary.Uvarint fallback). Semantics are identical to u8+uvarint.
 	b := d.b
 	off := d.off
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		if off >= len(b) {
 			d.off = off
 			return nil, d.fail("event kind")
@@ -278,16 +306,11 @@ func (d *decoder) events(evs []Event) ([]Event, error) {
 // frame type (named by who, for the error) and returns a cursor over
 // the payload body.
 func intoDecoder(payload []byte, t FrameType, who string) (decoder, error) {
-	if len(payload) == 0 {
-		return decoder{}, fmt.Errorf("wire: empty frame")
+	d, err := newDecoder(payload)
+	if err == nil && FrameType(payload[0]) != t {
+		err = fmt.Errorf("wire: %s on %s frame", who, FrameType(payload[0]))
 	}
-	if len(payload) > MaxFrame {
-		return decoder{}, fmt.Errorf("wire: frame payload %d exceeds MaxFrame", len(payload))
-	}
-	if FrameType(payload[0]) != t {
-		return decoder{}, fmt.Errorf("wire: %s on %s frame", who, FrameType(payload[0]))
-	}
-	return decoder{b: payload[1:]}, nil
+	return d, err
 }
 
 // DecodeBatchInto parses a Batch frame payload into *b, reusing the
@@ -334,14 +357,9 @@ func (d *decoder) alarmBody(a *Alarm) ([]byte, error) {
 	if a.PC, err = d.uvarint("alarm pc"); err != nil {
 		return nil, err
 	}
-	slot, err := d.uvarint("alarm slot")
-	if err != nil {
+	if a.Slot, err = d.u31("alarm slot"); err != nil {
 		return nil, err
 	}
-	if slot > 1<<31 {
-		return nil, fmt.Errorf("wire: alarm slot %d out of range", slot)
-	}
-	a.Slot = uint32(slot)
 	if a.Expected, err = d.u8("alarm expected"); err != nil {
 		return nil, err
 	}
@@ -350,7 +368,7 @@ func (d *decoder) alarmBody(a *Alarm) ([]byte, error) {
 		return nil, err
 	}
 	a.Taken = tk != 0
-	return d.bytes("alarm func")
+	return d.bytes("alarm func", MaxString)
 }
 
 // DecodeAlarmInto parses an Alarm frame payload into *a — the alarm
@@ -377,14 +395,9 @@ func DecodeAlarmInto(payload []byte, a *Alarm) (fn []byte, err error) {
 func (d *decoder) incident() (Frame, error) {
 	var in Incident
 	var err error
-	id, err := d.uvarint("incident id")
-	if err != nil {
+	if in.ID, err = d.u31("incident id"); err != nil {
 		return nil, err
 	}
-	if id > 1<<31 {
-		return nil, fmt.Errorf("wire: incident id %d out of range", id)
-	}
-	in.ID = uint32(id)
 	if in.ScoreMilli, err = d.uvarint("incident score"); err != nil {
 		return nil, err
 	}
@@ -394,22 +407,12 @@ func (d *decoder) incident() (Frame, error) {
 	if in.Folded, err = d.uvarint("incident folded"); err != nil {
 		return nil, err
 	}
-	sessions, err := d.uvarint("incident sessions")
-	if err != nil {
+	if in.Sessions, err = d.u31("incident sessions"); err != nil {
 		return nil, err
 	}
-	if sessions > 1<<31 {
-		return nil, fmt.Errorf("wire: incident sessions %d out of range", sessions)
-	}
-	in.Sessions = uint32(sessions)
-	bursts, err := d.uvarint("incident bursts")
-	if err != nil {
+	if in.Bursts, err = d.u31("incident bursts"); err != nil {
 		return nil, err
 	}
-	if bursts > 1<<31 {
-		return nil, fmt.Errorf("wire: incident bursts %d out of range", bursts)
-	}
-	in.Bursts = uint32(bursts)
 	if in.PC, err = d.uvarint("incident pc"); err != nil {
 		return nil, err
 	}
@@ -438,23 +441,14 @@ func (d *decoder) alarmCtx() (Frame, error) {
 		return nil, err
 	}
 
-	nStack, err := d.uvarint("alarmctx stack count")
+	nStack, err := d.count("alarmctx stack", MaxCtxStack)
 	if err != nil {
 		return nil, err
-	}
-	if nStack > MaxCtxStack {
-		return nil, fmt.Errorf("wire: alarmctx stack of %d frames exceeds MaxCtxStack", nStack)
-	}
-	// Every stack frame costs at least two bytes (base + name length);
-	// a count past the remaining payload is hostile, and checking first
-	// bounds the allocation below by the bytes actually present.
-	if int(nStack) > len(d.b)-d.off {
-		return nil, fmt.Errorf("wire: alarmctx stack count %d exceeds payload", nStack)
 	}
 	if nStack > 0 {
 		c.Stack = make([]CtxFrame, 0, nStack)
 	}
-	for i := uint64(0); i < nStack; i++ {
+	for i := 0; i < nStack; i++ {
 		var fr CtxFrame
 		if fr.Base, err = d.uvarint("alarmctx frame base"); err != nil {
 			return nil, err
@@ -465,20 +459,14 @@ func (d *decoder) alarmCtx() (Frame, error) {
 		c.Stack = append(c.Stack, fr)
 	}
 
-	nEv, err := d.uvarint("alarmctx event count")
+	nEv, err := d.count("alarmctx event", MaxCtxEvents)
 	if err != nil {
 		return nil, err
-	}
-	if nEv > MaxCtxEvents {
-		return nil, fmt.Errorf("wire: alarmctx window of %d events exceeds MaxCtxEvents", nEv)
-	}
-	if int(nEv) > len(d.b)-d.off {
-		return nil, fmt.Errorf("wire: alarmctx event count %d exceeds payload", nEv)
 	}
 	if nEv > 0 {
 		c.Recent = make([]CtxEvent, 0, nEv)
 	}
-	for i := uint64(0); i < nEv; i++ {
+	for i := 0; i < nEv; i++ {
 		k, err := d.u8("alarmctx event kind")
 		if err != nil {
 			return nil, err
@@ -490,28 +478,10 @@ func (d *decoder) alarmCtx() (Frame, error) {
 		if ev.Seq, err = d.uvarint("alarmctx event seq"); err != nil {
 			return nil, err
 		}
-		depth, err := d.uvarint("alarmctx event depth")
-		if err != nil {
+		if ev.Depth, err = d.u31("alarmctx event depth"); err != nil {
 			return nil, err
 		}
-		if depth > 1<<31 {
-			return nil, fmt.Errorf("wire: alarmctx event depth %d out of range", depth)
-		}
-		ev.Depth = uint32(depth)
-		switch k {
-		case evEnter:
-			ev.Kind = EvEnter
-		case evLeave:
-			ev.Kind = EvLeave
-		case evBranchTaken:
-			ev.Kind, ev.Taken = EvBranch, true
-		case evBranchNotTaken:
-			ev.Kind = EvBranch
-		case evSpill:
-			ev.Kind = EvSpill
-		case evFill:
-			ev.Kind = EvFill
-		}
+		ev.Kind, ev.Taken = ctxKinds[k], k == evBranchTaken
 		if ev.Kind != EvLeave {
 			if ev.PC, err = d.uvarint("alarmctx event pc"); err != nil {
 				return nil, err
@@ -520,20 +490,11 @@ func (d *decoder) alarmCtx() (Frame, error) {
 		c.Recent = append(c.Recent, ev)
 	}
 
-	nBSV, err := d.uvarint("alarmctx bsv count")
+	bsv, err := d.bytes("alarmctx bsv", MaxCtxBSV)
 	if err != nil {
 		return nil, err
 	}
-	if nBSV > MaxCtxBSV {
-		return nil, fmt.Errorf("wire: alarmctx bsv of %d slots exceeds MaxCtxBSV", nBSV)
-	}
-	if d.off+int(nBSV) > len(d.b) {
-		return nil, d.fail("alarmctx bsv")
-	}
-	if nBSV > 0 {
-		c.BSV = append([]uint8(nil), d.b[d.off:d.off+int(nBSV)]...)
-		d.off += int(nBSV)
-	}
+	c.BSV = append([]uint8(nil), bsv...) // nil when empty
 	return d.done(c)
 }
 
@@ -558,12 +519,16 @@ func (d *decoder) hash(what string) ([HashLen]byte, error) {
 	return h, nil
 }
 
-func (d *decoder) imageGet() (Frame, error) {
-	h, err := d.hash("imageget hash")
+// hashOnly decodes the two registry frames that carry only a hash.
+func (d *decoder) hashOnly(t FrameType) (Frame, error) {
+	h, err := d.hash("image hash")
 	if err != nil {
 		return nil, err
 	}
-	return d.done(ImageGet{Hash: h})
+	if t == TypeImageGet {
+		return d.done(ImageGet{Hash: h})
+	}
+	return d.done(ImageMissing{Hash: h})
 }
 
 func (d *decoder) imageBlob() (Frame, error) {
@@ -572,29 +537,12 @@ func (d *decoder) imageBlob() (Frame, error) {
 	if b.Hash, err = d.hash("imageblob hash"); err != nil {
 		return nil, err
 	}
-	n, err := d.uvarint("imageblob length")
+	data, err := d.bytes("imageblob data", MaxImageBlob)
 	if err != nil {
 		return nil, err
 	}
-	if n > MaxImageBlob {
-		return nil, fmt.Errorf("wire: image blob of %d bytes exceeds MaxImageBlob", n)
-	}
-	if d.off+int(n) > len(d.b) {
-		return nil, d.fail("imageblob data")
-	}
-	if n > 0 {
-		b.Data = append([]byte(nil), d.b[d.off:d.off+int(n)]...)
-		d.off += int(n)
-	}
+	b.Data = append([]byte(nil), data...) // nil when empty
 	return d.done(b)
-}
-
-func (d *decoder) imageMissing() (Frame, error) {
-	h, err := d.hash("imagemissing hash")
-	if err != nil {
-		return nil, err
-	}
-	return d.done(ImageMissing{Hash: h})
 }
 
 func (d *decoder) errorFrame() (Frame, error) {
@@ -676,17 +624,7 @@ func (r *Reader) readFrame() error {
 			// Grow-capped reuse: at least double the old capacity (floor
 			// minFrameBuf, ceiling MaxFrame) so oscillating frame sizes
 			// cannot force an allocation per oversized frame.
-			c := 2 * cap(r.buf)
-			if c < minFrameBuf {
-				c = minFrameBuf
-			}
-			if c < r.need {
-				c = r.need
-			}
-			if c > MaxFrame {
-				c = MaxFrame
-			}
-			r.buf = make([]byte, c)
+			r.buf = make([]byte, min(max(2*cap(r.buf), minFrameBuf, r.need), MaxFrame))
 		}
 		r.buf = r.buf[:r.need]
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 )
@@ -11,7 +12,8 @@ import (
 // seeded generator for CI). Properties: Decode never panics, never
 // over-allocates past the payload size, and every accepted frame
 // re-encodes to a payload that decodes to the same frame (canonical
-// form fixed point).
+// form fixed point), and every accepted untraced Batch, once stamped
+// with StampBatch, decodes to the same events plus the stamp.
 func FuzzDecode(f *testing.F) {
 	for _, fr := range sampleFrames() {
 		enc, err := Append(nil, fr)
@@ -32,9 +34,10 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		fr, err := Decode(payload)
 
-		// DecodeBatchInto must agree with Decode on every batch payload:
-		// same accept/reject verdict, same events.
-		var reused Batch
+		// Decode's batch arm is DecodeBatchInto over a fresh Batch; into
+		// a reused one holding a previous frame's events and stamp it
+		// must agree with Decode: same verdict, same events, same stamp.
+		reused := Batch{Events: make([]Event, 3, 8), TraceID: 99, OriginNs: 5}
 		intoErr := DecodeBatchInto(payload, &reused)
 		if len(payload) > 0 && FrameType(payload[0]) == TypeBatch && len(payload) <= MaxFrame {
 			if (err == nil) != (intoErr == nil) {
@@ -87,6 +90,26 @@ func FuzzDecode(f *testing.F) {
 
 		if err != nil {
 			return
+		}
+		// A stamped copy of an accepted untraced Batch — one whose
+		// events end the payload, so no extension area precedes the
+		// stamp — decodes to the same events plus the stamp.
+		if wb, ok := fr.(Batch); ok && wb.TraceID == 0 {
+			d := decoder{b: payload[1:]}
+			if _, err := d.events(nil); err == nil && d.off == len(d.b) {
+				frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+				stamped, err := StampBatch(nil, append(frame, payload...), 7, 11)
+				if err != nil {
+					t.Fatalf("StampBatch refused an accepted untraced batch: %v", err)
+				}
+				got, err := Decode(stamped[4:])
+				if err != nil {
+					t.Fatalf("stamped batch does not decode: %v", err)
+				}
+				if want := (Batch{Events: wb.Events, TraceID: 7, OriginNs: 11}); !reflect.DeepEqual(got, want) {
+					t.Fatalf("stamped batch decodes to %#v, want %#v", got, want)
+				}
+			}
 		}
 		enc, err := Append(nil, fr)
 		if err != nil {

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -102,6 +104,63 @@ func TestBatchTraceHostile(t *testing.T) {
 		}
 		if err := DecodeBatchInto(payload, &b); err == nil {
 			t.Errorf("%s: DecodeBatchInto accepted hostile payload % x", name, payload)
+		}
+	}
+}
+
+// TestStampBatch pins the pre-encoded stamping path: stamping an
+// untraced Batch frame yields exactly the bytes Append produces for
+// the same batch with the trace fields set, at every size up to
+// MaxBatch, without writing the source frame.
+func TestStampBatch(t *testing.T) {
+	const id, origin = 0x1234_5678_9abc, 1_700_000_000_000_000_001
+	for _, n := range []int{0, 1, 512, MaxBatch} {
+		evs := make([]Event, n)
+		for i := range evs {
+			evs[i] = Event{Kind: EvBranch, PC: uint64(0x40 + i%300), Taken: i%2 == 0}
+		}
+		frame := MustAppend(nil, Batch{Events: evs})
+		if n > 0 {
+			frame = AppendBatches(nil, evs, n)
+		}
+		saved := bytes.Clone(frame)
+		dst := []byte{0xaa}
+		got, err := StampBatch(dst, frame, id, origin)
+		if err != nil {
+			t.Fatalf("%d events: %v", n, err)
+		}
+		want := MustAppend([]byte{0xaa}, Batch{Events: evs, TraceID: id, OriginNs: origin})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d events: StampBatch differs from Append of the traced batch", n)
+		}
+		if !bytes.Equal(frame, saved) {
+			t.Fatalf("%d events: StampBatch wrote into its source frame", n)
+		}
+	}
+
+	batch := MustAppend(nil, Batch{Events: []Event{{Kind: EvLeave}}})
+	mismatch := bytes.Clone(batch)
+	mismatch[0]++
+	huge := make([]byte, 4+MaxFrame-2) // a Batch payload 2 bytes short of MaxFrame
+	binary.LittleEndian.PutUint32(huge, MaxFrame-2)
+	huge[4] = byte(TypeBatch)
+	cases := []struct {
+		name  string
+		frame []byte
+		id    uint64
+		why   string
+	}{
+		{"non-batch type", MustAppend(nil, Ack{Events: 1}), id, "Batch frame"},
+		{"truncated header", batch[:4], id, "Batch frame"},
+		{"prefix over the bytes", mismatch, id, "disagrees"},
+		{"prefix short of the bytes", append(bytes.Clone(batch), 0), id, "disagrees"},
+		{"zero id", batch, 0, "zero trace id"},
+		{"result past MaxFrame", huge, id, "exceeds MaxFrame"},
+	}
+	for _, tc := range cases {
+		_, err := StampBatch(nil, tc.frame, tc.id, origin)
+		if err == nil || !strings.Contains(err.Error(), tc.why) {
+			t.Errorf("%s: StampBatch error %v, want one naming %q", tc.name, err, tc.why)
 		}
 	}
 }

@@ -162,6 +162,13 @@ const (
 	evFill           = 5
 )
 
+// ctxCodes and ctxKinds map context event kinds to their wire codes
+// and back; a taken branch is the one code ctxCodes leaves to its caller.
+var (
+	ctxCodes = [...]byte{EvEnter: evEnter, EvLeave: evLeave, EvBranch: evBranchNotTaken, EvSpill: evSpill, EvFill: evFill}
+	ctxKinds = [...]EventKind{evEnter: EvEnter, evLeave: EvLeave, evBranchTaken: EvBranch, evBranchNotTaken: EvBranch, evSpill: EvSpill, evFill: EvFill}
+)
+
 // batchExtTrace tags the optional trace-context extension block that
 // may trail a Batch frame's event list: uvarint trace id (nonzero by
 // construction — zero means "untraced" in the struct, so a zero id on
@@ -451,6 +458,13 @@ func Append(dst []byte, f Frame) ([]byte, error) {
 	default:
 		err = fmt.Errorf("wire: cannot encode %T", f)
 	}
+	return finish(dst, start, err)
+}
+
+// finish completes a frame encoded behind the length prefix reserved at
+// dst[start:]: it passes an encoding error through, refuses a payload
+// past MaxFrame, and patches the prefix.
+func finish(dst []byte, start int, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -497,11 +511,41 @@ func appendBatch(dst []byte, b Batch) ([]byte, error) {
 		}
 	}
 	if b.TraceID != 0 {
-		dst = append(dst, batchExtTrace)
-		dst = binary.AppendUvarint(dst, b.TraceID)
-		dst = binary.AppendUvarint(dst, b.OriginNs)
+		dst = appendTrace(dst, b.TraceID, b.OriginNs)
 	}
 	return dst, nil
+}
+
+// appendTrace appends the trace extension block: the one encoding of a
+// stamp, shared by appendBatch and StampBatch.
+func appendTrace(dst []byte, id, originNs uint64) []byte {
+	dst = append(dst, batchExtTrace)
+	dst = binary.AppendUvarint(dst, id)
+	return binary.AppendUvarint(dst, originNs)
+}
+
+// StampBatch appends to dst a copy of frame — one encoded, untraced
+// Batch frame, length prefix included — carrying the trace extension
+// (id, originNs). The result is byte-identical to Append of the same
+// Batch with TraceID id and OriginNs originNs, so a pre-encoded block
+// can be stamped frame by frame without re-encoding its events; frame
+// itself is never written. Untraced means the payload ends at its
+// event list, as Append and AppendBatches encode it: decoders read only
+// the first extension block, so a stamp behind another would be
+// skipped. It refuses a non-Batch frame, a length prefix that disagrees
+// with len(frame), a zero id (the wire's "untraced") and a result past
+// MaxFrame, leaving dst unusable on error.
+func StampBatch(dst, frame []byte, id, originNs uint64) ([]byte, error) {
+	if len(frame) < 5 || FrameType(frame[4]) != TypeBatch {
+		return nil, fmt.Errorf("wire: StampBatch needs an encoded Batch frame")
+	}
+	if n := binary.LittleEndian.Uint32(frame); uint64(n) != uint64(len(frame)-4) {
+		return nil, fmt.Errorf("wire: StampBatch frame prefix %d disagrees with its %d payload bytes", n, len(frame)-4)
+	}
+	if id == 0 {
+		return nil, fmt.Errorf("wire: StampBatch with zero trace id")
+	}
+	return finish(appendTrace(append(dst, frame...), id, originNs), len(dst), nil)
 }
 
 func appendAlarm(dst []byte, a Alarm) ([]byte, error) {
@@ -546,24 +590,14 @@ func appendAlarmCtx(dst []byte, c AlarmCtx) ([]byte, error) {
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(c.Recent)))
 	for _, ev := range c.Recent {
-		switch ev.Kind {
-		case EvEnter:
-			dst = append(dst, evEnter)
-		case EvLeave:
-			dst = append(dst, evLeave)
-		case EvBranch:
-			if ev.Taken {
-				dst = append(dst, evBranchTaken)
-			} else {
-				dst = append(dst, evBranchNotTaken)
-			}
-		case EvSpill:
-			dst = append(dst, evSpill)
-		case EvFill:
-			dst = append(dst, evFill)
-		default:
+		if int(ev.Kind) >= len(ctxCodes) {
 			return nil, fmt.Errorf("wire: cannot encode context event kind %d", ev.Kind)
 		}
+		code := ctxCodes[ev.Kind]
+		if ev.Kind == EvBranch && ev.Taken {
+			code = evBranchTaken
+		}
+		dst = append(dst, code)
 		dst = binary.AppendUvarint(dst, ev.Seq)
 		dst = binary.AppendUvarint(dst, uint64(ev.Depth))
 		if ev.Kind != EvLeave {
@@ -623,13 +657,8 @@ func appendError(dst []byte, e Error) ([]byte, error) {
 // are exactly those of Append.
 func AppendAlarm(dst []byte, a Alarm) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst, err := appendAlarm(dst, a)
-	if err != nil {
-		return nil, err
-	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
-	return dst, nil
+	dst, err := appendAlarm(append(dst, 0, 0, 0, 0), a)
+	return finish(dst, start, err)
 }
 
 // AppendAlarmCtx encodes c as one length-prefixed AlarmCtx frame
@@ -637,17 +666,8 @@ func AppendAlarm(dst []byte, a Alarm) ([]byte, error) {
 // forensic counterpart of AppendAlarm on the server's alarm path.
 func AppendAlarmCtx(dst []byte, c AlarmCtx) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst, err := appendAlarmCtx(dst, c)
-	if err != nil {
-		return nil, err
-	}
-	payload := len(dst) - start - 4
-	if payload > MaxFrame {
-		return nil, fmt.Errorf("wire: frame payload %d exceeds MaxFrame", payload)
-	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(payload))
-	return dst, nil
+	dst, err := appendAlarmCtx(append(dst, 0, 0, 0, 0), c)
+	return finish(dst, start, err)
 }
 
 // AppendIncident encodes in as one length-prefixed Incident frame
@@ -656,13 +676,8 @@ func AppendAlarmCtx(dst []byte, c AlarmCtx) ([]byte, error) {
 // path relies on to stay box-free.
 func AppendIncident(dst []byte, in Incident) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst, err := appendIncident(dst, in)
-	if err != nil {
-		return nil, err
-	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
-	return dst, nil
+	dst, err := appendIncident(append(dst, 0, 0, 0, 0), in)
+	return finish(dst, start, err)
 }
 
 // AppendAck encodes a cumulative-progress Ack as one length-prefixed
@@ -694,10 +709,7 @@ func AppendBatches(dst []byte, evs []Event, max int) []byte {
 		max = MaxBatch
 	}
 	for len(evs) > 0 {
-		n := len(evs)
-		if n > max {
-			n = max
-		}
+		n := min(len(evs), max)
 		dst = MustAppend(dst, Batch{Events: evs[:n]})
 		evs = evs[n:]
 	}
