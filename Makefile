@@ -59,9 +59,11 @@ bench-kernel:
 alloc-gate:
 	./scripts/checkallocs.sh
 
-# Kernel-regression gate: the batched verification kernel's ns/event
-# must hold the committed BENCH_pr8.json baseline within KERNEL_TOL
-# percent (default 15).
+# Kernel-regression gate: the batched verification kernel's best-of
+# ns/event (BenchmarkOnBatch, BenchmarkOnBatchRecorder) must stay
+# within KERNEL_TOL percent (default 15) of a base commit built from a
+# git worktree and run alternately on the same host (KERNEL_BASE,
+# default the merge base with main; KERNEL_COUNT runs each, default 6).
 kernel-gate:
 	./scripts/checkkernel.sh
 

@@ -194,7 +194,7 @@ func TestOnBatchZeroAlloc(t *testing.T) {
 	}
 
 	// Flight recorder on, tampered stream, storm throttle off (the
-	// harshest capture rate): every record() store and every per-alarm
+	// harshest capture rate): every ring fill and every per-alarm
 	// captureContext (ring snapshot, stack summary, BSV copy) must
 	// reuse its preallocated slot slices once warmed.
 	rcfg := DefaultConfig

@@ -27,7 +27,13 @@ const maxFuzzFlips = 16
 //     zero-false-positive claim as a fuzz property;
 //   - the trace malformed with empty-stack leaves, PCs outside every
 //     function and enters of unknown bases, in strict and default mode,
-//     neither panics nor diverges from the oracle.
+//     neither panics nor diverges from the oracle;
+//   - with the flight recorder on at a depth taken from the input
+//     (1–128, so most depths round up) and every alarm captured, the
+//     per-event and batched machines hold the eager reference recorder's
+//     totals, windows and contexts after every call (checkRecorder), on
+//     the trace, the malformed trace in both modes, and the trace under
+//     table buffers small enough that spills and fills land in windows.
 func FuzzKernel(f *testing.F) {
 	f.Add(int64(0), uint8(0), []byte{}, uint16(512))
 	f.Add(int64(1), uint8(3), []byte{7, 0}, uint16(1))
@@ -80,6 +86,23 @@ func FuzzKernel(f *testing.F) {
 			cfg := DefaultConfig
 			cfg.Strict = strict
 			checkAgainstOracle(t, art.Image, cfg, bad, bs)
+		}
+
+		depth := 1 + (int(inputIdx)+int(batch))%128
+		strict := DefaultConfig
+		strict.Strict = true
+		for _, c := range []struct {
+			cfg Config
+			evs []wire.Event
+		}{
+			{DefaultConfig, trace},
+			{DefaultConfig, bad},
+			{strict, bad},
+			{tinyTables, trace},
+		} {
+			cfg := c.cfg
+			cfg.Recorder, cfg.CtxGap = depth, -1
+			checkRecorder(t, New(art.Image, cfg), New(art.Image, cfg), c.evs, bs)
 		}
 	})
 }

@@ -39,9 +39,9 @@ type Config struct {
 	// Recorder enables the flight recorder: a preallocated ring of the
 	// last Recorder committed events (enter/leave/branch/spill/fill)
 	// snapshotted into an AlarmContext whenever an alarm fires. The
-	// ring capacity rounds up to a power of two (index math on the
-	// per-event path is a mask). 0 disables forensics entirely (no
-	// ring, no contexts).
+	// ring capacity rounds up to a power of two (a stream position
+	// maps to a slot by mask). 0 disables forensics entirely (no ring,
+	// no contexts).
 	Recorder int
 
 	// AlarmCtxBuffer bounds the retained alarm contexts (0 =
@@ -221,6 +221,20 @@ func (m *Machine) Reset() {
 // spare capacity is recycled when one fits, so a warmed machine pushes
 // without allocating.
 func (m *Machine) EnterFunc(base uint64) {
+	m.enterFunc(base)
+	m.fillRecorder(nil)
+}
+
+// LeaveFunc pops the top table frame. The frame's storage stays parked
+// in the arena for the next push at this depth.
+func (m *Machine) LeaveFunc() {
+	m.leaveFunc()
+	m.fillRecorder(nil)
+}
+
+// enterFunc and leaveFunc are EnterFunc and LeaveFunc without filling
+// in the flight recorder, which verify defers to the end of its batch.
+func (m *Machine) enterFunc(base uint64) {
 	m.stats.Pushes++
 	m.met.pushes.Inc()
 	img := m.img.FuncAt(base)
@@ -248,14 +262,12 @@ func (m *Machine) EnterFunc(base uint64) {
 	m.bcvBits += b2
 	m.batBits += b3
 	m.spillToFit()
-	m.record(EvEnter, base, false, 0)
+	m.record(EvEnter, base, 0)
 	m.emit(Event{Kind: EvEnter, Seq: m.seq, Depth: len(m.stack), Base: base})
 	m.syncGauges()
 }
 
-// LeaveFunc pops the top table frame. The frame's storage stays parked
-// in the arena for the next push at this depth.
-func (m *Machine) LeaveFunc() {
+func (m *Machine) leaveFunc() {
 	if len(m.stack) == 0 {
 		return
 	}
@@ -268,7 +280,7 @@ func (m *Machine) LeaveFunc() {
 		// The popped frame was itself spilled (cannot happen with the
 		// fill-on-pop policy, but keep the invariant safe).
 		m.resident = len(m.stack)
-		m.record(EvLeave, 0, false, 0)
+		m.record(EvLeave, 0, 0)
 		m.emit(Event{Kind: EvLeave, Seq: m.seq, Depth: len(m.stack)})
 		m.syncGauges()
 		return
@@ -280,7 +292,7 @@ func (m *Machine) LeaveFunc() {
 	if m.resident > 0 && m.resident == len(m.stack) && len(m.stack) > 0 {
 		m.fillTop()
 	}
-	m.record(EvLeave, 0, false, 0)
+	m.record(EvLeave, 0, 0)
 	m.emit(Event{Kind: EvLeave, Seq: m.seq, Depth: len(m.stack)})
 	m.syncGauges()
 }
@@ -302,7 +314,7 @@ func (m *Machine) spillToFit() {
 			mm.spillEvents.Inc()
 			mm.spillBits.Add(uint64(b1 + b2 + b3))
 		}
-		m.record(EvSpill, 0, false, b1+b2+b3)
+		m.record(EvSpill, 0, b1+b2+b3)
 		m.emit(Event{Kind: EvSpill, Seq: m.seq, Depth: len(m.stack), Bits: b1 + b2 + b3})
 	}
 }
@@ -320,7 +332,7 @@ func (m *Machine) fillTop() {
 		mm.fillEvents.Inc()
 		mm.fillBits.Add(uint64(b1 + b2 + b3))
 	}
-	m.record(EvFill, 0, false, b1+b2+b3)
+	m.record(EvFill, 0, b1+b2+b3)
 	m.emit(Event{Kind: EvFill, Seq: m.seq, Depth: len(m.stack), Bits: b1 + b2 + b3})
 	m.spillToFit()
 }
@@ -335,6 +347,7 @@ func (m *Machine) OnBranch(pc uint64, taken bool) (*Alarm, int) {
 	ev := [1]wire.Event{{Kind: wire.EvBranch, PC: pc, Taken: taken}}
 	m.batchAlarms = m.batchAlarms[:0]
 	walked := m.verify(ev[:])
+	m.fillRecorder(ev[:])
 	if walked < batchWalkBuckets && m.walkLens[walked] != 0 {
 		m.walkLens[walked] = 0
 		m.met.batWalk.Observe(walked)
@@ -372,6 +385,7 @@ const batchWalkBuckets = 16
 func (m *Machine) OnBatch(evs []wire.Event) []Alarm {
 	m.batchAlarms = m.batchAlarms[:0]
 	m.verify(evs)
+	m.fillRecorder(evs)
 	for l, c := range m.walkLens {
 		m.met.batWalk.ObserveN(uint64(l), c)
 	}
@@ -380,16 +394,16 @@ func (m *Machine) OnBatch(evs []wire.Event) []Alarm {
 }
 
 // verify is the verification kernel, over the baked slot-record form
-// (tables.Baked). Stack-shape events go through EnterFunc/LeaveFunc; a
+// (tables.Baked). Stack-shape events go through enterFunc/leaveFunc; a
 // run of consecutive branch events shares one load of the top
 // activation, its image and its baked records (the stack cannot change
-// between enter/leave events), each branch is resolved with a single
-// fixed-stride record probe fusing the checked bit and the inline BAT
-// actions, and the flight-recorder store is inlined behind a
-// precomputed meta word.
+// between enter/leave events), and each branch is resolved with a
+// single fixed-stride record probe fusing the checked bit and the
+// inline BAT actions. Branches cost the flight recorder nothing here:
+// the caller fills in its ring from evs (fillRecorder).
 //
-// It advances m.seq and the recorder and raises alarms (appending them
-// to m.batchAlarms). Stats and obs counters accumulate in locals
+// It advances m.seq and raises alarms (appending them to
+// m.batchAlarms). Stats and obs counters accumulate in locals
 // flushed once per call instead of per event; each walk's length is
 // tallied into m.walkLens for the caller to flush into the batWalk
 // histogram (walks too long for the tally observe directly). It
@@ -399,20 +413,18 @@ func (m *Machine) verify(evs []wire.Event) (walked uint64) {
 	var branches, verified, rejects uint64
 	seq := m.seq // kept in a register; synced to m.seq outside branch runs
 	strict := m.cfg.Strict
-	rec := m.rec.buf
-	recMask := uint64(len(rec)) - 1
 
 	i := 0
 	for i < len(evs) {
-		// Stack-shape events go through the full per-event entry points:
-		// they are rare relative to branches and own their record/emit/
-		// gauge semantics.
+		// Stack-shape events go through the per-event helpers: they are
+		// rare relative to branches and own their record/emit/gauge
+		// semantics.
 		for i < len(evs) && evs[i].Kind != wire.EvBranch {
 			switch evs[i].Kind {
 			case wire.EvEnter:
-				m.EnterFunc(evs[i].PC)
+				m.enterFunc(evs[i].PC)
 			case wire.EvLeave:
-				m.LeaveFunc()
+				m.leaveFunc()
 			}
 			i++
 		}
@@ -430,7 +442,6 @@ func (m *Machine) verify(evs []wire.Event) (walked uint64) {
 			act := &m.stack[n-1]
 			img, bsv = act.img, act.bsv
 		}
-		metaBase := uint64(EvBranch)&0xff | (uint64(len(m.stack))&recDepthMask)<<9
 
 		// Pre-scan the run extent: the work loops below then bound on a
 		// plain index compare instead of re-testing Kind per event.
@@ -441,20 +452,8 @@ func (m *Machine) verify(evs []wire.Event) (walked uint64) {
 		runStart := i
 
 		if img == nil {
-			// No protected frame on top: each branch only counts (and
-			// records), cost 1.
-			for ; i < end; i++ {
-				ev := &evs[i]
-				if rec != nil {
-					t := uint64(0)
-					if ev.Taken {
-						t = 1
-					}
-					s := &rec[m.rec.total&recMask]
-					m.rec.total++
-					s.seq, s.pc, s.meta = seq+uint64(i-runStart)+1, ev.PC, metaBase|t<<8
-				}
-			}
+			// No protected frame on top: each branch only counts, cost 1.
+			i = end
 		} else {
 			bk := img.Baked()
 			recs := bk.Recs
@@ -471,14 +470,6 @@ func (m *Machine) verify(evs []wire.Event) (walked uint64) {
 				t := uint64(0)
 				if ev.Taken {
 					t = 1
-				}
-				// Record before verifying, so the violating branch is
-				// always the last entry of a captured context's
-				// recent-event window.
-				if rec != nil {
-					s := &rec[m.rec.total&recMask]
-					m.rec.total++
-					s.seq, s.pc, s.meta = seq+uint64(i-runStart)+1, pc, metaBase|t<<8
 				}
 				if strict && !img.ValidPC(pc) {
 					// The masked hash would alias this PC onto another
@@ -504,7 +495,7 @@ func (m *Machine) verify(evs []wire.Event) (walked uint64) {
 					}
 					m.seq = cur // pushAlarm captures context off m.seq-consistent state
 					m.batchAlarms = append(m.batchAlarms, a)
-					m.pushAlarm(a)
+					m.pushAlarm(a, evs[:i+1])
 				}
 				// Update phase, checked or not: inline actions (unrolled
 				// — BakedInline is 4) or one contiguous scan of a
@@ -566,20 +557,21 @@ func (m *Machine) verify(evs []wire.Event) (walked uint64) {
 	return walked
 }
 
-// pushAlarm records an alarm in the bounded ring and publishes it. The
-// event-stream copy is only materialised when a sink is attached, so
-// the alarmless fast path and the sinkless serving path never box an
-// alarm onto the heap.
-func (m *Machine) pushAlarm(a Alarm) {
+// pushAlarm records an alarm in the bounded ring and publishes it; evs
+// is the batch prefix ending at the violating branch, for a forensic
+// capture. The event-stream copy is only materialised when a sink is
+// attached, so the alarmless fast path and the sinkless serving path
+// never box an alarm onto the heap.
+func (m *Machine) pushAlarm(a Alarm, evs []wire.Event) {
 	before := m.alarms.dropped
 	m.alarms.push(a)
 	m.stats.Alarms++
 	m.met.alarms.Inc()
 	if m.rec.enabled() {
 		if m.ctxGap < 0 {
-			m.captureContext(a)
+			m.captureContext(a, evs)
 		} else if a.Seq >= m.ctxNext {
-			m.captureContext(a)
+			m.captureContext(a, evs)
 			m.ctxNext = a.Seq + uint64(m.ctxGap)
 		}
 	}

@@ -70,7 +70,7 @@ func TestMachineAlarmOverflowCounted(t *testing.T) {
 	}
 	// Raise 5 synthetic alarms through the bounded ring.
 	for i := 0; i < 5; i++ {
-		m.pushAlarm(Alarm{Seq: uint64(100 + i), Func: "main"})
+		m.pushAlarm(Alarm{Seq: uint64(100 + i), Func: "main"}, nil)
 	}
 	if got := len(m.Alarms()); got != 2 {
 		t.Fatalf("retained %d alarms, want 2 (bounded)", got)
@@ -112,7 +112,7 @@ func TestEventSinkReceivesLifecycle(t *testing.T) {
 			alarms = append(alarms, *e.Alarm)
 		}
 	}))
-	m.pushAlarm(Alarm{Seq: 42, Func: "main"})
+	m.pushAlarm(Alarm{Seq: 42, Func: "main"}, nil)
 	if len(alarms) != 1 || alarms[0].Seq != 42 {
 		t.Fatalf("alarm event not delivered: %v", alarms)
 	}

@@ -9,14 +9,27 @@ package ipds
 // the alarm from a bare (PC, direction) pair into a self-contained
 // forensic record of how execution reached the infeasible path.
 //
-// Everything here is built for the zero-allocation serve path: the ring
-// is preallocated when the machine is created, recording is a struct
-// store into it, and context capture reuses the slices of a bounded
-// context ring, so a warmed machine records and captures without
-// touching the heap — TestOnBatchZeroAlloc gates exactly that with the
-// recorder enabled.
+// The ring is written lazily: the verification kernel does no recorder
+// work at all. A branch's slot is rebuilt later from the batch's own
+// events, and the rare stack-shape entries the machine synthesises
+// (enter, leave, spill, fill) wait in a small pending ring tagged with
+// their stream position. Machine.fillRecorder writes the positions
+// that survive in the window at the end of every public call and
+// before every context capture, so a 512-event batch costs at most one
+// ring's worth of slot writes instead of one per event, and every
+// observable — RecorderTotal, RecorderLive, each AlarmContext — is what
+// eager per-event recording would have left.
+//
+// Everything here is built for the zero-allocation serve path: both
+// rings are preallocated when the machine is created and context
+// capture reuses the slices of a bounded context ring, so a warmed
+// machine records and captures without touching the heap —
+// TestOnBatchZeroAlloc gates exactly that with the recorder enabled.
 
-import "repro/internal/tables"
+import (
+	"repro/internal/tables"
+	"repro/internal/wire"
+)
 
 // DefaultRecorderDepth is the flight-recorder ring capacity selected by
 // Config.Recorder = 0 when a caller (the daemon) asks for forensics
@@ -99,22 +112,23 @@ func (c *AlarmContext) CopyInto(dst *AlarmContext) {
 	dst.BSV = append(dst.BSV[:0], c.BSV...)
 }
 
-// recSlot is the ring's internal event encoding: 24 bytes instead of
-// RecEvent's 32, written with three stores instead of six. The small
-// fields share one word — kind in bits 0..7, taken in bit 8, depth in
-// bits 9..31 (truncated past 2^23 frames; forensics past eight million
-// activations are not a regime the recorder serves), spill/fill bits in
-// the high word. Slots are unpacked into RecEvent only at snapshot
-// time, off the serve path.
+// recSlot is the ring's internal event encoding: 16 bytes instead of
+// RecEvent's 32. The small fields share one word — kind in bits 0..7,
+// taken in bit 8, depth in bits 9..31 (truncated past 2^23 frames;
+// forensics past eight million activations are not a regime the
+// recorder serves), spill/fill bits in the high word. The seq is not
+// stored: every branch advances it by one, so snapshotInto derives it
+// from the kinds in the window. Slots are unpacked into RecEvent only
+// at snapshot time, off the serve path.
 type recSlot struct {
-	seq, pc, meta uint64
+	pc, meta uint64
 }
 
 const recDepthMask = 1<<23 - 1
 
-func (s *recSlot) unpack() RecEvent {
+func (s *recSlot) unpack(seq uint64) RecEvent {
 	return RecEvent{
-		Seq:   s.seq,
+		Seq:   seq,
 		PC:    s.pc,
 		Kind:  EventKind(s.meta & 0xff),
 		Taken: s.meta&(1<<8) != 0,
@@ -123,18 +137,37 @@ func (s *recSlot) unpack() RecEvent {
 	}
 }
 
+// recPend is a stack-shape entry waiting to be written into the ring,
+// tagged with its stream position.
+type recPend struct {
+	pos uint64
+	s   recSlot
+}
+
 // recorder is the fixed-capacity event ring. Unlike alarmRing it stores
 // small value events and overwrites silently: losing old history is the
-// point of a flight recorder, and total tracks how much was seen. The
-// capacity is rounded up to a power of two so the per-event index math
-// is a mask (total & (len-1)), not a division — record runs on every
-// committed event of the serve path. The struct is embedded by value in
-// Machine: the ring cursor lives on the machine's own cache lines, so
-// recording never dirties a second heap object. A disabled recorder is
-// the zero value (nil buf).
+// point of a flight recorder, and RecorderTotal tracks how much was
+// seen. The capacity is rounded up to a power of two so a stream
+// position maps to a slot by mask. A disabled recorder is the zero
+// value (nil buf).
+//
+// The stream position of the next event is Machine.seq (the branch
+// count) plus stacks (the stack entries counted); positions below
+// filled are written into buf, and the ones from filled on are
+// branches of the current call and the pend entries. pend is a ring of
+// len(buf) entries, pN of them live from pHead: when it is full the
+// oldest entry is a whole window behind the newest position, so no
+// later window can hold it or the branches before the next entry, and
+// it is dropped. depth is the packed stack depth at the last fill, the
+// depth of the branches before the first pend entry.
 type recorder struct {
-	buf   []recSlot
-	total uint64
+	buf    []recSlot
+	filled uint64
+	stacks uint64
+	depth  uint64
+	pend   []recPend
+	pHead  int
+	pN     int
 }
 
 func newRecorder(capacity int) recorder {
@@ -145,79 +178,115 @@ func newRecorder(capacity int) recorder {
 	for pow < capacity {
 		pow <<= 1
 	}
-	return recorder{buf: make([]recSlot, pow)}
+	return recorder{buf: make([]recSlot, pow), pend: make([]recPend, pow)}
 }
 
 // enabled reports whether the ring exists (Config.Recorder > 0).
 func (r *recorder) enabled() bool { return len(r.buf) != 0 }
 
-// push packs and stores one boxed event, overwriting the oldest when
-// full — the seeding/test path. The serve path bypasses the box and
-// writes slot words in place via Machine.record.
-func (r *recorder) push(e RecEvent) {
-	t := uint64(0)
-	if e.Taken {
-		t = 1
-	}
-	s := &r.buf[r.total&uint64(len(r.buf)-1)]
-	r.total++
-	s.seq = e.Seq
-	s.pc = e.PC
-	s.meta = uint64(e.Kind)&0xff | t<<8 |
-		(uint64(uint32(e.Depth))&recDepthMask)<<9 | uint64(uint32(e.Bits))<<32
-}
-
-// live returns the number of events currently held in the window.
-func (r *recorder) live() int {
-	if r.total < uint64(len(r.buf)) {
-		return int(r.total)
-	}
-	return len(r.buf)
-}
-
 // snapshotInto appends the live window, oldest first, onto dst (which
-// the caller has truncated); dst's capacity is reused.
-func (r *recorder) snapshotInto(dst []RecEvent) []RecEvent {
-	n := uint64(r.live())
+// the caller has truncated); dst's capacity is reused. The window must
+// have been filled in (Machine.fillRecorder), and seq is the branch
+// count at its newest event: a branch's seq is the count after it, any
+// other event's the count before the next branch.
+func (r *recorder) snapshotInto(dst []RecEvent, seq uint64) []RecEvent {
+	n := min(r.filled, uint64(len(r.buf)))
 	mask := uint64(len(r.buf) - 1)
-	for i := r.total - n; i != r.total; i++ {
-		dst = append(dst, r.buf[i&mask].unpack())
+	for i := r.filled - n; i != r.filled; i++ {
+		if EventKind(r.buf[i&mask].meta&0xff) == EvBranch {
+			seq--
+		}
+	}
+	for i := r.filled - n; i != r.filled; i++ {
+		s := &r.buf[i&mask]
+		if EventKind(s.meta&0xff) == EvBranch {
+			seq++
+		}
+		dst = append(dst, s.unpack(seq))
 	}
 	return dst
 }
 
 func (r *recorder) reset() {
-	r.total = 0
+	r.filled, r.stacks, r.depth, r.pN = 0, 0, 0, 0
 }
 
-// record stores one event in the flight recorder; a disabled recorder
-// costs the length check. The slot is written in place and packed —
-// three word stores per event, no temporary RecEvent — and the len-1
-// index lets the compiler drop the bounds check.
-func (m *Machine) record(kind EventKind, pc uint64, taken bool, bits int) {
+// record counts one stack-shape event (enter, leave, spill, fill) and
+// parks it in the pending ring; a disabled recorder costs the length
+// check. Committed branches are counted by m.seq alone.
+func (m *Machine) record(kind EventKind, pc uint64, bits int) {
 	r := &m.rec
 	if len(r.buf) == 0 {
 		return
 	}
-	t := uint64(0)
-	if taken {
-		t = 1
+	mask := len(r.pend) - 1
+	if r.pN == len(r.pend) {
+		r.pHead = (r.pHead + 1) & mask
+		r.pN--
 	}
-	s := &r.buf[r.total&uint64(len(r.buf)-1)]
-	r.total++
-	s.seq = m.seq
-	s.pc = pc
-	s.meta = uint64(kind)&0xff | t<<8 |
-		(uint64(len(m.stack))&recDepthMask)<<9 | uint64(uint32(bits))<<32
+	p := &r.pend[(r.pHead+r.pN)&mask]
+	r.pN++
+	p.pos = m.seq + r.stacks
+	r.stacks++
+	p.s = recSlot{pc: pc, meta: uint64(kind) | (uint64(len(m.stack))&recDepthMask)<<9 | uint64(uint32(bits))<<32}
 }
 
-// captureContext snapshots the flight recorder, activation stack
-// (innermost MaxContextStack frames) and alarming frame's BSV into the
-// next slot of the bounded context ring. Slot slices are reused
+// fillRecorder writes the positions counted since the last fill that
+// survive in the window into the ring and advances filled past them.
+// evs is the batch prefix verify has processed (nil outside a batch);
+// its branch events are the branch positions, newest last. Walking back
+// from the newest position, each pend entry sits at its own position
+// and branches fill the positions between entries, at the depth the
+// entry before them left (before the first entry, r.depth).
+func (m *Machine) fillRecorder(evs []wire.Event) {
+	r := &m.rec
+	total := m.RecorderTotal()
+	if total == r.filled {
+		return
+	}
+	mask := uint64(len(r.buf) - 1)
+	pmask := len(r.pend) - 1
+	lo := max(r.filled, total-min(total, uint64(len(r.buf))))
+	i, k := len(evs), r.pN
+	for pos := total; pos > lo; {
+		stop, depth := lo, r.depth
+		var p *recPend
+		if k > 0 {
+			k--
+			p = &r.pend[(r.pHead+k)&pmask]
+			depth = p.s.meta & (recDepthMask << 9)
+			stop = max(lo, p.pos+1)
+		}
+		for ; pos > stop; pos-- {
+			i--
+			for evs[i].Kind != wire.EvBranch {
+				i--
+			}
+			t := uint64(0) // a conditional move, not a branch on the direction
+			if evs[i].Taken {
+				t = 1
+			}
+			r.buf[(pos-1)&mask] = recSlot{pc: evs[i].PC, meta: uint64(EvBranch) | t<<8 | depth}
+		}
+		if pos > lo { // pos-1 is p's own position
+			pos--
+			r.buf[pos&mask] = p.s
+		}
+	}
+	r.filled = total
+	r.pN = 0
+	r.depth = (uint64(len(m.stack)) & recDepthMask) << 9
+}
+
+// captureContext fills in the flight recorder (evs as for
+// fillRecorder) and snapshots it, the activation stack (innermost
+// MaxContextStack frames) and the alarming frame's BSV into the next
+// slot of the bounded context ring. Slot slices are reused
 // (truncate + append), so capture allocates only while a slot grows
 // past its high-water mark, and the stack cap keeps each capture O(1)
 // even when a looped replay grows the live stack without bound.
-func (m *Machine) captureContext(a Alarm) {
+func (m *Machine) captureContext(a Alarm, evs []wire.Event) {
+	m.fillRecorder(evs)
 	m.ctxTotal++
 	var dst *AlarmContext
 	if m.ctxN < len(m.ctxBuf) {
@@ -228,8 +297,8 @@ func (m *Machine) captureContext(a Alarm) {
 		m.ctxStart = (m.ctxStart + 1) % len(m.ctxBuf)
 	}
 	dst.Alarm = a
-	dst.Recorded = m.rec.total
-	dst.Recent = m.rec.snapshotInto(dst.Recent[:0])
+	dst.Recorded = m.rec.filled
+	dst.Recent = m.rec.snapshotInto(dst.Recent[:0], m.seq)
 	dst.Stack = dst.Stack[:0]
 	lo := 0
 	if len(m.stack) > MaxContextStack {
@@ -258,13 +327,16 @@ func (m *Machine) RecorderDepth() int {
 // RecorderLive returns the number of events currently held in the
 // flight-recorder window.
 func (m *Machine) RecorderLive() int {
-	return m.rec.live()
+	return int(min(m.RecorderTotal(), uint64(len(m.rec.buf))))
 }
 
 // RecorderTotal returns the recorder's lifetime event count (how many
 // events have passed through the window since the last Reset).
 func (m *Machine) RecorderTotal() uint64 {
-	return m.rec.total
+	if !m.rec.enabled() {
+		return 0
+	}
+	return m.seq + m.rec.stacks
 }
 
 // ContextFor returns the retained alarm context whose alarm carries the

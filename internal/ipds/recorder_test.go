@@ -1,10 +1,14 @@
 package ipds
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/ir"
+	"repro/internal/pipeline"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 // recorderConfig returns DefaultConfig with forensics enabled at the
@@ -34,45 +38,50 @@ func tamperEvery(evs []wire.Event, n int) []wire.Event {
 	return out
 }
 
+// TestRecorderRingWraps drives a machine with a 4-slot recorder through
+// inert enters, leaves (one on an empty stack, which records nothing)
+// and branches: the window holds the last four events with their
+// stream seq and depth, whichever entry point counted them.
 func TestRecorderRingWraps(t *testing.T) {
-	r := newRecorder(4)
-	for i := 1; i <= 10; i++ {
-		r.push(RecEvent{
-			Seq:   uint64(i),
-			PC:    0x4000_0000 + uint64(i),
-			Kind:  EvBranch,
-			Taken: i%2 == 0,
-			Depth: int32(i),
-			Bits:  int32(100 * i),
-		})
+	w, _ := benchTrace(t)
+	m := New(w.img, recorderConfig(4))
+	br := func(pc uint64, taken bool) wire.Event { return wire.Event{Kind: wire.EvBranch, PC: pc, Taken: taken} }
+	m.EnterFunc(unknownBase)
+	m.OnBatch([]wire.Event{
+		br(0x10, true), br(0x14, false),
+		{Kind: wire.EvEnter, PC: unknownBase + 0x100},
+		br(0x18, true),
+		{Kind: wire.EvLeave},
+		br(0x1c, false),
+		{Kind: wire.EvLeave}, {Kind: wire.EvLeave},
+		br(0x20, true),
+	})
+	if m.RecorderTotal() != 9 || m.RecorderLive() != 4 {
+		t.Fatalf("total = %d live = %d, want 9 and 4", m.RecorderTotal(), m.RecorderLive())
 	}
-	if r.total != 10 {
-		t.Fatalf("total = %d, want 10", r.total)
+	want := []RecEvent{
+		{Seq: 3, Kind: EvLeave, Depth: 1},
+		{Seq: 4, PC: 0x1c, Kind: EvBranch, Depth: 1},
+		{Seq: 4, Kind: EvLeave, Depth: 0},
+		{Seq: 5, PC: 0x20, Kind: EvBranch, Taken: true, Depth: 0},
 	}
-	got := r.snapshotInto(nil)
-	want := make([]RecEvent, 0, 4)
-	for i := 7; i <= 10; i++ {
-		want = append(want, RecEvent{
-			Seq:   uint64(i),
-			PC:    0x4000_0000 + uint64(i),
-			Kind:  EvBranch,
-			Taken: i%2 == 0,
-			Depth: int32(i),
-			Bits:  int32(100 * i),
-		})
-	}
+	got := m.rec.snapshotInto(nil, m.seq)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("window = %+v, want %+v", got, want)
 	}
+	m.OnBranch(0x24, false)
+	want = append(want[1:], RecEvent{Seq: 6, PC: 0x24, Kind: EvBranch})
 	// snapshotInto must reuse the destination's capacity.
-	buf := got[:0]
-	again := r.snapshotInto(buf)
+	again := m.rec.snapshotInto(got[:0], m.seq)
 	if &again[0] != &got[0] {
 		t.Fatal("snapshotInto reallocated despite sufficient capacity")
 	}
-	r.reset()
-	if r.live() != 0 || r.total != 0 {
-		t.Fatalf("reset left live=%d total=%d", r.live(), r.total)
+	if !reflect.DeepEqual(again, want) {
+		t.Fatalf("window after OnBranch = %+v, want %+v", again, want)
+	}
+	m.Reset()
+	if m.RecorderLive() != 0 || m.RecorderTotal() != 0 {
+		t.Fatalf("reset left live=%d total=%d", m.RecorderLive(), m.RecorderTotal())
 	}
 }
 
@@ -364,5 +373,261 @@ func TestAlarmContextThrottle(t *testing.T) {
 	}
 	if got := len(off.Contexts()); got != want && got != DefaultAlarmCtxBuffer {
 		t.Fatalf("throttle-off captured %d contexts for %d alarms", got, len(offAlarms))
+	}
+}
+
+// eagerRef is the test-only reference flight recorder: every event
+// stored as it is counted. It rebuilds the stream from the input
+// events plus the machine's published enter/leave/spill/fill events: a
+// branch takes its seq from a running count and its depth from the
+// last stack event, and a stack event published at seq s sits after
+// branch s and before branch s+1.
+type eagerRef struct {
+	all   []RecEvent
+	at    []int // at[s-1]: len(all) right after branch s
+	seq   uint64
+	depth int32
+	stack *[]sinkEvent
+	next  int    // first stack event of *stack not yet folded in
+	seen  uint64 // contexts already checked (Machine.CtxCaptured)
+}
+
+func newEagerRef(m *Machine) *eagerRef { return &eagerRef{stack: collectSink(m)} }
+
+func (r *eagerRef) foldStack(upto uint64) {
+	for ; r.next < len(*r.stack) && (*r.stack)[r.next].Seq <= upto; r.next++ {
+		e := (*r.stack)[r.next]
+		if e.Kind == EvAlarm {
+			continue
+		}
+		r.all = append(r.all, RecEvent{Seq: e.Seq, PC: e.Base, Kind: e.Kind, Depth: int32(e.Depth), Bits: int32(e.Bits)})
+		r.depth = int32(e.Depth)
+	}
+}
+
+// advance folds in the input events a machine call just processed and
+// the stack events it published.
+func (r *eagerRef) advance(evs []wire.Event) {
+	for _, ev := range evs {
+		if ev.Kind != wire.EvBranch {
+			continue
+		}
+		r.foldStack(r.seq)
+		r.seq++
+		r.all = append(r.all, RecEvent{Seq: r.seq, PC: ev.PC, Kind: EvBranch, Taken: ev.Taken, Depth: r.depth})
+		r.at = append(r.at, len(r.all))
+	}
+	r.foldStack(^uint64(0))
+}
+
+// window returns the last depth events recorded after the first n.
+func (r *eagerRef) window(n, depth int) []RecEvent {
+	return r.all[max(0, n-depth):n]
+}
+
+// check holds m's recorder to the reference after a call: total, live
+// count, the current window, and the window and recorded count of
+// every context captured since the last check.
+func (r *eagerRef) check(t testing.TB, m *Machine, what string) {
+	t.Helper()
+	depth := m.RecorderDepth()
+	if got := m.RecorderTotal(); got != uint64(len(r.all)) {
+		t.Fatalf("%s: RecorderTotal %d, eager %d", what, got, len(r.all))
+	}
+	if got := m.RecorderLive(); got != min(depth, len(r.all)) {
+		t.Fatalf("%s: RecorderLive %d, eager %d", what, got, min(depth, len(r.all)))
+	}
+	if got, want := m.rec.snapshotInto(nil, m.seq), r.window(len(r.all), depth); !equalWindows(got, want) {
+		t.Fatalf("%s: window diverges from eager recording\n got  %+v\n want %+v", what, got, want)
+	}
+	fresh := int(min(uint64(m.ContextCount()), m.CtxCaptured()-r.seen))
+	r.seen = m.CtxCaptured()
+	for i := m.ContextCount() - fresh; i < m.ContextCount(); i++ {
+		c := m.ContextAt(i)
+		n := r.at[c.Alarm.Seq-1]
+		if c.Recorded != uint64(n) || !equalWindows(c.Recent, r.window(n, depth)) {
+			t.Fatalf("%s: context for alarm %d diverges from eager recording\n got  %d %+v\n want %d %+v",
+				what, c.Alarm.Seq, c.Recorded, c.Recent, n, r.window(n, depth))
+		}
+	}
+}
+
+func equalWindows(a, b []RecEvent) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// checkRecorder drives trace through two recorder machines — one call
+// per event, and OnBatch at batch size bs — holding each to the eager
+// reference after every call, and the two to each other (contexts,
+// totals, windows) at every batch boundary.
+func checkRecorder(t testing.TB, m1, mb *Machine, trace []wire.Event, bs int) {
+	t.Helper()
+	r1, rb := newEagerRef(m1), newEagerRef(mb)
+	for lo := 0; lo < len(trace); lo += bs {
+		hi := min(lo+bs, len(trace))
+		for i := lo; i < hi; i++ {
+			ev := trace[i]
+			switch ev.Kind {
+			case wire.EvBranch:
+				m1.OnBranch(ev.PC, ev.Taken)
+			case wire.EvEnter:
+				m1.EnterFunc(ev.PC)
+			case wire.EvLeave:
+				m1.LeaveFunc()
+			}
+			r1.advance(trace[i : i+1])
+			r1.check(t, m1, fmt.Sprintf("per-event %d", i))
+		}
+		mb.OnBatch(trace[lo:hi])
+		rb.advance(trace[lo:hi])
+		rb.check(t, mb, fmt.Sprintf("batch [%d,%d)", lo, hi))
+		if m1.RecorderTotal() != mb.RecorderTotal() || m1.RecorderLive() != mb.RecorderLive() ||
+			!reflect.DeepEqual(m1.Contexts(), mb.Contexts()) {
+			t.Fatalf("batch [%d,%d): per-event and batched recorders diverge", lo, hi)
+		}
+	}
+}
+
+// tinyTables shrinks the on-chip table buffers so that nearly every
+// nested call spills its caller and every return fills it: spill and
+// fill entries then land inside recorder windows.
+var tinyTables = Config{BSVStackBits: 8, BCVStackBits: 8, BATStackBits: 64}
+
+// TestRecorderMatchesEager holds the deferred recorder to the eager
+// reference on every workload's tampered attack session, malformed
+// variants included, across ring depths (3 rounds up to 4) and batch
+// sizes, with every alarm captured.
+func TestRecorderMatchesEager(t *testing.T) {
+	for _, w := range workload.All() {
+		art, err := pipeline.Compile(w.Source, ir.DefaultOptions)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", w.Name, err)
+		}
+		clean, _ := captureTrace(art.Prog, w.AttackSession)
+		bent := tamperEvery(clean, 5)
+		strict := DefaultConfig
+		strict.Strict = true
+		for _, c := range []struct {
+			name string
+			cfg  Config
+			evs  []wire.Event
+		}{
+			{"tamper5", DefaultConfig, bent},
+			{"malformed", DefaultConfig, malform(bent, 53)},
+			{"malformed-strict", strict, malform(bent, 53)},
+			{"tiny-tables", tinyTables, bent},
+		} {
+			for _, depth := range []int{1, 3, 64} {
+				for _, bs := range []int{1, 7, 512} {
+					t.Run(fmt.Sprintf("%s/%s/depth=%d/batch=%d", w.Name, c.name, depth, bs), func(t *testing.T) {
+						cfg := c.cfg
+						cfg.Recorder, cfg.CtxGap = depth, -1
+						m1, mb := New(art.Image, cfg), New(art.Image, cfg)
+						checkRecorder(t, m1, mb, c.evs, bs)
+						if m1.CtxCaptured() == 0 {
+							t.Fatal("no context captured; the comparison is vacuous")
+						}
+						if c.name == "tiny-tables" && m1.Stats().SpillEvents == 0 {
+							t.Fatal("tiny tables never spilled")
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestRecorderPendingBounded feeds wire.MaxBatch-event batches of three
+// shapes — alternating enters and leaves that spill and fill on every
+// event, one long branch run, and a mixed trace split at odd sizes —
+// and asserts that the pending stack entries never outgrow the ring
+// depth (sampled at every published stack event, mid-batch), that the
+// recorder's storage is the same two preallocated rings afterwards,
+// that the windows match eager recording, and that a warmed machine
+// records all three shapes without allocating.
+func TestRecorderPendingBounded(t *testing.T) {
+	w, evs := benchTrace(t)
+	f := w.img.Funcs[0]
+	enterLeave := []wire.Event{{Kind: wire.EvEnter, PC: f.Base}}
+	for len(enterLeave) < wire.MaxBatch {
+		enterLeave = append(enterLeave, wire.Event{Kind: wire.EvEnter, PC: f.Base}, wire.Event{Kind: wire.EvLeave})
+	}
+	run := []wire.Event{{Kind: wire.EvEnter, PC: f.Base}}
+	for i := 0; len(run) < wire.MaxBatch; i++ {
+		run = append(run, wire.Event{Kind: wire.EvBranch, PC: f.Base + 4*uint64(i%64), Taken: i%3 == 0})
+	}
+	var mix []wire.Event
+	for len(mix) < wire.MaxBatch {
+		mix = append(mix, evs...)
+	}
+	mix = mix[:wire.MaxBatch]
+	shapes := []struct {
+		name  string
+		evs   []wire.Event
+		sizes []int
+	}{
+		{"enter-leave", enterLeave, []int{wire.MaxBatch}},
+		{"branch-run", run, []int{wire.MaxBatch}},
+		{"mix", mix, []int{4093, 1, 511, 7, 65521}},
+	}
+	// batches splits s at the given sizes, cycling through them.
+	batches := func(s []wire.Event, sizes []int) [][]wire.Event {
+		var out [][]wire.Event
+		for k := 0; len(s) > 0; k++ {
+			n := min(sizes[k%len(sizes)], len(s))
+			out = append(out, s[:n])
+			s = s[n:]
+		}
+		return out
+	}
+
+	cfg := tinyTables
+	cfg.Recorder = DefaultRecorderDepth
+	m := New(w.img, cfg)
+	buf, pend := &m.rec.buf[0], &m.rec.pend[0]
+	var stack []sinkEvent
+	high := 0
+	m.SetEventSink(FuncSink(func(e Event) {
+		high = max(high, m.rec.pN)
+		stack = append(stack, sinkEvent{Kind: e.Kind, Seq: e.Seq, Depth: e.Depth, Bits: e.Bits, Base: e.Base})
+	}))
+	ref := &eagerRef{stack: &stack}
+	for _, s := range shapes {
+		for _, b := range batches(s.evs, s.sizes) {
+			m.OnBatch(b)
+			ref.advance(b)
+			ref.check(t, m, s.name)
+			if m.rec.pN != 0 {
+				t.Fatalf("%s: %d stack entries still pending after OnBatch", s.name, m.rec.pN)
+			}
+		}
+		if high > len(m.rec.buf) {
+			t.Fatalf("%s: %d pending stack entries, ring depth %d", s.name, high, len(m.rec.buf))
+		}
+		if len(m.rec.buf) != DefaultRecorderDepth || len(m.rec.pend) != DefaultRecorderDepth ||
+			&m.rec.buf[0] != buf || &m.rec.pend[0] != pend {
+			t.Fatalf("%s: recorder storage changed (ring %d, pending %d)", s.name, len(m.rec.buf), len(m.rec.pend))
+		}
+	}
+	if high != DefaultRecorderDepth {
+		t.Fatalf("pending high-water %d: the enter-leave batch never filled the pending ring", high)
+	}
+	if m.Stats().SpillEvents == 0 || m.Stats().FillEvents == 0 {
+		t.Fatal("enter-leave batch neither spilled nor filled")
+	}
+
+	q := New(w.img, cfg)
+	for _, s := range shapes {
+		bs := batches(s.evs, s.sizes)
+		pass := func() {
+			q.Reset() // the shapes are unbalanced; keep the stack from growing
+			for _, b := range bs {
+				q.OnBatch(b)
+			}
+		}
+		pass()
+		if n := testing.AllocsPerRun(3, pass); n != 0 {
+			t.Errorf("%s: warmed recorder machine allocates %v per pass, want 0", s.name, n)
+		}
 	}
 }

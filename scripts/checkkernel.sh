@@ -1,54 +1,80 @@
 #!/usr/bin/env bash
 # checkkernel.sh — kernel regression gate (`make kernel-gate`).
 #
-# Benchmarks the batched verification kernel (BenchmarkOnBatch, the
-# baked slot-record hot path) and holds its ns/event to the committed
-# BENCH_pr8.json after-row: a regression of more than KERNEL_TOL
-# percent (default 15) fails the gate. Best-of-N is the estimator on
-# both sides — the committed baseline is a best-of over interleaved
-# runs, so the gate compares like with like and a single noisy run on
-# a loaded CI host cannot flake it; only a real kernel regression
-# shifts the best of six.
+# Benchmarks the batched verification kernel against a base commit on
+# the same host: BenchmarkOnBatch (the baked slot-record hot path) and
+# BenchmarkOnBatchRecorder (the same with the daemon's default flight
+# recorder). The base commit's internal/ipds test binary is built from
+# a temporary `git worktree` at KERNEL_BASE (default: the merge base of
+# HEAD and main), the working tree's from the checkout; the two run
+# alternately, KERNEL_COUNT times each (default 6). The gate fails when
+# the change's best-of ns/event exceeds the base's best-of by more than
+# KERNEL_TOL percent (default 15) on either benchmark. Best-of-N on
+# both sides, interleaved, is the estimator: a single noisy run on a
+# loaded host cannot flake it, and a host that is uniformly slower or
+# faster moves both sides alike.
+#
+#   ./scripts/checkkernel.sh
+#   KERNEL_BASE=HEAD~3 KERNEL_COUNT=10 ./scripts/checkkernel.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 TOL="${KERNEL_TOL:-15}"
 COUNT="${KERNEL_COUNT:-6}"
+BASE="${KERNEL_BASE:-$(git merge-base HEAD main)}"
+BENCHES="BenchmarkOnBatch BenchmarkOnBatchRecorder"
 
-baseline=$(awk -F': ' '
-	/"kernel"/ { kern = $2; gsub(/[",]/, "", kern) }
-	/"stage"/ { stage = $2; gsub(/[",]/, "", stage) }
-	/"ns_per_event"/ && kern == "OnBatch" && stage == "after" {
-		v = $2; gsub(/,/, "", v); print v; exit
-	}
-' BENCH_pr8.json)
-if [ -z "$baseline" ]; then
-	echo "checkkernel: no OnBatch after-row in BENCH_pr8.json" >&2
-	exit 1
-fi
+work=$(mktemp -d)
+cleanup() {
+	git worktree remove --force "$work/base" >/dev/null 2>&1 || true
+	rm -rf "$work"
+}
+trap cleanup EXIT
 
-out=$(go test -run '^$' -bench 'BenchmarkOnBatch$' -count "$COUNT" ./internal/ipds)
-echo "$out"
+git worktree add --detach --quiet "$work/base" "$BASE"
+(cd "$work/base" && go test -c -o "$work/base.test" ./internal/ipds)
+go test -c -o "$work/change.test" ./internal/ipds
 
-best=$(echo "$out" | awk '
-	/^BenchmarkOnBatch-/ || /^BenchmarkOnBatch / {
-		for (i = 2; i <= NF; i++) if ($i == "ns/event") v = $(i - 1)
-		if (best == "" || v + 0 < best + 0) best = v
-	}
-	END { print best }
-')
-if [ -z "$best" ]; then
-	echo "checkkernel: failed to parse ns/event from benchmark output" >&2
-	exit 1
-fi
+# run SIDE DIR: one pass of both benchmarks, appended to $work/SIDE.out
+# with each line tagged by side.
+run() {
+	(cd "$2/internal/ipds" && "$work/$1.test" -test.run '^$' \
+		-test.bench '^BenchmarkOnBatch(Recorder)?$' -test.count 1) |
+		sed "s/^/$1 /" | tee -a "$work/$1.out"
+}
+for i in $(seq "$COUNT"); do
+	run base "$work/base"
+	run change "$PWD"
+done
 
-echo "checkkernel: best of ${COUNT} runs ${best} ns/event, baseline ${baseline} ns/event (tolerance ${TOL}%)"
-if ! awk -v got="$best" -v base="$baseline" -v tol="$TOL" 'BEGIN {
-	limit = base * (1 + tol / 100)
-	printf "checkkernel: limit %.2f ns/event\n", limit
-	exit !(got + 0 <= limit)
-}'; then
-	echo "checkkernel: FAIL — batched kernel regressed past the tolerance" >&2
-	exit 1
-fi
-echo "checkkernel: batched kernel holds the BENCH_pr8 baseline"
+fail=0
+for b in $BENCHES; do
+	read -r base change < <(cat "$work/base.out" "$work/change.out" | awk -v b="$b" '
+		$2 == b || index($2, b "-") == 1 {
+			for (i = 3; i <= NF; i++) if ($i == "ns/event") v = $(i - 1)
+			if (!($1 in best) || v + 0 < best[$1] + 0) best[$1] = v
+		}
+		END { print (("base" in best) ? best["base"] : "-"), (("change" in best) ? best["change"] : "-") }
+	')
+	if [ "$base" = "-" ]; then
+		echo "checkkernel: $b missing at base $BASE; skipped"
+		continue
+	fi
+	if [ "$change" = "-" ]; then
+		echo "checkkernel: FAIL — $b missing from the working tree" >&2
+		fail=1
+		continue
+	fi
+	if awk -v got="$change" -v base="$base" -v tol="$TOL" -v b="$b" 'BEGIN {
+		limit = base * (1 + tol / 100)
+		printf "checkkernel: %s best of %d: change %.2f ns/event, base %.2f, limit %.2f (+%s%%)\n",
+			b, '"$COUNT"', got, base, limit, tol
+		exit !(got + 0 <= limit)
+	}'; then
+		continue
+	fi
+	echo "checkkernel: FAIL — $b regressed past the tolerance against $BASE" >&2
+	fail=1
+done
+[ "$fail" = 0 ] || exit 1
+echo "checkkernel: batched kernel holds the base commit's speed"
