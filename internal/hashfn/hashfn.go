@@ -21,10 +21,13 @@ type Params struct {
 // Slots returns the hash space size.
 func (p Params) Slots() int { return 1 << p.SizeLog2 }
 
-// Slot maps a branch PC to its table slot.
+// Slot maps a branch PC to its table slot. Shift counts are masked to
+// 6 bits, as the runtime kernel masks them: a no-op for every shift in
+// the search space [1, MaxShift], and the table decoder refuses any
+// other, so compiler, decoder and kernel agree on every slot.
 func (p Params) Slot(base, pc uint64) int {
 	x := (pc - base) >> 2
-	h := x ^ (x >> p.S1) ^ (x >> p.S2)
+	h := x ^ (x >> (p.S1 & 63)) ^ (x >> (p.S2 & 63))
 	return int(h & uint64(p.Slots()-1))
 }
 
@@ -33,10 +36,11 @@ func (p Params) Slot(base, pc uint64) int {
 // share one ceiling (and packed BAT targets fit the baked 30-bit field).
 const MaxSizeLog2 = 30
 
-// maxShift bounds the shift search space; shifts equal to 63 make the
-// shifted term vanish for realistic code sizes, so the space always
-// contains near-identity hashes.
-const maxShift = 14
+// MaxShift bounds the shift search space [1, MaxShift]; large shifts
+// make the shifted term vanish for realistic code sizes, so the space
+// always contains near-identity hashes. The table decoder refuses
+// shifts outside it.
+const MaxShift = 14
 
 // Find searches for collision-free parameters for the given branch PCs
 // (all within one function starting at base). It first tries the
@@ -53,8 +57,8 @@ func Find(base uint64, pcs []uint64, minLog2 uint8) (Params, error) {
 	}
 	used := make(map[int]uint64, len(pcs))
 	for size := start; size <= MaxSizeLog2; size++ {
-		for s1 := uint8(1); s1 <= maxShift; s1++ {
-			for s2 := s1; s2 <= maxShift; s2++ {
+		for s1 := uint8(1); s1 <= MaxShift; s1++ {
+			for s2 := s1; s2 <= MaxShift; s2++ {
 				p := Params{S1: s1, S2: s2, SizeLog2: size}
 				if collisionFree(p, base, pcs, used) {
 					return p, nil

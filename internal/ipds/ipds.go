@@ -399,8 +399,14 @@ func (m *Machine) OnBatch(evs []wire.Event) []Alarm {
 // activation, its image and its baked records (the stack cannot change
 // between enter/leave events), and each branch is resolved with a
 // single fixed-stride record probe fusing the checked bit and the
-// inline BAT actions. Branches cost the flight recorder nothing here:
-// the caller fills in its ring from evs (fillRecorder).
+// inline BAT actions. The run is walked once: the branch loop itself
+// ends it at the first non-branch event. Every variable shift on the
+// per-branch path is masked to its operand width, which lets the
+// compiler drop Go's oversized-shift guard; the masks are no-ops on
+// every image the table decoder accepts (hash shifts in [1,
+// hashfn.MaxShift], packed Meta fields). Branches cost the flight
+// recorder nothing here: the caller fills in its ring from evs
+// (fillRecorder).
 //
 // It advances m.seq and raises alarms (appending them to
 // m.batchAlarms). Stats and obs counters accumulate in locals
@@ -419,17 +425,15 @@ func (m *Machine) verify(evs []wire.Event) (walked uint64) {
 		// Stack-shape events go through the per-event helpers: they are
 		// rare relative to branches and own their record/emit/gauge
 		// semantics.
-		for i < len(evs) && evs[i].Kind != wire.EvBranch {
-			switch evs[i].Kind {
+		if k := evs[i].Kind; k != wire.EvBranch {
+			switch k {
 			case wire.EvEnter:
 				m.enterFunc(evs[i].PC)
 			case wire.EvLeave:
 				m.leaveFunc()
 			}
 			i++
-		}
-		if i == len(evs) {
-			break
+			continue
 		}
 
 		// Hoist the top activation state across the run of consecutive
@@ -442,18 +446,13 @@ func (m *Machine) verify(evs []wire.Event) (walked uint64) {
 			act := &m.stack[n-1]
 			img, bsv = act.img, act.bsv
 		}
-
-		// Pre-scan the run extent: the work loops below then bound on a
-		// plain index compare instead of re-testing Kind per event.
-		end := i
-		for end < len(evs) && evs[end].Kind == wire.EvBranch {
-			end++
-		}
 		runStart := i
 
 		if img == nil {
 			// No protected frame on top: each branch only counts, cost 1.
-			i = end
+			for i < len(evs) && evs[i].Kind == wire.EvBranch {
+				i++
+			}
 		} else {
 			bk := img.Baked()
 			recs := bk.Recs
@@ -462,10 +461,13 @@ func (m *Machine) verify(evs []wire.Event) (walked uint64) {
 			// prove the bsv stores below never alias the image fields,
 			// so without this every event reloads Base and the params.
 			base := img.Base
-			s1, s2 := img.Hash.S1, img.Hash.S2
-			mask := uint64(img.Hash.Slots() - 1)
-			for ; i < end; i++ {
+			s1, s2 := img.Hash.S1&63, img.Hash.S2&63
+			mask := uint64(1)<<(img.Hash.SizeLog2&63) - 1
+			for ; i < len(evs); i++ {
 				ev := &evs[i]
+				if ev.Kind != wire.EvBranch {
+					break
+				}
 				pc := ev.PC
 				t := uint64(0)
 				if ev.Taken {
@@ -502,8 +504,8 @@ func (m *Machine) verify(evs []wire.Event) (walked uint64) {
 				// flattened longer list. The overflow flag rides in the
 				// already-loaded Meta word, so the common inline case
 				// never touches Off/Tail.
-				dir := t ^ 1 // 0 taken, 1 not-taken (BATHeads convention)
-				n := int(r.Meta >> (2 + dir*3) & 7)
+				dir := (t ^ 1) & 1 // 0 taken, 1 not-taken (BATHeads convention)
+				n := int(r.Meta >> ((2 + dir*3) & 31) & 7)
 				if n != 0 {
 					inl := &r.Inline[dir]
 					a := inl[0]
@@ -520,7 +522,7 @@ func (m *Machine) verify(evs []wire.Event) (walked uint64) {
 							}
 						}
 					}
-				} else if r.Meta>>(8+dir)&1 != 0 {
+				} else if r.Meta>>((8+dir)&31)&1 != 0 {
 					tail := int(r.Tail[dir])
 					for _, a := range acts[r.Off[dir] : int(r.Off[dir])+tail] {
 						bsv[a>>2] = tables.Status(a & 3)

@@ -58,8 +58,10 @@ const matchBits = 0b011011
 // alarm dispatch — a data-dependent status switch would mispredict on
 // exactly the irregular histories the checker exists to examine.
 // Statuses are always one of the three defined constants.
+// The shift count is masked to 6 bits, a no-op for those statuses and
+// a bit t in {0, 1}, so the compiler emits no oversized-shift guard.
 func (s Status) MatchFail(t uint64) uint64 {
-	return ^uint64(matchBits) >> (uint64(s)<<1 | t) & 1
+	return ^uint64(matchBits) >> ((uint64(s)<<1 | t) & 63) & 1
 }
 
 // BATEntry is one node of a BAT action list.
@@ -418,6 +420,7 @@ var (
 	ErrBadMagic     = errors.New("tables: bad magic")
 	ErrNonCanonical = errors.New("tables: non-canonical image")
 	ErrHashSize     = errors.New("tables: hash size above encoder ceiling")
+	ErrHashShift    = errors.New("tables: hash shift outside the encoder's search space")
 	ErrBCVLength    = errors.New("tables: BCV length does not match slot count")
 	ErrBATLink      = errors.New("tables: BAT link out of range")
 	ErrBATCycle     = errors.New("tables: BAT list revisits an entry")
@@ -495,6 +498,13 @@ func readFunc(data []byte, off int) (*FuncImage, int, error) {
 	}
 	if params.SizeLog2 > hashfn.MaxSizeLog2 {
 		return refuse(ErrHashSize, "%s: 2^%d slots", name, params.SizeLog2)
+	}
+	// The kernel masks shift counts to 6 bits; a shift outside the
+	// search space would hash differently masked than unmasked.
+	for _, sh := range [2]uint8{params.S1, params.S2} {
+		if sh < 1 || sh > hashfn.MaxShift {
+			return refuse(ErrHashShift, "%s: shift %d not in [1, %d]", name, sh, hashfn.MaxShift)
+		}
 	}
 	off += 4
 	n := params.Slots()

@@ -1,10 +1,12 @@
 package tables
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hashfn"
 	"repro/internal/ir"
 	"repro/internal/minic"
 )
@@ -167,6 +169,34 @@ func TestUnmarshalErrors(t *testing.T) {
 		}
 		if _, err := Unmarshal(data[:cut]); err == nil {
 			t.Errorf("truncation at %d must fail", cut)
+		}
+	}
+}
+
+// TestUnmarshalRefusesHashShift holds the decoder to hashfn's shift
+// search space: the kernel masks shift counts to 6 bits, so a forged
+// shift of 64 or more would hash differently there than unmasked, and
+// 0 is no shift the compiler can choose. Both ends of the space are
+// accepted.
+func TestUnmarshalRefusesHashShift(t *testing.T) {
+	_, _, im := encode(t, testSrc)
+	data := im.Marshal()
+	params := 8 + 4 + len(im.Funcs[0].Name) + 8 // header, name length, name, base
+	patched := func(off int, v byte) []byte {
+		c := append([]byte(nil), data...)
+		c[off] = v
+		return c
+	}
+	for _, field := range []int{params, params + 1} {
+		for _, v := range []byte{0, hashfn.MaxShift + 1, 63, 64, 65, 255} {
+			if _, err := Unmarshal(patched(field, v)); !errors.Is(err, ErrHashShift) {
+				t.Errorf("shift byte %d = %d: error %v, want ErrHashShift", field-params, v, err)
+			}
+		}
+		for _, v := range []byte{1, hashfn.MaxShift} {
+			if _, err := Unmarshal(patched(field, v)); err != nil {
+				t.Errorf("shift byte %d = %d refused: %v", field-params, v, err)
+			}
 		}
 	}
 }

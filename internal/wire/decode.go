@@ -247,18 +247,35 @@ func (d *decoder) events(evs []Event) ([]Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	if need := len(evs) + n; cap(evs) < need {
-		grown := make([]Event, len(evs), need)
+	start := len(evs)
+	if need := start + n; cap(evs) < need {
+		grown := make([]Event, start, need)
 		copy(grown, evs)
 		evs = grown
 	}
 	// The loop below is the server's per-event decode cost, so it works
-	// on local cursor copies and unrolls the one- and two-byte uvarint
-	// cases (instrumented PCs are small; multi-byte PCs take the
-	// binary.Uvarint fallback). Semantics are identical to u8+uvarint.
+	// on local cursor copies and writes each event by index into the
+	// slice pre-sized from the count. The dominant shape — a branch
+	// kind byte and a 2-byte PC uvarint — is recognised with one masked
+	// compare on three bytes: kind&0xFE == 2 (taken or not-taken), the
+	// first PC byte continues (0x80 set), the second ends it (0x80
+	// clear). Every other shape takes the general path, which unrolls
+	// the one- and two-byte uvarint cases and falls back to
+	// binary.Uvarint for longer PCs. Semantics are identical to
+	// u8+uvarint.
+	evs = evs[:start+n]
+	out := evs[start:]
 	b := d.b
 	off := d.off
-	for i := 0; i < n; i++ {
+	for i := range out {
+		if w := b[off:]; len(w) >= 3 {
+			v := uint32(w[0]) | uint32(w[1])<<8 | uint32(w[2])<<16
+			if v&0x8080FE == 0x008002 {
+				out[i] = Event{PC: uint64(v>>8&0x7f) | uint64(v>>16)<<7, Kind: EvBranch, Taken: v&1 == 0}
+				off += 3
+				continue
+			}
+		}
 		if off >= len(b) {
 			d.off = off
 			return nil, d.fail("event kind")
@@ -266,7 +283,7 @@ func (d *decoder) events(evs []Event) ([]Event, error) {
 		k := b[off]
 		off++
 		if k == evLeave {
-			evs = append(evs, Event{Kind: EvLeave})
+			out[i] = Event{Kind: EvLeave}
 			continue
 		}
 		if k > evBranchNotTaken {
@@ -291,11 +308,11 @@ func (d *decoder) events(evs []Event) ([]Event, error) {
 		}
 		switch k {
 		case evEnter:
-			evs = append(evs, Event{Kind: EvEnter, PC: pc})
+			out[i] = Event{PC: pc, Kind: EvEnter}
 		case evBranchTaken:
-			evs = append(evs, Event{Kind: EvBranch, PC: pc, Taken: true})
+			out[i] = Event{PC: pc, Kind: EvBranch, Taken: true}
 		default:
-			evs = append(evs, Event{Kind: EvBranch, PC: pc})
+			out[i] = Event{PC: pc, Kind: EvBranch}
 		}
 	}
 	d.off = off

@@ -30,6 +30,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Version is the protocol version carried in Hello/HelloAck. A daemon
@@ -185,9 +186,13 @@ const batchExtTrace = 1
 // base), a function return, or a committed conditional branch
 // (PC = branch address, Taken = direction). This is the unit the
 // daemon feeds to ipds.Machine.EnterFunc/LeaveFunc/OnBranch.
+//
+// PC leads so the two one-byte fields share its trailing word: the
+// struct is 16 bytes, not 24, in every decoded batch, recorder window
+// and captured stream (TestEventLayout holds it there).
 type Event struct {
-	Kind  EventKind
 	PC    uint64
+	Kind  EventKind
 	Taken bool
 }
 
@@ -490,9 +495,22 @@ func appendBatch(dst []byte, b Batch) ([]byte, error) {
 	if len(b.Events) > MaxBatch {
 		return nil, fmt.Errorf("wire: batch of %d events exceeds MaxBatch", len(b.Events))
 	}
+	// One growth for the common case: every event a 3-byte branch.
+	dst = slices.Grow(dst, 1+binary.MaxVarintLen64+3*len(b.Events))
 	dst = append(dst, byte(TypeBatch))
 	dst = binary.AppendUvarint(dst, uint64(len(b.Events)))
 	for _, ev := range b.Events {
+		// Fast path, the dominant shape of instrumented code: a branch
+		// whose PC is a 2-byte uvarint (0x80 <= PC < 0x4000), written
+		// as kind byte plus both varint bytes at once.
+		if ev.Kind == EvBranch && ev.PC-0x80 < 0x4000-0x80 {
+			k := byte(evBranchNotTaken)
+			if ev.Taken {
+				k = evBranchTaken
+			}
+			dst = append(dst, k, byte(ev.PC)|0x80, byte(ev.PC>>7))
+			continue
+		}
 		switch ev.Kind {
 		case EvEnter:
 			dst = append(dst, evEnter)

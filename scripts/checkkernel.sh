@@ -1,18 +1,20 @@
 #!/usr/bin/env bash
 # checkkernel.sh — kernel regression gate (`make kernel-gate`).
 #
-# Benchmarks the batched verification kernel against a base commit on
-# the same host: BenchmarkOnBatch (the baked slot-record hot path) and
+# Benchmarks the per-event hot path against a base commit on the same
+# host: BenchmarkOnBatch (the baked slot-record verification kernel),
 # BenchmarkOnBatchRecorder (the same with the daemon's default flight
-# recorder). The base commit's internal/ipds test binary is built from
-# a temporary `git worktree` at KERNEL_BASE (default: the merge base of
+# recorder) and BenchmarkDecodeBatchInto (internal/wire's batch decoder
+# over perfbench-shaped 512-event frames). The base commit's
+# internal/ipds and internal/wire test binaries are built from a
+# temporary `git worktree` at KERNEL_BASE (default: the merge base of
 # HEAD and main), the working tree's from the checkout; the two run
 # alternately, KERNEL_COUNT times each (default 6). The gate fails when
 # the change's best-of ns/event exceeds the base's best-of by more than
-# KERNEL_TOL percent (default 15) on either benchmark. Best-of-N on
-# both sides, interleaved, is the estimator: a single noisy run on a
-# loaded host cannot flake it, and a host that is uniformly slower or
-# faster moves both sides alike.
+# KERNEL_TOL percent (default 15) on any benchmark; one the base does
+# not have yet is skipped. Best-of-N on both sides, interleaved, is the
+# estimator: a single noisy run on a loaded host cannot flake it, and a
+# host that is uniformly slower or faster moves both sides alike.
 #
 #   ./scripts/checkkernel.sh
 #   KERNEL_BASE=HEAD~3 KERNEL_COUNT=10 ./scripts/checkkernel.sh
@@ -22,7 +24,12 @@ cd "$(dirname "$0")/.."
 TOL="${KERNEL_TOL:-15}"
 COUNT="${KERNEL_COUNT:-6}"
 BASE="${KERNEL_BASE:-$(git merge-base HEAD main)}"
-BENCHES="BenchmarkOnBatch BenchmarkOnBatchRecorder"
+BENCHES="BenchmarkOnBatch BenchmarkOnBatchRecorder BenchmarkDecodeBatchInto"
+# Benchmark pattern per package under internal/.
+declare -A PATTERN=(
+	[ipds]='^BenchmarkOnBatch(Recorder)?$'
+	[wire]='^BenchmarkDecodeBatchInto$'
+)
 
 work=$(mktemp -d)
 cleanup() {
@@ -32,15 +39,19 @@ cleanup() {
 trap cleanup EXIT
 
 git worktree add --detach --quiet "$work/base" "$BASE"
-(cd "$work/base" && go test -c -o "$work/base.test" ./internal/ipds)
-go test -c -o "$work/change.test" ./internal/ipds
+for p in "${!PATTERN[@]}"; do
+	(cd "$work/base" && go test -c -o "$work/base-$p.test" "./internal/$p")
+	go test -c -o "$work/change-$p.test" "./internal/$p"
+done
 
-# run SIDE DIR: one pass of both benchmarks, appended to $work/SIDE.out
+# run SIDE DIR: one pass of every benchmark, appended to $work/SIDE.out
 # with each line tagged by side.
 run() {
-	(cd "$2/internal/ipds" && "$work/$1.test" -test.run '^$' \
-		-test.bench '^BenchmarkOnBatch(Recorder)?$' -test.count 1) |
-		sed "s/^/$1 /" | tee -a "$work/$1.out"
+	for p in "${!PATTERN[@]}"; do
+		(cd "$2/internal/$p" && "$work/$1-$p.test" -test.run '^$' \
+			-test.bench "${PATTERN[$p]}" -test.count 1) |
+			sed "s/^/$1 /" | tee -a "$work/$1.out"
+	done
 }
 for i in $(seq "$COUNT"); do
 	run base "$work/base"
@@ -77,4 +88,4 @@ for b in $BENCHES; do
 	fail=1
 done
 [ "$fail" = 0 ] || exit 1
-echo "checkkernel: batched kernel holds the base commit's speed"
+echo "checkkernel: batched kernel and batch decoder hold the base commit's speed"

@@ -190,6 +190,9 @@ func tableSeeds() map[string][]byte {
 		return image(append(append(append([]byte(nil), rec[:off]...), b...), rec[off+len(b):]...))
 	}
 	out["hostile-hash-pad"] = patch(params+3, 1)
+	// S1 = 64: the kernel masks shift counts to 6 bits, under which
+	// this shift would hash as 0 instead of clearing its term.
+	out["hostile-hash-shift"] = patch(params, 64)
 	out["hostile-npcs"] = patch(params+4, 0xf0, 0xff, 0xff, 0xff)
 	out["hostile-trailing"] = append(image(rec), 0)
 	// A ~50-byte record claiming 2^34 slots: a decoder that trusts
