@@ -61,7 +61,8 @@ alloc-gate:
 
 # Kernel-regression gate: the batched verification kernel's and the
 # batch decoder's best-of ns/event (BenchmarkOnBatch,
-# BenchmarkOnBatchRecorder, BenchmarkDecodeBatchInto) must stay
+# BenchmarkOnBatchRecorder, BenchmarkOnBatchPerf,
+# BenchmarkDecodeBatchInto) must stay
 # within KERNEL_TOL percent (default 15) of a base commit built from a
 # git worktree and run alternately on the same host (KERNEL_BASE,
 # default the merge base with main; KERNEL_COUNT runs each, default 6).

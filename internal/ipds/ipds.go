@@ -234,6 +234,11 @@ func (m *Machine) LeaveFunc() {
 
 // enterFunc and leaveFunc are EnterFunc and LeaveFunc without filling
 // in the flight recorder, which verify defers to the end of its batch.
+// They are the kernel's stack-event cost, so the on-chip bits come
+// straight from the FuncImage and each side effect is called only when
+// its guard holds: spillToFit when a budget is exceeded, record with
+// the recorder on, emit with a sink attached, syncGauges when the
+// gauges are instrumented.
 func (m *Machine) enterFunc(base uint64) {
 	m.stats.Pushes++
 	m.met.pushes.Inc()
@@ -254,17 +259,26 @@ func (m *Machine) enterFunc(base uint64) {
 		} else {
 			act.bsv = make([]tables.Status, img.NumSlots)
 		}
+		m.bsvBits += img.BSVBits
+		m.bcvBits += img.BCVBits
+		m.batBits += img.BATBits
 	} else {
 		act.bsv = act.bsv[:0]
 	}
-	b1, b2, b3 := act.bits()
-	m.bsvBits += b1
-	m.bcvBits += b2
-	m.batBits += b3
-	m.spillToFit()
-	m.record(EvEnter, base, 0)
-	m.emit(Event{Kind: EvEnter, Seq: m.seq, Depth: len(m.stack), Base: base})
-	m.syncGauges()
+	// Checked whatever img is: a lone oversized frame stays resident
+	// over budget until a push gives spillToFit a frame below the top.
+	if m.overBudget() {
+		m.spillToFit()
+	}
+	if m.rec.enabled() {
+		m.record(EvEnter, base, 0)
+	}
+	if m.sink != nil {
+		m.sink.Emit(Event{Kind: EvEnter, Seq: m.seq, Depth: len(m.stack), Base: base})
+	}
+	if m.met.depth != nil {
+		m.syncGauges()
+	}
 }
 
 func (m *Machine) leaveFunc() {
@@ -273,35 +287,44 @@ func (m *Machine) leaveFunc() {
 	}
 	m.stats.Pops++
 	m.met.pops.Inc()
-	top := &m.stack[len(m.stack)-1]
-	b1, b2, b3 := top.bits()
+	img := m.stack[len(m.stack)-1].img
 	m.stack = m.stack[:len(m.stack)-1]
 	if len(m.stack) < m.resident {
 		// The popped frame was itself spilled (cannot happen with the
 		// fill-on-pop policy, but keep the invariant safe).
 		m.resident = len(m.stack)
+	} else {
+		if img != nil {
+			m.bsvBits -= img.BSVBits
+			m.bcvBits -= img.BCVBits
+			m.batBits -= img.BATBits
+		}
+		// Fill the new top if it had been spilled.
+		if m.resident > 0 && m.resident == len(m.stack) {
+			m.fillTop()
+		}
+	}
+	if m.rec.enabled() {
 		m.record(EvLeave, 0, 0)
-		m.emit(Event{Kind: EvLeave, Seq: m.seq, Depth: len(m.stack)})
+	}
+	if m.sink != nil {
+		m.sink.Emit(Event{Kind: EvLeave, Seq: m.seq, Depth: len(m.stack)})
+	}
+	if m.met.depth != nil {
 		m.syncGauges()
-		return
 	}
-	m.bsvBits -= b1
-	m.bcvBits -= b2
-	m.batBits -= b3
-	// Fill the new top if it had been spilled.
-	if m.resident > 0 && m.resident == len(m.stack) && len(m.stack) > 0 {
-		m.fillTop()
-	}
-	m.record(EvLeave, 0, 0)
-	m.emit(Event{Kind: EvLeave, Seq: m.seq, Depth: len(m.stack)})
-	m.syncGauges()
+}
+
+// overBudget reports whether the resident frames exceed any on-chip
+// buffer: the condition under which spillToFit has work.
+func (m *Machine) overBudget() bool {
+	return m.bsvBits > m.cfg.BSVStackBits ||
+		m.bcvBits > m.cfg.BCVStackBits ||
+		m.batBits > m.cfg.BATStackBits
 }
 
 func (m *Machine) spillToFit() {
-	for m.resident < len(m.stack)-1 &&
-		(m.bsvBits > m.cfg.BSVStackBits ||
-			m.bcvBits > m.cfg.BCVStackBits ||
-			m.batBits > m.cfg.BATStackBits) {
+	for m.resident < len(m.stack)-1 && m.overBudget() {
 		victim := m.stack[m.resident]
 		b1, b2, b3 := victim.bits()
 		m.bsvBits -= b1
@@ -364,7 +387,8 @@ func (m *Machine) OnBranch(pc uint64, taken bool) (*Alarm, int) {
 // for the batWalk histogram: walks shorter than this (all of them, in
 // practice — see BakedInline) are counted in Machine.walkLens and
 // flushed by the caller, OnBatch with one ObserveN per length; longer
-// walks observe directly.
+// walks observe directly. Nothing is tallied while the histogram is
+// nil (a machine never Instrumented, as in the daemon).
 const batchWalkBuckets = 16
 
 // OnBatch drives a whole decoded event batch — function entries,
@@ -377,7 +401,9 @@ const batchWalkBuckets = 16
 // internal/cpu timing model sees identical access counts. The golden
 // equivalence test in internal/server and the linked-list oracle test
 // in this package hold it to that. It performs zero heap allocations
-// per event on a warmed machine.
+// per event on a warmed machine. The walk-length tally is flushed into
+// the batWalk histogram only when Instrument made it live; an
+// uninstrumented machine neither fills nor flushes it.
 //
 // The returned slice is owned by the machine and valid only until the
 // next OnBatch, OnBranch or Reset call; callers that retain alarms must
@@ -386,10 +412,12 @@ func (m *Machine) OnBatch(evs []wire.Event) []Alarm {
 	m.batchAlarms = m.batchAlarms[:0]
 	m.verify(evs)
 	m.fillRecorder(evs)
-	for l, c := range m.walkLens {
-		m.met.batWalk.ObserveN(uint64(l), c)
+	if m.met.batWalk != nil {
+		for l, c := range m.walkLens {
+			m.met.batWalk.ObserveN(uint64(l), c)
+		}
+		m.walkLens = [batchWalkBuckets]uint64{}
 	}
-	m.walkLens = [batchWalkBuckets]uint64{}
 	return m.batchAlarms
 }
 
@@ -410,15 +438,16 @@ func (m *Machine) OnBatch(evs []wire.Event) []Alarm {
 //
 // It advances m.seq and raises alarms (appending them to
 // m.batchAlarms). Stats and obs counters accumulate in locals
-// flushed once per call instead of per event; each walk's length is
-// tallied into m.walkLens for the caller to flush into the batWalk
-// histogram (walks too long for the tally observe directly). It
-// returns the BAT actions walked: each branch costs 1 + the actions it
-// walked.
+// flushed once per call instead of per event; when the batWalk
+// histogram is live, each walk's length is tallied into m.walkLens for
+// the caller to flush into it (walks too long for the tally observe
+// directly) — with it nil, the per-branch tally is skipped. It returns
+// the BAT actions walked: each branch costs 1 + the actions it walked.
 func (m *Machine) verify(evs []wire.Event) (walked uint64) {
 	var branches, verified, rejects uint64
 	seq := m.seq // kept in a register; synced to m.seq outside branch runs
 	strict := m.cfg.Strict
+	tally := m.met.batWalk != nil // walk lengths feed only a live histogram
 
 	i := 0
 	for i < len(evs) {
@@ -530,10 +559,12 @@ func (m *Machine) verify(evs []wire.Event) (walked uint64) {
 					n = tail
 				}
 				walked += uint64(n)
-				if n < batchWalkBuckets {
-					m.walkLens[n]++
-				} else {
-					m.met.batWalk.Observe(uint64(n))
+				if tally {
+					if n < batchWalkBuckets {
+						m.walkLens[n]++
+					} else {
+						m.met.batWalk.Observe(uint64(n))
+					}
 				}
 			}
 		}

@@ -409,22 +409,24 @@ func (c *Client) SendEncoded(frames []byte, events, branches uint64) error {
 
 // ship writes encoded Batch frames holding events events, branches of
 // them branch events, as one mark and one write. It is the only writer
-// of Batch bytes, so it alone stamps traces.
+// of Batch bytes, so it alone stamps traces. One clock reading serves
+// the write's trace origin, its mark and its write deadline.
 func (c *Client) ship(frames []byte, events, branches uint64) error {
+	now := time.Now()
 	if c.cfg.TraceSample > 0 {
 		var err error
-		if frames, err = c.stamp(frames); err != nil {
+		if frames, err = c.stamp(frames, now); err != nil {
 			return err
 		}
 	}
 	evLo, brLo := c.sent, c.branches
 	c.sent += events
 	c.branches += branches
-	mark := batchMark{evLo: evLo, events: c.sent, brLo: brLo, branchHi: c.branches, sent: time.Now()}
+	mark := batchMark{evLo: evLo, events: c.sent, brLo: brLo, branchHi: c.branches, sent: now}
 	c.mu.Lock()
 	c.marks = append(c.marks, mark)
 	c.mu.Unlock()
-	c.conn.SetWriteDeadline(time.Now().Add(c.cfg.Timeout))
+	c.conn.SetWriteDeadline(now.Add(c.cfg.Timeout))
 	if _, err := c.conn.Write(frames); err != nil {
 		return fmt.Errorf("ipdsclient: %w", err)
 	}
@@ -433,10 +435,11 @@ func (c *Client) ship(frames []byte, events, branches uint64) error {
 
 // stamp walks frames by their length prefixes and returns them with
 // every TraceSample-th frame, counted by flushCnt, carrying the trace
-// extension and this write's origin. Stamped output is built in the
-// client's scratch buffer; a write that stamps nothing returns frames.
-func (c *Client) stamp(frames []byte) ([]byte, error) {
-	n, every, origin := c.flushCnt, uint64(c.cfg.TraceSample), uint64(time.Now().UnixNano())
+// extension and this write's origin, now. Stamped output is built in
+// the client's scratch buffer; a write that stamps nothing returns
+// frames.
+func (c *Client) stamp(frames []byte, now time.Time) ([]byte, error) {
+	n, every, origin := c.flushCnt, uint64(c.cfg.TraceSample), uint64(now.UnixNano())
 	out, copied := c.scratch[:0], 0
 	for off := 0; off < len(frames); n++ {
 		if len(frames)-off < 4 {

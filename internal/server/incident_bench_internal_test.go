@@ -51,8 +51,9 @@ func (st *incidentStage) stall() (release func()) {
 
 // BenchmarkVerifyBatchIncident measures the verifier's per-batch cost
 // with the incident stage enabled — the serve path's side of the
-// analytics contract. It drives verifyBatch directly (no sockets, no
-// client), and the analyzer is stalled for the timed section (the
+// analytics contract. It drives the verifier's pass directly (no
+// sockets, no client), verifyPop batches at a time as a busy session's
+// ring hands them over, and the analyzer is stalled for the timed section (the
 // roomy queue absorbs every offer), so the allocs/op it reports — which
 // b.ReportAllocs counts process-wide — is the verifier's and its core
 // writer's alone: `make alloc-gate` requires it to stay 0 even while
@@ -133,15 +134,21 @@ func BenchmarkVerifyBatchIncident(b *testing.B) {
 		chunks = append(chunks, trace[off:end])
 	}
 	events := 0
+	var tasks [verifyPop]task
 	feed := func(n int) {
-		for i := 0; i < n; i++ {
-			bt := srv.batchPool.Get().(*wire.Batch)
-			bt.Events = chunks[i%len(chunks)]
-			events += len(bt.Events)
-			// Sampled as the reader samples — every spanSampleEvery-th
-			// batch leases a span record — so the writer's span commit
-			// and wait-histogram path is measured too.
-			srv.verifyBatch(v, ss, task{b: bt, sp: ss.sample(bt)})
+		for i := 0; i < n; {
+			k := min(n-i, verifyPop)
+			for j := range k {
+				bt := srv.batchPool.Get().(*wire.Batch)
+				bt.Events = chunks[(i+j)%len(chunks)]
+				events += len(bt.Events)
+				// Sampled as the reader samples — every spanSampleEvery-th
+				// batch leases a span record — so the writer's span commit
+				// and wait-histogram path is measured too.
+				tasks[j] = task{b: bt, sp: ss.sample(bt)}
+			}
+			v.pass(ss, tasks[:k])
+			i += k
 		}
 	}
 	// Warm everything the steady state reuses: pools, encode buffers,

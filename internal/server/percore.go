@@ -88,7 +88,14 @@ type verifier struct {
 	// sessions is the loop-private scan list.
 	sessions []*session
 
+	// tally is the loop-private bookkeeping of the session pass in
+	// progress; publish flushes it into the atomics below, the
+	// session's and the server-wide series.
+	tally passTally
+
 	// Per-core telemetry, atomics so CoreStats can read cross-goroutine.
+	// Published once per session pass, so they trail the verified
+	// stream by at most one pass.
 	events      atomic.Uint64
 	batches     atomic.Uint64
 	alarms      atomic.Uint64
@@ -170,26 +177,12 @@ func (v *verifier) loop() {
 		for i := 0; i < len(v.sessions); {
 			ss := v.sessions[i]
 			n := ss.ring.PopSlice(tasks[:])
+			finished := false
 			if n > 0 {
 				// Slots were freed: a reader parked on the full ring
 				// can publish again while this core verifies.
 				ss.pk.Wake()
-			}
-			finished := false
-			for j := 0; j < n; j++ {
-				t := tasks[j]
-				tasks[j] = task{}
-				switch {
-				case t.b != nil:
-					v.srv.verifyBatch(v, ss, t)
-				case t.fb != nil:
-					v.send(writeOp{s: ss, fb: t.fb})
-				case t.done:
-					v.finish(ss)
-					finished = true
-				}
-			}
-			if n > 0 {
+				finished = v.pass(ss, tasks[:n])
 				worked = true
 			}
 			if finished {
@@ -215,6 +208,82 @@ func (v *verifier) loop() {
 			v.pk.Park()
 		}
 	}
+}
+
+// passTally is one session pass's verify bookkeeping: what the pass's
+// batches add to the per-core, per-session and server-wide counters,
+// accumulated in plain fields and published in one go.
+type passTally struct {
+	events, batches, alarms, verifyNs uint64
+	lastStart                         int64 // unix nanos the pass's newest batch started
+}
+
+// pass runs the tasks one pop took from a session's ring and reports
+// whether the session finished. One clock reading starts the pass and
+// each batch's end time starts the next, and the batches' bookkeeping
+// is tallied and published once, after the last of them — so a pass
+// of verifyPop batches pays one publication, not one per batch. The
+// newest batch's reply (its alarms and Ack) is held back until that
+// publication: a client holding the Ack for everything it sent reads
+// telemetry that covers it. A done task is always the pass's last (the
+// reader publishes it strictly last), and the session is sealed only
+// after the publication, so its final counters are exact.
+func (v *verifier) pass(ss *session, tasks []task) (finished bool) {
+	now := nowNs()
+	var held *frameBuf
+	for j := range tasks {
+		t := tasks[j]
+		tasks[j] = task{}
+		switch {
+		case t.b != nil:
+			if held != nil {
+				v.send(writeOp{s: ss, fb: held})
+			}
+			held, now = v.srv.verifyBatch(v, ss, t, now)
+		case t.fb != nil:
+			if held != nil {
+				v.send(writeOp{s: ss, fb: held})
+				held = nil
+			}
+			v.send(writeOp{s: ss, fb: t.fb})
+		case t.done:
+			finished = true
+		}
+	}
+	v.publish(ss)
+	if held != nil {
+		v.send(writeOp{s: ss, fb: held})
+	}
+	if finished {
+		v.finish(ss)
+	}
+	return finished
+}
+
+// publish flushes the pass tally into the per-core counters, the
+// session's /debug/sessions telemetry and the server-wide series, and
+// resets it. A pass that verified no batch publishes nothing.
+func (v *verifier) publish(ss *session) {
+	t := &v.tally
+	if t.batches == 0 {
+		return
+	}
+	met := &v.srv.met
+	met.eventsTotal.Add(t.events)
+	met.batchesTotal.Add(t.batches)
+	met.alarmsTotal.Add(t.alarms)
+	v.events.Add(t.events)
+	v.batches.Add(t.batches)
+	v.alarms.Add(t.alarms)
+	v.verifyNs.Add(t.verifyNs)
+	ss.events.Store(ss.acked)
+	ss.batchesN.Add(t.batches)
+	total := ss.alarmsN.Add(t.alarms)
+	ss.verifyNs.Add(t.verifyNs)
+	ss.recTotal.Store(ss.m.RecorderTotal())
+	ss.lastBatch.Store(t.lastStart)
+	ss.updateRate(t.lastStart, total)
+	*t = passTally{}
 }
 
 // send pushes one op into the core's writer ring, parking (counted as
@@ -269,7 +338,7 @@ func (v *verifier) finish(ss *session) {
 			v.sendFrame(ss, incidentFrame(&incs[i]))
 		}
 	}
-	v.sendFrame(ss, wire.Ack{Events: ss.events.Load()})
+	v.sendFrame(ss, wire.Ack{Events: ss.acked})
 	v.sendFrame(ss, wire.Bye{})
 	v.send(writeOp{s: ss, close: true})
 }

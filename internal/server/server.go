@@ -26,8 +26,12 @@
 // the socket, counted, never unbounded buffering), and per-core
 // writer rings (verifiers stall when clients won't drain their
 // alarms, counted as server_backpressure_stalls_total). Sessions
-// carry a per-frame read deadline, so an idle client is evicted with
-// wire.ErrIdle instead of holding a machine forever. Shutdown drains
+// carry a read deadline, armed before every read that can block, so an
+// idle client is evicted with wire.ErrIdle instead of holding a machine
+// forever. Verifiers publish their bookkeeping — server-wide counters,
+// CoreStats, /debug/sessions — once per pass over a session's ring
+// rather than per batch, so live telemetry trails the verified stream
+// by at most one pass and is exact once a ring drains. Shutdown drains
 // gracefully: already-queued batches are verified and already-queued
 // alarms delivered, each session ending in a final Ack and Bye. The
 // incident analytics queue remains the system's single
@@ -57,8 +61,9 @@ type Config struct {
 	// wire.MaxBatch). Advertised to clients in the HelloAck.
 	MaxBatch int
 
-	// ReadTimeout is the per-frame read deadline; a session that sends
-	// nothing for this long is evicted (default 60s).
+	// ReadTimeout is the session read deadline, armed before every read
+	// that can block (not before frames already buffered); a session
+	// that sends nothing for this long is evicted (default 60s).
 	ReadTimeout time.Duration
 
 	// WriteTimeout bounds each outbound frame write (default 10s). A
@@ -500,15 +505,17 @@ func (s *Server) handleConn(conn net.Conn) {
 }
 
 // verifyBatch feeds one batch through the session's machine via the
-// zero-allocation OnBatch kernel, streams the raised alarms out through
-// pooled encode buffers, acknowledges the batch, and returns the batch
-// to the pool. Runs on the session's pinned verifier — the machine's
-// only driver.
-func (s *Server) verifyBatch(v *verifier, ss *session, t task) {
+// zero-allocation OnBatch kernel, encodes the raised alarms and the
+// batch's Ack into one pooled buffer, tallies the batch into the
+// verifier's pass tally, and returns the batch to the pool. start is
+// the unix-nanos time the batch's verification began; it returns the
+// buffer, for the caller to send, and the time verification ended,
+// which starts the next batch of the pass. Runs on the session's pinned
+// verifier — the machine's only driver.
+func (s *Server) verifyBatch(v *verifier, ss *session, t task, start int64) (*frameBuf, int64) {
 	n := len(t.b.Events)
-	start := time.Now()
 	if t.sp != nil {
-		t.sp.DequeueNs = start.UnixNano()
+		t.sp.DequeueNs = start
 	}
 	// The returned alarm slice is machine-owned and valid until the
 	// machine's next batch; this verifier is the machine's only driver,
@@ -524,7 +531,6 @@ func (s *Server) verifyBatch(v *verifier, ss *session, t task) {
 	// batch, however many alarms it raised.
 	fb := s.leaseBuf()
 	for i := range alarms {
-		s.met.alarmsTotal.Inc()
 		var err error
 		if fb.b, err = wire.AppendAlarm(fb.b, alarmFrame(&alarms[i])); err != nil {
 			panic(err) // alarmFrame clamps Func; unreachable absent a bug
@@ -581,31 +587,28 @@ func (s *Server) verifyBatch(v *verifier, ss *session, t task) {
 		}
 	}
 	s.batchPool.Put(t.b)
-	spent := uint64(time.Since(start).Nanoseconds())
+	// The Ack's value is the verifier-owned running total; the session's
+	// published copy catches up when the pass publishes.
+	ss.acked += uint64(n)
+	fb.b = wire.AppendAck(fb.b, wire.Ack{Events: ss.acked})
+	end := max(nowNs(), start) // a wall-clock step back must not wrap spent
+	spent := uint64(end - start)
 	s.met.verifyNs.Observe(spent)
-	s.met.eventsTotal.Add(uint64(n))
-	s.met.batchesTotal.Inc()
 	s.met.batchLen.Observe(uint64(n))
-	v.events.Add(uint64(n))
-	v.batches.Add(1)
-	v.alarms.Add(uint64(len(alarms)))
-	v.verifyNs.Add(spent)
-	ss.verifyNs.Add(spent)
-	ss.batchesN.Add(1)
-	total := ss.alarmsN.Add(uint64(len(alarms)))
-	ss.recTotal.Store(ss.m.RecorderTotal())
-	ss.lastBatch.Store(start.UnixNano())
-	ss.updateRate(start.UnixNano(), total)
-	done := ss.events.Add(uint64(n))
-	fb.b = wire.AppendAck(fb.b, wire.Ack{Events: done})
+	tl := &v.tally
+	tl.events += uint64(n)
+	tl.batches++
+	tl.alarms += uint64(len(alarms))
+	tl.verifyNs += spent
+	tl.lastStart = start
 	if t.sp != nil {
 		// Incident offer + forensics emission + ack encode are done; the
 		// record rides the frame buffer to the core writer, which stamps
 		// AckNs and commits once the coalesced write lands.
-		t.sp.OfferEndNs = nowNs()
+		t.sp.OfferEndNs = end
 		fb.sp = t.sp
 	}
-	v.send(writeOp{s: ss, fb: fb})
+	return fb, end
 }
 
 // leaseBuf leases an empty outbound frame buffer. The core writer, its

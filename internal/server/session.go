@@ -2,6 +2,8 @@ package server
 
 import (
 	"errors"
+	"math"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -48,16 +50,22 @@ type session struct {
 	// batch to carry a span record.
 	sampleCnt uint64
 
-	// events counts fully verified events (ack currency):
-	// verifier-written, read by the finish path and the debug endpoint.
+	// acked counts fully verified events — the ack currency every Ack
+	// frame carries. Verifier-owned plain field.
+	acked uint64
+
+	// events is acked's published copy for the debug endpoint.
 	events atomic.Uint64
 
 	// Telemetry for /debug/sessions: verifier-written, handler-read.
+	// The verifier publishes these and events once per pass (see
+	// verifier.pass): they trail the verified stream by at most one
+	// pass and are exact once the session's ring is drained.
 	batchesN  atomic.Uint64
 	alarmsN   atomic.Uint64
 	recTotal  atomic.Uint64
 	verifyNs  atomic.Uint64 // cumulative wall time inside verifyBatch
-	lastBatch atomic.Int64  // unix nanos of the last verified batch
+	lastBatch atomic.Int64  // unix nanos the last published batch started
 
 	// Windowed alarm rate: the verifier closes ≥1s windows over its own
 	// plain fields (the pinned core owns a session's batches, so no
@@ -149,9 +157,9 @@ func (s *session) stageCtrl(staged []task, f wire.Frame) []task {
 }
 
 // updateRate advances the session's alarm-rate window: called by the
-// owning verifier after each batch with the batch's start time and the
-// session's lifetime alarm total; windows at least one second wide are
-// closed into the published rate.
+// owning verifier when it publishes a pass, with the start time of the
+// pass's newest batch and the session's lifetime alarm total; windows
+// at least one second wide are closed into the published rate.
 func (s *session) updateRate(nowNs int64, totalAlarms uint64) {
 	if s.rateWinStart == 0 {
 		s.rateWinStart = s.started.UnixNano()
@@ -161,7 +169,14 @@ func (s *session) updateRate(nowNs int64, totalAlarms uint64) {
 		return
 	}
 	delta := totalAlarms - s.rateWinBase
-	milli := delta * 1000 * uint64(time.Second) / uint64(dt)
+	// delta·10¹² overflows 64 bits past ~1.8e7 alarms in a window (a
+	// wholesale-tamper flood fills one in a second): multiply into 128
+	// bits. The quotient only overflows at rates past 1.8e16 milli-alarms
+	// per second; saturate there rather than let Div64 panic.
+	milli := uint64(math.MaxUint64 - 1)
+	if hi, lo := bits.Mul64(delta, 1000*uint64(time.Second)); hi < uint64(dt) {
+		milli, _ = bits.Div64(hi, lo, uint64(dt))
+	}
 	s.rateMilli.Store(1 + milli) // +1 keeps "a closed window of zero" distinct from "no window yet"
 	s.rateWinStart, s.rateWinBase = nowNs, totalAlarms
 }
@@ -191,11 +206,15 @@ const drainGrace = 50 * time.Millisecond
 // stage to the session's ring whenever the socket has no more buffered
 // bytes (everything one syscall delivered becomes one ring publish) or
 // the stage is full. Stops on Bye / error / idle deadline, always
-// ending with a done-marked task — the FIFO drain barrier. During
-// server drain the loop keeps reading under drainGrace deadlines until
-// the socket goes quiet, so events the client sent before the shutdown
-// began are still verified (wire.Reader resumes cleanly across the
-// shutdown's deadline poke).
+// ending with a done-marked task — the FIFO drain barrier. The read
+// deadline is armed only before a read that can block: when the next
+// frame is not wholly buffered (wire.Reader.FrameBuffered), so every
+// read that can wait on the socket starts a fresh ReadTimeout while a
+// run of frames one fill delivered costs no deadline syscalls. During
+// server drain the loop keeps reading under drainGrace deadlines,
+// re-armed before every frame, until the socket goes quiet, so events
+// the client sent before the shutdown began are still verified
+// (wire.Reader resumes cleanly across the shutdown's deadline poke).
 func (s *session) readLoop() {
 	defer s.srv.readerWG.Done()
 	srv := s.srv
@@ -219,16 +238,16 @@ func (s *session) readLoop() {
 			s.publish(staged)
 			staged = staged[:0]
 		}
-		d := srv.cfg.ReadTimeout
 		if graced {
-			d = drainGrace
-		}
-		s.conn.SetReadDeadline(time.Now().Add(d))
-		if !graced && srv.draining.Load() {
-			// Shutdown's deadline poke may have landed before this
-			// deadline replaced it: go around under the grace deadline
-			// instead of blocking for a full ReadTimeout.
-			continue
+			s.conn.SetReadDeadline(time.Now().Add(drainGrace))
+		} else if !s.rd.FrameBuffered() {
+			s.conn.SetReadDeadline(time.Now().Add(srv.cfg.ReadTimeout))
+			if srv.draining.Load() {
+				// Shutdown's deadline poke may have landed before this
+				// deadline replaced it: go around under the grace deadline
+				// instead of blocking for a full ReadTimeout.
+				continue
+			}
 		}
 		f, err := s.rd.NextInto(b)
 		if err != nil {

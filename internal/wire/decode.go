@@ -255,26 +255,20 @@ func (d *decoder) events(evs []Event) ([]Event, error) {
 	}
 	// The loop below is the server's per-event decode cost, so it works
 	// on local cursor copies and writes each event by index into the
-	// slice pre-sized from the count. The dominant shape — a branch
-	// kind byte and a 2-byte PC uvarint — is recognised with one masked
-	// compare on three bytes: kind&0xFE == 2 (taken or not-taken), the
-	// first PC byte continues (0x80 set), the second ends it (0x80
-	// clear). Every other shape takes the general path, which unrolls
-	// the one- and two-byte uvarint cases and falls back to
-	// binary.Uvarint for longer PCs. Semantics are identical to
-	// u8+uvarint.
+	// slice pre-sized from the count. Runs of the dominant shape go
+	// through branchRun's tight loop; the code here decodes the one
+	// event that ended a run, which unrolls the one- and two-byte
+	// uvarint cases and falls back to binary.Uvarint for longer PCs.
+	// Semantics are identical to u8+uvarint.
 	evs = evs[:start+n]
 	out := evs[start:]
 	b := d.b
 	off := d.off
-	for i := range out {
-		if w := b[off:]; len(w) >= 3 {
-			v := uint32(w[0]) | uint32(w[1])<<8 | uint32(w[2])<<16
-			if v&0x8080FE == 0x008002 {
-				out[i] = Event{PC: uint64(v>>8&0x7f) | uint64(v>>16)<<7, Kind: EvBranch, Taken: v&1 == 0}
-				off += 3
-				continue
-			}
+	for i := 0; i < len(out); i++ {
+		var run int
+		run, off = branchRun(out[i:], b, off)
+		if i += run; i == len(out) {
+			break
 		}
 		if off >= len(b) {
 			d.off = off
@@ -317,6 +311,28 @@ func (d *decoder) events(evs []Event) ([]Event, error) {
 	}
 	d.off = off
 	return evs, nil
+}
+
+// branchRun decodes the leading run of dominant-shape events at b[off:]
+// — a branch kind byte and a 2-byte PC uvarint — into out, and returns
+// how many it decoded and the offset behind them. Each is recognised
+// with one masked compare on three bytes: kind&0xFE == 2 (taken or
+// not-taken), the first PC byte continues (0x80 set), the second ends
+// it (0x80 clear). The run stops at the first other shape, at fewer
+// than three bytes left, or when out is full. Kept apart from the
+// general decoder so its loop lives in registers.
+func branchRun(out []Event, b []byte, off int) (int, int) {
+	i := 0
+	for ; i < len(out) && off+3 <= len(b); i++ {
+		w := b[off : off+3 : off+3]
+		v := uint32(w[0]) | uint32(w[1])<<8 | uint32(w[2])<<16
+		if v&0x8080FE != 0x008002 {
+			break
+		}
+		out[i] = Event{PC: uint64(v>>8&0x7f) | uint64(v>>16)<<7, Kind: EvBranch, Taken: v&1 == 0}
+		off += 3
+	}
+	return i, off
 }
 
 // intoDecoder applies Decode's payload checks for a decoder of one
@@ -609,6 +625,30 @@ func NewReader(r io.Reader) *Reader {
 // readers use this to coalesce everything one socket read delivered
 // into a single ring publish.
 func (r *Reader) Buffered() int { return r.br.Buffered() }
+
+// FrameBuffered reports whether the rest of the next frame — whatever
+// of its length prefix and payload an interrupted read has not already
+// consumed — is waiting in the reader's buffer, so the next Next,
+// NextHeader or NextInto completes without touching the underlying
+// connection. A partly buffered frame reports false: its read can
+// block. The server arms a session's read deadline only when this is
+// false, so every read that can wait on the socket starts with a
+// fresh deadline, while a run of frames one fill delivered costs no
+// deadline syscalls.
+func (r *Reader) FrameBuffered() bool {
+	n := r.br.Buffered()
+	if r.need != 0 {
+		return n >= r.need-r.got
+	}
+	left := 4 - r.hdrN
+	if n < left {
+		return false
+	}
+	hdr := r.hdr
+	p, _ := r.br.Peek(left) // buffered, so Peek cannot read or fail
+	copy(hdr[r.hdrN:], p)
+	return uint64(n-left) >= uint64(binary.LittleEndian.Uint32(hdr[:]))
+}
 
 // minFrameBuf is the frame buffer's starting capacity; doubling from
 // here reaches MaxFrame in a handful of growth steps.

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"reflect"
@@ -414,5 +415,73 @@ func TestAppendAlarmAckNoAlloc(t *testing.T) {
 		_ = b
 	}); n != 0 {
 		t.Fatalf("alarm+ack encode allocates %v times per run, want 0", n)
+	}
+}
+
+// trickle is a connection that hands out queued chunks one Read at a
+// time and reports errWouldBlock — a stand-in for a read deadline
+// firing — when none is queued, counting every Read that reaches it.
+type trickle struct {
+	chunks [][]byte
+	reads  int
+}
+
+var errWouldBlock = errors.New("would block")
+
+func (t *trickle) Read(p []byte) (int, error) {
+	t.reads++
+	if len(t.chunks) == 0 {
+		return 0, errWouldBlock
+	}
+	n := copy(p, t.chunks[0])
+	if t.chunks[0] = t.chunks[0][n:]; len(t.chunks[0]) == 0 {
+		t.chunks = t.chunks[1:]
+	}
+	return n, nil
+}
+
+// TestReaderFrameBuffered holds FrameBuffered to its contract over
+// random chunkings of a frame stream, including frames split across
+// fills and reads resumed after an interrupted header or payload: when
+// it reports true the next Next completes without reading the
+// connection, and when it reports false the next Next has to read it.
+func TestReaderFrameBuffered(t *testing.T) {
+	var stream []byte
+	frames := sampleFrames()
+	for _, f := range frames {
+		stream = MustAppend(stream, f)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		var chunks [][]byte
+		for rest := stream; len(rest) > 0; {
+			n := min(1+rng.Intn(120), len(rest))
+			chunks, rest = append(chunks, rest[:n]), rest[n:]
+		}
+		src := &trickle{}
+		r := NewReader(src)
+		for got := 0; got < len(frames); {
+			buffered := r.FrameBuffered()
+			before := src.reads
+			f, err := r.Next()
+			read := src.reads != before
+			if buffered && (err != nil || read) {
+				t.Fatalf("trial %d frame %d: FrameBuffered but Next read=%v err=%v", trial, got, read, err)
+			}
+			if !buffered && !read {
+				t.Fatalf("trial %d frame %d: FrameBuffered false but Next never read", trial, got)
+			}
+			if errors.Is(err, errWouldBlock) {
+				src.chunks, chunks = append(src.chunks, chunks[0]), chunks[1:]
+				continue
+			}
+			if err != nil {
+				t.Fatalf("trial %d frame %d: %v", trial, got, err)
+			}
+			if f.Type() != frames[got].Type() {
+				t.Fatalf("trial %d frame %d: got %v want %v", trial, got, f.Type(), frames[got].Type())
+			}
+			got++
+		}
 	}
 }

@@ -4,8 +4,10 @@
 # Benchmarks the per-event hot path against a base commit on the same
 # host: BenchmarkOnBatch (the baked slot-record verification kernel),
 # BenchmarkOnBatchRecorder (the same with the daemon's default flight
-# recorder) and BenchmarkDecodeBatchInto (internal/wire's batch decoder
-# over perfbench-shaped 512-event frames). The base commit's
+# recorder), BenchmarkOnBatchPerf (the kernel, recorder on, over the
+# sshd+httpd streams perfbench serves, as 512-event batches) and
+# BenchmarkDecodeBatchInto (internal/wire's batch decoder over
+# perfbench-shaped 512-event frames). The base commit's
 # internal/ipds and internal/wire test binaries are built from a
 # temporary `git worktree` at KERNEL_BASE (default: the merge base of
 # HEAD and main), the working tree's from the checkout; the two run
@@ -24,10 +26,10 @@ cd "$(dirname "$0")/.."
 TOL="${KERNEL_TOL:-15}"
 COUNT="${KERNEL_COUNT:-6}"
 BASE="${KERNEL_BASE:-$(git merge-base HEAD main)}"
-BENCHES="BenchmarkOnBatch BenchmarkOnBatchRecorder BenchmarkDecodeBatchInto"
+BENCHES="BenchmarkOnBatch BenchmarkOnBatchRecorder BenchmarkOnBatchPerf BenchmarkDecodeBatchInto"
 # Benchmark pattern per package under internal/.
 declare -A PATTERN=(
-	[ipds]='^BenchmarkOnBatch(Recorder)?$'
+	[ipds]='^BenchmarkOnBatch(Recorder|Perf)?$'
 	[wire]='^BenchmarkDecodeBatchInto$'
 )
 
