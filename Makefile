@@ -90,10 +90,10 @@ incident-gate:
 	$(GO) test -race ./internal/incident
 
 # Scale gate: the per-core serve path must actually scale. Runs the
-# 64-session load twice — pinned to 1 verifier, then one verifier per
-# core — and fails unless the multi-core aggregate beats the
-# single-verifier control by SCALE_FLOOR (default 1.5x). Skips on
-# single-core hosts, where there is nothing to scale onto.
+# 64-session load in SCALE_PAIRS (default 7) alternating pairs —
+# pinned to 1 verifier, then one verifier per core — and fails unless
+# the median multi/single ratio reaches SCALE_FLOOR (default 1.5x).
+# Skips on single-core hosts, where there is nothing to scale onto.
 scale-gate:
 	./scripts/checkscale.sh
 

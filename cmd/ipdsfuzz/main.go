@@ -3,26 +3,18 @@
 // through the full pipeline, runs it clean under the IPDS runtime, and
 // fails loudly on any alarm, fault, or compiler error. Optionally each
 // program is also attacked to accumulate aggregate detection numbers.
-//
-// With -wire it instead fuzzes the internal/wire frame decoder: each
-// iteration builds a valid frame, then mutates, truncates or extends
-// its bytes and feeds the result to wire.Decode, which must return a
-// frame or an error — any panic crashes the fuzzer with the offending
-// payload — and every successful decode must re-encode and re-decode
-// to a fixed point.
+// (The wire decoder has its own native fuzz target, FuzzDecode in
+// internal/wire, run by `make fuzz-gate`.)
 //
 // Usage:
 //
 //	ipdsfuzz [-n 1000] [-seed 0] [-attacks 0] [-v]
-//	ipdsfuzz -wire [-n 100000] [-seed 0]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"reflect"
 
 	"repro/internal/attack"
 	"repro/internal/ipds"
@@ -30,23 +22,16 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/progen"
 	"repro/internal/vm"
-	"repro/internal/wire"
 )
 
 func main() {
 	var (
-		n        = flag.Int("n", 1000, "number of random programs (or wire payloads with -wire)")
-		seed     = flag.Int64("seed", 0, "first seed")
-		attacks  = flag.Int("attacks", 0, "tampering attacks per program (0 = clean runs only)")
-		verbose  = flag.Bool("v", false, "log every seed")
-		wireMode = flag.Bool("wire", false, "fuzz the wire frame decoder instead of the compiler")
+		n       = flag.Int("n", 1000, "number of random programs")
+		seed    = flag.Int64("seed", 0, "first seed")
+		attacks = flag.Int("attacks", 0, "tampering attacks per program (0 = clean runs only)")
+		verbose = flag.Bool("v", false, "log every seed")
 	)
 	flag.Parse()
-
-	if *wireMode {
-		fuzzWire(*n, *seed)
-		return
-	}
 
 	var totTrials, totCF, totDet int
 	for i := 0; i < *n; i++ {
@@ -91,143 +76,8 @@ func main() {
 	}
 }
 
-// fuzzWire hammers wire.Decode with n mutated payloads. Decode's
-// contract is totality: frame or error, never a panic, and any decoded
-// frame must survive an encode/decode round trip unchanged.
-func fuzzWire(n int, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	decoded, errored := 0, 0
-	for i := 0; i < n; i++ {
-		payload := mutate(rng, validFrame(rng))
-		f := decodeGuarded(payload)
-		if f == nil {
-			errored++
-			continue
-		}
-		decoded++
-		re := wire.MustAppend(nil, f)[4:] // strip the length prefix
-		f2 := decodeGuarded(re)
-		if f2 == nil || !reflect.DeepEqual(f, f2) {
-			fmt.Fprintf(os.Stderr, "ipdsfuzz: wire: re-decode of %v diverged\npayload: %x\n", f.Type(), payload)
-			os.Exit(1)
-		}
-	}
-	fmt.Printf("ipdsfuzz: wire: %d payloads, %d decoded, %d rejected, 0 panics\n", n, decoded, errored)
-}
-
-// decodeGuarded decodes one payload, turning any panic into a fatal
-// report. nil means the decoder returned an error.
-func decodeGuarded(payload []byte) (f wire.Frame) {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprintf(os.Stderr, "ipdsfuzz: wire: PANIC %v\npayload: %x\n", r, payload)
-			os.Exit(1)
-		}
-	}()
-	f, err := wire.Decode(payload)
-	if err != nil {
-		return nil
-	}
-	return f
-}
-
-// validFrame encodes one random well-formed frame payload.
-func validFrame(rng *rand.Rand) []byte {
-	var f wire.Frame
-	switch rng.Intn(7) {
-	case 0:
-		var h wire.Hello
-		h.Version = uint8(rng.Intn(3))
-		rng.Read(h.Image[:])
-		h.Program = randString(rng)
-		f = h
-	case 1:
-		f = wire.HelloAck{Version: wire.Version, MaxBatch: uint32(rng.Intn(wire.MaxBatch + 1))}
-	case 2:
-		evs := make([]wire.Event, rng.Intn(64))
-		for i := range evs {
-			switch rng.Intn(3) {
-			case 0:
-				evs[i] = wire.Event{Kind: wire.EvEnter, PC: rng.Uint64()}
-			case 1:
-				evs[i] = wire.Event{Kind: wire.EvLeave}
-			default:
-				evs[i] = wire.Event{Kind: wire.EvBranch, PC: rng.Uint64(), Taken: rng.Intn(2) == 0}
-			}
-		}
-		b := wire.Batch{Events: evs}
-		if rng.Intn(2) == 0 {
-			// Half the batches carry the sampled trace extension, so the
-			// mutator hammers the trailing extension area too (truncated
-			// ids, unknown tags, bytes behind the block).
-			b.TraceID = rng.Uint64() | 1 // nonzero: zero means untraced
-			b.OriginNs = rng.Uint64()
-		}
-		f = b
-	case 3:
-		f = wire.Alarm{Seq: rng.Uint64(), PC: rng.Uint64(), Func: randString(rng),
-			Slot: rng.Uint32() >> 1, Expected: uint8(rng.Intn(4)), Taken: rng.Intn(2) == 0}
-	case 4:
-		f = wire.Ack{Events: rng.Uint64()}
-	case 5:
-		f = wire.Error{Code: wire.ErrCode(rng.Intn(8)), Msg: randString(rng)}
-	default:
-		f = wire.Bye{}
-	}
-	b, err := wire.Append(nil, f)
-	if err != nil {
-		// Random inputs above stay within limits; an error here is a bug.
-		panic(err)
-	}
-	return b[4:]
-}
-
-func randString(rng *rand.Rand) string {
-	b := make([]byte, rng.Intn(24))
-	for i := range b {
-		b[i] = byte(rng.Intn(256))
-	}
-	return string(b)
-}
-
-// mutate corrupts a payload: byte flips, truncation, random extension,
-// or wholesale random bytes.
-func mutate(rng *rand.Rand, b []byte) []byte {
-	switch rng.Intn(5) {
-	case 0: // keep valid
-		return b
-	case 1: // flip a few bytes
-		for k := 0; k <= rng.Intn(4); k++ {
-			if len(b) > 0 {
-				b[rng.Intn(len(b))] ^= byte(1 << rng.Intn(8))
-			}
-		}
-		return b
-	case 2: // truncate
-		if len(b) > 0 {
-			return b[:rng.Intn(len(b))]
-		}
-		return b
-	case 3: // extend with garbage
-		tail := make([]byte, 1+rng.Intn(16))
-		rng.Read(tail)
-		return append(b, tail...)
-	default: // wholesale random
-		out := make([]byte, rng.Intn(96))
-		rng.Read(out)
-		return out
-	}
-}
-
 func fail(seed int64, src, format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "ipdsfuzz: seed %d: %s\n", seed, fmt.Sprintf(format, args...))
 	fmt.Fprintf(os.Stderr, "--- source ---\n%s\n", src)
 	os.Exit(1)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

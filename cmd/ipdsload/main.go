@@ -156,6 +156,10 @@ type coreRow struct {
 	Parks         uint64  `json:"parks"`
 	Wakes         uint64  `json:"wakes"`
 	Stalls        uint64  `json:"stalls"`
+	// ParkedNs and WriterParkedNs: time the core's verifier and writer
+	// spent blocked in a park, summed over the run.
+	ParkedNs       uint64 `json:"parked_ns"`
+	WriterParkedNs uint64 `json:"writer_parked_ns"`
 }
 
 func main() {
@@ -411,21 +415,23 @@ func main() {
 				coreNs = float64(cs.VerifyNs) / float64(cs.Events)
 			}
 			cores = append(cores, coreRow{
-				Core:          cs.Core,
-				Sessions:      cs.SessionsTotal,
-				Events:        cs.Events,
-				Batches:       cs.Batches,
-				Alarms:        cs.Alarms,
-				EventsSec:     share * res.EventsSec,
-				KernelNs:      coreNs,
-				RingHighWater: cs.RingHighWater,
-				Parks:         cs.Parks,
-				Wakes:         cs.Wakes,
-				Stalls:        cs.Stalls,
+				Core:           cs.Core,
+				Sessions:       cs.SessionsTotal,
+				Events:         cs.Events,
+				Batches:        cs.Batches,
+				Alarms:         cs.Alarms,
+				EventsSec:      share * res.EventsSec,
+				KernelNs:       coreNs,
+				RingHighWater:  cs.RingHighWater,
+				Parks:          cs.Parks,
+				Wakes:          cs.Wakes,
+				Stalls:         cs.Stalls,
+				ParkedNs:       cs.ParkedNs,
+				WriterParkedNs: cs.WriterParkedNs,
 			})
-			fmt.Printf("-- core %d: %d sessions, %d events (%.0f events/sec share, %.1f kernel ns/event), %d alarms, ring hw=%d, parks=%d, stalls=%d\n",
+			fmt.Printf("-- core %d: %d sessions, %d events (%.0f events/sec share, %.1f kernel ns/event), %d alarms, ring hw=%d, parks=%d (%.1f ms parked), writer parked %.1f ms, stalls=%d\n",
 				cs.Core, cs.SessionsTotal, cs.Events, share*res.EventsSec, coreNs, cs.Alarms,
-				cs.RingHighWater, cs.Parks, cs.Stalls)
+				cs.RingHighWater, cs.Parks, float64(cs.ParkedNs)/1e6, float64(cs.WriterParkedNs)/1e6, cs.Stalls)
 		}
 		if kernelNs > 0 {
 			fmt.Printf("-- kernel: %.1f ns/event verify cost (daemon side, all cores)\n", kernelNs)

@@ -32,7 +32,8 @@ type stableBloom struct {
 	cur   uint64 // deterministic decay cursor
 }
 
-// init sizes the filter; cells must be positive.
+// init sizes the filter; cells must be a power of two (Config rounds
+// BloomCells up to one), so a probe's index is a mask.
 func (f *stableBloom) init(cells int) {
 	f.cells = make([]uint8, cells)
 }
@@ -43,19 +44,19 @@ func (f *stableBloom) init(cells int) {
 // buckets slightly; false negatives fade in as old tuples decay, which
 // is the stable trade the filter is chosen for.
 func (f *stableBloom) addFresh(h uint64) bool {
-	n := uint64(len(f.cells))
+	mask := uint64(len(f.cells) - 1)
 	for i := 0; i < bloomDecay; i++ {
-		f.cur++
-		if c := &f.cells[f.cur%n]; *c > 0 {
+		f.cur = (f.cur + 1) & mask
+		if c := &f.cells[f.cur]; *c > 0 {
 			*c--
 		}
 	}
 	// Double hashing: probe i at h1 + i·h2 (h2 odd, so every probe
-	// sequence cycles the whole table).
+	// sequence cycles the whole power-of-two table).
 	h2 := (h>>33 | h<<31) | 1
 	seen := true
 	for i := uint64(0); i < bloomProbes; i++ {
-		c := &f.cells[(h+i*h2)%n]
+		c := &f.cells[(h+i*h2)&mask]
 		if *c == 0 {
 			seen = false
 		}
@@ -67,6 +68,12 @@ func (f *stableBloom) addFresh(h uint64) bool {
 // tupleHash mixes a dedup tuple into one 64-bit hash (FNV-1a over the
 // function name, then a splitmix64-style finisher over PC and bucket).
 func tupleHash(fn string, pc, bucket uint64) uint64 {
+	return tupleFinish(tuplePrefix(fn, pc), bucket)
+}
+
+// tuplePrefix is the part of tupleHash that depends on the signal
+// alone; a signal computes it once, so an alarm pays only the finish.
+func tuplePrefix(fn string, pc uint64) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(fn); i++ {
 		h = (h ^ uint64(fn[i])) * 1099511628211
@@ -74,8 +81,16 @@ func tupleHash(fn string, pc, bucket uint64) uint64 {
 	h ^= pc
 	h *= 0x9e3779b97f4a7c15
 	h ^= h >> 29
+	return h
+}
+
+// tupleFinish mixes a bucket into a tuplePrefix.
+func tupleFinish(h, bucket uint64) uint64 {
 	h ^= bucket
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 32
 	return h
 }
+
+// tupleHash is the dedup hash of the signal's tuple in bucket.
+func (s *signal) tupleHash(bucket uint64) uint64 { return tupleFinish(s.hpc, bucket) }

@@ -29,6 +29,7 @@
 package incident
 
 import (
+	"math/bits"
 	"sync"
 	"time"
 
@@ -69,7 +70,7 @@ type Config struct {
 	ClusterGap uint64
 
 	// BloomCells sizes each session's stable bloom dedup filter
-	// (default DefaultBloomCells).
+	// (default DefaultBloomCells), rounded up to a power of two.
 	BloomCells int
 
 	// Reg receives incident_* metrics; nil disables (free).
@@ -89,6 +90,7 @@ func (c Config) withDefaults() Config {
 	if c.BloomCells <= 0 {
 		c.BloomCells = DefaultBloomCells
 	}
+	c.BloomCells = 1 << bits.Len(uint(c.BloomCells-1))
 	return c
 }
 
@@ -113,8 +115,9 @@ type sigKey struct {
 // alarm source. Every field is a commutative aggregate (sum/min/max),
 // so session interleaving never changes a signal's final state.
 type signal struct {
-	fn string
-	pc uint64
+	fn  string
+	pc  uint64
+	hpc uint64 // tuplePrefix(fn, pc): the bucket-free half of its dedup hash
 
 	alarms   uint64 // alarms observed
 	folded   uint64 // alarms folded by dedup (repeat tuples)
@@ -176,9 +179,10 @@ func newIncidentMetrics(r *obs.Registry) metrics {
 }
 
 // Analyzer is the streaming incident pipeline. One goroutine may feed
-// Observe/ObserveContext while others call Incidents/Stats: a single
-// mutex guards all state (the analyzer runs off the serve hot path, so
-// a lock per alarm is cheap where an ipds.Machine's would not be).
+// Observe/ObserveBatch/ObserveContext while others call
+// Incidents/Stats: a single mutex guards all state (the analyzer runs
+// off the serve hot path and the daemon feeds it a run of alarms per
+// lock, so locking is cheap where an ipds.Machine's would not be).
 type Analyzer struct {
 	cfg Config
 	met metrics
@@ -202,97 +206,138 @@ func NewAnalyzer(cfg Config) *Analyzer {
 	}
 }
 
-// Observe feeds one alarm through layers 1 and 2. Steady state (known
-// signal, known session) is allocation-free.
+// Observe feeds one alarm through layers 1 and 2: ObserveBatch of a
+// single alarm.
 func (a *Analyzer) Observe(ev AlarmEvent) {
+	a.ObserveBatch([]AlarmEvent{ev})
+}
+
+// ObserveBatch feeds a run of alarms through layers 1 and 2 under one
+// lock, exactly as the same alarms fed one by one to Observe. The
+// session state, signal and series an alarm resolves to are reused by
+// the next alarm of the same session and signal, so a run of one
+// session's alarms (the daemon feeds a verifier pass's alarms as one
+// run) pays the map lookups once per change of signal rather than once
+// per alarm. Steady state (known signals, known session) is
+// allocation-free.
+func (a *Analyzer) ObserveBatch(evs []AlarmEvent) {
+	if len(evs) == 0 {
+		return
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.alarms++
-	a.met.alarms.Inc()
-
-	bucket := ev.Seq / uint64(a.cfg.BucketEvents)
-	k := sigKey{pc: ev.PC, fn: ev.Func}
-	sig := a.signals[k]
-	if sig == nil {
-		if len(a.signals) >= a.cfg.MaxSignals {
-			a.overflow++
-			a.met.overflow.Inc()
-			return
-		}
-		sig = &signal{
-			fn: ev.Func, pc: ev.PC,
-			firstSeq: ev.Seq, lastSeq: ev.Seq,
-			firstBucket: bucket, lastBucket: bucket,
-			firstBurst: ^uint64(0),
-			ctxSeq:     ^uint64(0),
-		}
-		a.signals[k] = sig
-		a.met.signals.Set(int64(len(a.signals)))
-	}
-	sig.alarms++
-	if ev.Seq < sig.firstSeq {
-		sig.firstSeq = ev.Seq
-	}
-	if ev.Seq > sig.lastSeq {
-		sig.lastSeq = ev.Seq
-	}
-	if bucket < sig.firstBucket {
-		sig.firstBucket = bucket
-	}
-	if bucket > sig.lastBucket {
-		sig.lastBucket = bucket
-	}
-
-	st := a.sessions[ev.Session]
-	if st == nil {
-		st = &sessState{series: map[*signal]*series{}}
-		st.bloom.init(a.cfg.BloomCells)
-		a.sessions[ev.Session] = st
-	}
-	sr := st.series[sig]
-	if sr == nil {
-		sr = &series{firstSeq: ev.Seq}
-		st.series[sig] = sr
-		sig.sessions++
-	}
-
-	// Layer 2: fold repeat (func, branch, bucket) tuples per session.
-	if st.bloom.addFresh(tupleHash(ev.Func, ev.PC, bucket)) {
-		sig.tuples++
-	} else {
-		sig.folded++
-		a.folded++
-		a.met.folds.Inc()
-	}
-
-	// Layer 1: close finished rate buckets into the CUSUM detector.
-	// Alarms arrive per session in sequence order, so bucket advances
-	// are monotone within a series.
-	switch {
-	case !sr.open:
-		sr.open, sr.bucket, sr.count = true, bucket, 1
-	case bucket == sr.bucket:
-		sr.count++
-	case bucket > sr.bucket:
-		if sr.cu.feed(sr.count) {
-			sig.bursts++
-			if sr.bucket < sig.firstBurst {
-				sig.firstBurst = sr.bucket
+	var (
+		st                      *sessState
+		sess                    uint64
+		sig                     *signal
+		sr                      *series
+		folds, bursts, overflow uint64
+	)
+	bw := uint64(a.cfg.BucketEvents)
+	for i := range evs {
+		ev := &evs[i]
+		bucket := ev.Seq / bw
+		if sig == nil || ev.PC != sig.pc || ev.Func != sig.fn {
+			k := sigKey{pc: ev.PC, fn: ev.Func}
+			next := a.signals[k]
+			if next == nil {
+				if len(a.signals) >= a.cfg.MaxSignals {
+					overflow++
+					continue
+				}
+				next = newSignal(ev, bucket)
+				a.signals[k] = next
+				a.met.signals.Set(int64(len(a.signals)))
 			}
-			a.met.bursts.Inc()
+			sig, sr = next, nil
 		}
-		// Quiet buckets between alarms relax the detector's baseline; a
-		// bounded number of zero-feeds models an arbitrarily long gap
-		// (the EWMA converges fast, so four zeros ≈ any number).
-		if gap := bucket - sr.bucket - 1; gap > 0 {
-			if gap > 4 {
-				gap = 4
-			}
-			for ; gap > 0; gap-- {
-				sr.cu.feed(0) // one-sided detector: a drop never fires
+		sig.alarms++
+		if ev.Seq < sig.firstSeq {
+			sig.firstSeq = ev.Seq
+		}
+		if ev.Seq > sig.lastSeq {
+			sig.lastSeq = ev.Seq
+		}
+		if bucket < sig.firstBucket {
+			sig.firstBucket = bucket
+		}
+		if bucket > sig.lastBucket {
+			sig.lastBucket = bucket
+		}
+
+		if st == nil || ev.Session != sess {
+			sess, sr = ev.Session, nil
+			if st = a.sessions[sess]; st == nil {
+				st = &sessState{series: map[*signal]*series{}}
+				st.bloom.init(a.cfg.BloomCells)
+				a.sessions[sess] = st
 			}
 		}
-		sr.bucket, sr.count = bucket, 1
+		if sr == nil {
+			if sr = st.series[sig]; sr == nil {
+				sr = &series{firstSeq: ev.Seq}
+				st.series[sig] = sr
+				sig.sessions++
+			}
+		}
+
+		// Layer 2: fold repeat (func, branch, bucket) tuples per session.
+		if st.bloom.addFresh(sig.tupleHash(bucket)) {
+			sig.tuples++
+		} else {
+			sig.folded++
+			folds++
+		}
+
+		// Layer 1: close finished rate buckets into the CUSUM detector.
+		// Alarms arrive per session in sequence order, so bucket advances
+		// are monotone within a series.
+		switch {
+		case !sr.open:
+			sr.open, sr.bucket, sr.count = true, bucket, 1
+		case bucket == sr.bucket:
+			sr.count++
+		case bucket > sr.bucket:
+			if sr.cu.feed(sr.count) {
+				sig.bursts++
+				if sr.bucket < sig.firstBurst {
+					sig.firstBurst = sr.bucket
+				}
+				bursts++
+			}
+			// Quiet buckets between alarms relax the detector's baseline; a
+			// bounded number of zero-feeds models an arbitrarily long gap
+			// (the EWMA converges fast, so four zeros ≈ any number).
+			if gap := bucket - sr.bucket - 1; gap > 0 {
+				if gap > 4 {
+					gap = 4
+				}
+				for ; gap > 0; gap-- {
+					sr.cu.feed(0) // one-sided detector: a drop never fires
+				}
+			}
+			sr.bucket, sr.count = bucket, 1
+		}
+	}
+	n := uint64(len(evs))
+	a.alarms += n
+	a.folded += folds
+	a.overflow += overflow
+	a.met.alarms.Add(n)
+	a.met.folds.Add(folds)
+	a.met.bursts.Add(bursts)
+	a.met.overflow.Add(overflow)
+}
+
+// newSignal opens the signal of ev's (func, branch) pair.
+func newSignal(ev *AlarmEvent, bucket uint64) *signal {
+	return &signal{
+		fn: ev.Func, pc: ev.PC,
+		hpc:      tuplePrefix(ev.Func, ev.PC),
+		firstSeq: ev.Seq, lastSeq: ev.Seq,
+		firstBucket: bucket, lastBucket: bucket,
+		firstBurst: ^uint64(0),
+		ctxSeq:     ^uint64(0),
 	}
 }
 

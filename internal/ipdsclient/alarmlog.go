@@ -69,13 +69,19 @@ type alarmLog struct {
 	lat   chunks[time.Duration]
 	names []string
 	ids   map[string]uint16
+	last  uint16 // id of the most recently added name
 }
 
 // add appends a (whose Func is ignored) with function name fn,
-// interning fn, and returns the interned name. A name beyond the
-// table's maxNames bound is refused and nothing is appended.
+// interning fn, and returns the interned name. A flood repeats one
+// function's name, so the last interned name is compared before the
+// table is searched. A name beyond the table's maxNames bound is
+// refused and nothing is appended.
 func (l *alarmLog) add(a wire.Alarm, fn []byte) (string, error) {
-	id, ok := l.ids[string(fn)]
+	id, ok := l.last, len(l.names) > 0 && l.names[l.last] == string(fn)
+	if !ok {
+		id, ok = l.ids[string(fn)]
+	}
 	if !ok {
 		if len(l.names) == maxNames {
 			return "", fmt.Errorf("ipdsclient: alarm names exceed %d distinct functions", maxNames)
@@ -88,6 +94,7 @@ func (l *alarmLog) add(a wire.Alarm, fn []byte) (string, error) {
 		l.names = append(l.names, name)
 		l.ids[name] = id
 	}
+	l.last = id
 	l.recs.add(alarmRec{Seq: a.Seq, PC: a.PC, Slot: a.Slot, Fn: id, Expected: a.Expected, Taken: a.Taken})
 	return l.names[id], nil
 }
@@ -120,5 +127,6 @@ func (l *alarmLog) fork() alarmLog {
 		lat:   l.lat.fork(),
 		names: append([]string(nil), l.names...),
 		ids:   maps.Clone(l.ids),
+		last:  l.last,
 	}
 }

@@ -229,20 +229,37 @@ func dialConn(conn net.Conn, cfg Config, prev *Client, evBase, brBase uint64) (*
 	return c, nil
 }
 
-// readLoop consumes server frames until Bye, error or EOF.
+// readLoop consumes server frames until Bye, error or EOF. Alarms and
+// Acks, the frames a verified stream is made of, take boxing-free
+// decoders. The clock is read only for a frame that needed a socket
+// read; the frames already buffered behind it share that reading, so
+// an alarm flood costs no clock read per alarm.
 func (c *Client) readLoop(rd *wire.Reader) {
 	defer close(c.readerD)
+	var now time.Time
 	for {
+		fresh := !rd.FrameBuffered()
 		typ, raw, err := rd.NextHeader()
-		if err == nil && typ == wire.TypeAlarm {
-			if err = c.alarm(raw); err == nil {
-				continue
+		if err == nil {
+			if fresh {
+				now = time.Now()
 			}
-		}
-		if err == nil && typ == wire.TypeAlarmCtx {
-			c.ctxN.Add(1)
-			if c.cfg.DiscardCtx {
-				continue // counted, never decoded
+			switch typ {
+			case wire.TypeAlarm:
+				if err = c.alarm(raw, now); err == nil {
+					continue
+				}
+			case wire.TypeAck:
+				var a wire.Ack
+				if err = wire.DecodeAckInto(raw, &a); err == nil {
+					c.ack(a, now)
+					continue
+				}
+			case wire.TypeAlarmCtx:
+				c.ctxN.Add(1)
+				if c.cfg.DiscardCtx {
+					continue // counted, never decoded
+				}
 			}
 		}
 		var f wire.Frame
@@ -255,25 +272,7 @@ func (c *Client) readLoop(rd *wire.Reader) {
 			c.mu.Unlock()
 			return
 		}
-		now := time.Now()
 		switch fr := f.(type) {
-		case wire.Ack:
-			fr.Events += c.evBase
-			c.mu.Lock()
-			c.acked = fr.Events
-			// Retire every mark this cumulative ack covers; the newest
-			// retired mark timestamps the ack round trip.
-			retired := -1
-			for i, mk := range c.marks {
-				if mk.events <= fr.Events {
-					retired = i
-				}
-			}
-			if retired >= 0 {
-				c.ackLat = append(c.ackLat, now.Sub(c.marks[retired].sent))
-				c.marks = c.marks[retired+1:]
-			}
-			c.mu.Unlock()
 		case wire.AlarmCtx:
 			// Keep Alarm/AlarmCtx Seq pairing intact across redials.
 			fr.Seq += c.brBase
@@ -302,16 +301,35 @@ func (c *Client) readLoop(rd *wire.Reader) {
 	}
 }
 
-// alarm decodes one Alarm frame payload straight into the alarm log:
-// no Frame boxing, and the function name is interned rather than
-// copied per alarm.
-func (c *Client) alarm(raw []byte) error {
+// ack records one cumulative Ack that arrived at now.
+func (c *Client) ack(a wire.Ack, now time.Time) {
+	a.Events += c.evBase
+	c.mu.Lock()
+	c.acked = a.Events
+	// Retire every mark this cumulative ack covers; the newest retired
+	// mark timestamps the ack round trip.
+	retired := -1
+	for i, mk := range c.marks {
+		if mk.events <= a.Events {
+			retired = i
+		}
+	}
+	if retired >= 0 {
+		c.ackLat = append(c.ackLat, now.Sub(c.marks[retired].sent))
+		c.marks = c.marks[retired+1:]
+	}
+	c.mu.Unlock()
+}
+
+// alarm decodes one Alarm frame payload, which arrived at now, straight
+// into the alarm log: no Frame boxing, and the function name is
+// interned rather than copied per alarm.
+func (c *Client) alarm(raw []byte, now time.Time) error {
 	var a wire.Alarm
 	fn, err := wire.DecodeAlarmInto(raw, &a)
 	if err != nil {
 		return err
 	}
-	now := time.Now()
 	a.Seq += c.brBase
 	c.mu.Lock()
 	a.Func, err = c.alarms.add(a, fn)

@@ -1,6 +1,9 @@
 package ring
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // Parker is the wait half of the per-core serve loops: a goroutine
 // that finds its rings empty (or full) blocks here until the opposite
@@ -21,13 +24,14 @@ import "sync/atomic"
 // work that has already arrived.
 //
 // Any number of goroutines may Wake; exactly one may sleep
-// (Prepare/Cancel/Park). Parks and Wakes counters are readable from
-// anywhere.
+// (Prepare/Cancel/Park). The Parks, Wakes and ParkedNs counters are
+// readable from anywhere.
 type Parker struct {
-	wake   chan struct{}
-	parked atomic.Bool
-	parks  atomic.Uint64
-	wakes  atomic.Uint64
+	wake     chan struct{}
+	parked   atomic.Bool
+	parks    atomic.Uint64
+	wakes    atomic.Uint64
+	parkedNs atomic.Uint64
 }
 
 // NewParker returns a ready Parker.
@@ -46,9 +50,17 @@ func (p *Parker) Cancel() { p.parked.Store(false) }
 // Park blocks until a Wake arrives. Must be preceded by Prepare and a
 // work re-check. A buffered wake from the re-check window is consumed
 // here, so a spurious early return (never a lost sleep) is the worst
-// case — callers loop over their work condition anyway.
+// case — callers loop over their work condition anyway. Only a park
+// that actually blocks reads the clock, once on each side of the
+// wait, to add its duration to ParkedNs.
 func (p *Parker) Park() {
-	<-p.wake
+	select {
+	case <-p.wake:
+	default:
+		t := time.Now()
+		<-p.wake
+		p.parkedNs.Add(uint64(time.Since(t)))
+	}
 	p.parked.Store(false)
 	p.parks.Add(1)
 }
@@ -67,6 +79,10 @@ func (p *Parker) Wake() {
 
 // Parks reports how many times the sleeper actually blocked.
 func (p *Parker) Parks() uint64 { return p.parks.Load() }
+
+// ParkedNs reports the total nanoseconds the sleeper spent blocked in
+// Park.
+func (p *Parker) ParkedNs() uint64 { return p.parkedNs.Load() }
 
 // Wakes reports how many wake signals were delivered (not the calls to
 // Wake, most of which find nobody parked and cost one load).

@@ -371,3 +371,40 @@ func BenchmarkParkHandoff(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/handoffs, "ns/handoff")
 	b.ReportMetric(float64(pkPing.Parks()+pkPong.Parks())/handoffs, "parks/handoff")
 }
+
+// TestParkerParkedNs: a sleeper that blocks in Park until a delayed
+// Wake accumulates at least the delay in ParkedNs, while one whose
+// parks never block — a Cancel after the re-check, or a Wake already
+// buffered when Park runs — adds nothing.
+func TestParkerParkedNs(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	parked := NewParker()
+	for i := 0; i < 3; i++ {
+		parked.Prepare()
+		go func() {
+			time.Sleep(delay)
+			parked.Wake()
+		}()
+		parked.Park()
+	}
+	if got := time.Duration(parked.ParkedNs()); got < 3*delay {
+		t.Fatalf("ParkedNs = %v after three parks of ≥%v", got, delay)
+	}
+
+	busy := NewParker()
+	for i := 0; i < 1000; i++ {
+		busy.Prepare()
+		if i%2 == 0 {
+			busy.Cancel() // work showed up in the re-check
+			continue
+		}
+		busy.Wake() // the wake lands in the re-check window
+		busy.Park()
+	}
+	if busy.Parks() != 500 {
+		t.Fatalf("Parks = %d, want 500", busy.Parks())
+	}
+	if ns := busy.ParkedNs(); ns != 0 {
+		t.Fatalf("ParkedNs = %d for parks that never blocked", ns)
+	}
+}

@@ -57,9 +57,10 @@ func (st *incidentStage) stall() (release func()) {
 // roomy queue absorbs every offer), so the allocs/op it reports — which
 // b.ReportAllocs counts process-wide — is the verifier's and its core
 // writer's alone: `make alloc-gate` requires it to stay 0 even while
-// every alarm is offered to the incident queue, every forensic capture
-// is deep-copied across it, and every 64th batch's span record feeds
-// the (live) wait histograms.
+// every alarm is collected into the verifier's slab and offered to the
+// incident queue's alarm ring, every forensic capture the session has not already
+// had accepted for its signal is deep-copied across it, and every 64th
+// batch's span record feeds the (live) wait histograms.
 func BenchmarkVerifyBatchIncident(b *testing.B) {
 	w := workload.ByName("telnetd")
 	if w == nil {
@@ -154,11 +155,11 @@ func BenchmarkVerifyBatchIncident(b *testing.B) {
 	// Warm everything the steady state reuses: pools, encode buffers,
 	// the machine's rings, the analyzer's signal and series maps. Then
 	// rehearse the timed section — the same batches, analyzer stalled —
-	// so the forensic-context free list holds a copy for every capture
-	// the timed section makes, and the frame-buffer pool already holds
-	// as many buffers as that run keeps in flight. Each sync barrier
-	// lets the analyzer drain its backlog, putting every context back
-	// on the free list.
+	// so the forensic-context free list holds one for every capture
+	// the timed section queues, and the frame-buffer pool already
+	// holds as many buffers as that run keeps in flight. Each sync
+	// barrier lets the analyzer drain its backlog, freeing the alarm
+	// ring and putting every context back on its free list.
 	feed(max(512, 64*len(chunks)))
 	srv.incidents.sync()
 	release := srv.incidents.stall()

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/incident"
@@ -14,24 +15,49 @@ import (
 )
 
 // The incident stage: a bounded queue and one consumer goroutine
-// between the verifier pool and an incident.Analyzer. The serve path
-// only ever performs a non-blocking channel send of a small value (and,
-// for the rare forensic capture, a pooled deep copy), so the OnBatch
-// loop keeps its zero-allocation, never-blocks-on-analytics contract;
+// between the verifier pool and an incident.Analyzer. A verifier never
+// hands the stage one alarm at a time: it collects a pass's alarms in
+// its own slab and offers them as one run — one lock, one copy into
+// the stage's alarm ring and one non-blocking channel send — so an
+// alarm flood costs the serve path one queue operation and the
+// analyzer one lock per pass, not per alarm. The serve loop keeps its
+// zero-allocation, never-blocks-on-analytics contract (the ring is
+// allocated once, context copies are recycled through a free list);
 // when the analytics fall behind the queue, alarms are dropped from
 // analysis — counted, never silently — while verification and alarm
 // delivery continue untouched.
 
-// DefaultIncidentQueue bounds the analytics feed queue (alarms plus
-// forensic contexts) between the verifier pool and the analyzer.
+// DefaultIncidentQueue bounds the analytics feed queue between the
+// verifier pool and the analyzer: the alarms queued (the alarm ring's
+// length), and the queue's slots (one per run of alarms or forensic
+// context).
 const DefaultIncidentQueue = 8192
 
-// incMsg is one queue entry: an alarm observation, a forensic context
-// (ctx != nil), or a drain barrier (done != nil).
+// slabCap is the alarm capacity of a verifier's slab. A verifier
+// offers its slab when it fills, before any forensic context (the
+// analyzer discards a context whose signal it has not yet seen), and
+// at the end of every pass. An offer copies only the alarms it holds,
+// so the size sets just how many runs a flood pass is cut into: 256
+// holds every pass of the measured floods whole — at most 158 alarms
+// on perfbench's tamper workload and 224 (32 batches of ~7) on the
+// 64-session tampered telnetd load (docs/PERFORMANCE.md, "Slab size,
+// measured").
+const slabCap = 256
+
+// alarmSlab holds a verifier's pass's alarms, in stream order, until
+// the verifier offers them to the stage as one run.
+type alarmSlab struct {
+	n   int
+	evs [slabCap]incident.AlarmEvent
+}
+
+// incMsg is one queue entry: a run of n alarms at ring[off:] (wrapping
+// past the ring's end), a forensic context, or a drain barrier
+// (done != nil).
 type incMsg struct {
-	ev   incident.AlarmEvent
-	ctx  *ipds.AlarmContext
-	done chan struct{}
+	off, n int
+	ctx    *ipds.AlarmContext
+	done   chan struct{}
 }
 
 // incidentStage owns the analyzer and its feed queue.
@@ -39,12 +65,23 @@ type incidentStage struct {
 	an *incident.Analyzer
 	ch chan incMsg
 
+	// ring holds the queued alarms. An offer copies its run in at tail
+	// and sends the run's message in the same ringMu section, so the
+	// consumer meets runs in ring order; it releases each run's slots
+	// by subtracting its length from queued once the analyzer is done
+	// with them. Producers fill at most len(ring)-queued slots, so the
+	// queue holds up to IncidentQueue alarms however short the runs.
+	ringMu sync.Mutex
+	ring   []incident.AlarmEvent
+	tail   int // next slot to fill; ringMu
+	queued atomic.Int64
+
 	// ctxFree recycles the deep copies that carry forensic captures
 	// across the queue (the machine-owned originals are only valid
 	// until the machine's next batch). It is a free list rather than a
 	// sync.Pool because a GC empties a Pool, after which every verifier
-	// would allocate its copies afresh; copies in flight never outnumber
-	// the queue, so a free list that size keeps every copy ever made.
+	// would allocate afresh; copies in flight never outnumber the
+	// queue's slots, so it keeps every copy ever made.
 	ctxFree chan *ipds.AlarmContext
 
 	wg sync.WaitGroup
@@ -52,8 +89,8 @@ type incidentStage struct {
 	mu     sync.Mutex
 	closed bool
 
-	dropped *obs.Counter // incident_queue_dropped_total
-	depth   *obs.Gauge   // incident_queue_depth (sampled on offer)
+	dropped *obs.Counter // incident_queue_dropped_total (alarms and contexts)
+	depth   *obs.Gauge   // incident_queue_depth (alarms, sampled per run)
 }
 
 // newIncidentStage starts the consumer goroutine.
@@ -65,6 +102,7 @@ func newIncidentStage(cfg incident.Config, queue int, reg *obs.Registry) *incide
 	st := &incidentStage{
 		an:      incident.NewAnalyzer(cfg),
 		ch:      make(chan incMsg, queue),
+		ring:    make([]incident.AlarmEvent, queue),
 		ctxFree: make(chan *ipds.AlarmContext, queue),
 		dropped: reg.Counter("incident_queue_dropped_total"),
 		depth:   reg.Gauge("incident_queue_depth"),
@@ -87,25 +125,56 @@ func (st *incidentStage) run() {
 			st.an.ObserveContext(m.ctx)
 			st.freeCtx(m.ctx)
 		default:
-			st.an.Observe(m.ev)
+			end := m.off + m.n
+			if wrap := end - len(st.ring); wrap > 0 {
+				st.an.ObserveBatch(st.ring[m.off:])
+				st.an.ObserveBatch(st.ring[:wrap])
+			} else {
+				st.an.ObserveBatch(st.ring[m.off:end])
+			}
+			st.queued.Add(-int64(m.n))
 		}
 	}
 }
 
-// offer feeds one alarm, non-blocking: a full queue drops the
-// observation (counted) rather than stalling a verifier.
-func (st *incidentStage) offer(ev incident.AlarmEvent) {
-	select {
-	case st.ch <- incMsg{ev: ev}:
-		st.depth.Set(int64(len(st.ch)))
-	default:
-		st.dropped.Inc()
+// offer queues a run of alarms, non-blocking, and returns how many it
+// accepted: the run's head, as much of it as the ring has room for, or
+// none when the queue has no free slot. The rest are dropped from
+// analysis (counted) rather than stalling a verifier. evs stays
+// caller-owned.
+func (st *incidentStage) offer(evs []incident.AlarmEvent) int {
+	st.ringMu.Lock()
+	k := min(len(evs), len(st.ring)-int(st.queued.Load()))
+	if k > 0 {
+		// The slots from tail on are free: filling them before the send
+		// is harmless should it fail.
+		off := st.tail
+		if c := copy(st.ring[off:], evs[:k]); c < k {
+			copy(st.ring, evs[c:k])
+		}
+		q := st.queued.Add(int64(k))
+		select {
+		case st.ch <- incMsg{off: off, n: k}:
+			if st.tail = off + k; st.tail >= len(st.ring) {
+				st.tail -= len(st.ring)
+			}
+			st.depth.Set(q)
+		default: // every slot is taken by contexts and runs
+			st.queued.Add(-int64(k))
+			k = 0
+		}
 	}
+	st.ringMu.Unlock()
+	if d := len(evs) - k; d > 0 {
+		st.dropped.Add(uint64(d))
+	}
+	return k
 }
 
-// offerCtx feeds one forensic capture, non-blocking. The capture is
-// deep-copied into a recycled context first; c stays caller-owned.
-func (st *incidentStage) offerCtx(c *ipds.AlarmContext) {
+// offerCtx feeds one forensic capture, non-blocking, and reports
+// whether it was queued. The capture is deep-copied into a recycled
+// context first; c stays caller-owned.
+func (st *incidentStage) offerCtx(c *ipds.AlarmContext) bool {
 	var cc *ipds.AlarmContext
 	select {
 	case cc = <-st.ctxFree:
@@ -115,9 +184,11 @@ func (st *incidentStage) offerCtx(c *ipds.AlarmContext) {
 	c.CopyInto(cc)
 	select {
 	case st.ch <- incMsg{ctx: cc}:
+		return true
 	default:
 		st.freeCtx(cc)
 		st.dropped.Inc()
+		return false
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/incident"
+	"repro/internal/ipds"
 	"repro/internal/ring"
 	"repro/internal/wire"
 )
@@ -92,6 +94,10 @@ type verifier struct {
 	// progress; publish flushes it into the atomics below, the
 	// session's and the server-wide series.
 	tally passTally
+
+	// slab collects the pass's alarms for the incident stage; it is
+	// empty between passes.
+	slab alarmSlab
 
 	// Per-core telemetry, atomics so CoreStats can read cross-goroutine.
 	// Published once per session pass, so they trail the verified
@@ -216,6 +222,7 @@ func (v *verifier) loop() {
 type passTally struct {
 	events, batches, alarms, verifyNs uint64
 	lastStart                         int64 // unix nanos the pass's newest batch started
+	ctx                               bool  // the pass made forensic captures
 }
 
 // pass runs the tasks one pop took from a session's ring and reports
@@ -225,7 +232,9 @@ type passTally struct {
 // of verifyPop batches pays one publication, not one per batch. The
 // newest batch's reply (its alarms and Ack) is held back until that
 // publication: a client holding the Ack for everything it sent reads
-// telemetry that covers it. A done task is always the pass's last (the
+// telemetry that covers it. The pass's alarms go to the incident stage
+// before the publication too, so the barrier in finish covers every
+// alarm the session raised. A done task is always the pass's last (the
 // reader publishes it strictly last), and the session is sealed only
 // after the publication, so its final counters are exact.
 func (v *verifier) pass(ss *session, tasks []task) (finished bool) {
@@ -250,6 +259,7 @@ func (v *verifier) pass(ss *session, tasks []task) (finished bool) {
 			finished = true
 		}
 	}
+	v.offerSlab(ss)
 	v.publish(ss)
 	if held != nil {
 		v.send(writeOp{s: ss, fb: held})
@@ -262,7 +272,10 @@ func (v *verifier) pass(ss *session, tasks []task) (finished bool) {
 
 // publish flushes the pass tally into the per-core counters, the
 // session's /debug/sessions telemetry and the server-wide series, and
-// resets it. A pass that verified no batch publishes nothing.
+// resets it. A pass that verified no batch publishes nothing. A pass
+// that made forensic captures also refreshes the session's snapshot
+// from the newest of them, so /debug/sessions trails by at most one
+// pass here as well.
 func (v *verifier) publish(ss *session) {
 	t := &v.tally
 	if t.batches == 0 {
@@ -283,7 +296,67 @@ func (v *verifier) publish(ss *session) {
 	ss.recTotal.Store(ss.m.RecorderTotal())
 	ss.lastBatch.Store(t.lastStart)
 	ss.updateRate(t.lastStart, total)
+	if c := ss.m.LastContext(); t.ctx && c != nil {
+		// CopyInto reuses the snapshot's slices, so the steady state
+		// stays allocation-free.
+		ss.ctxMu.Lock()
+		c.CopyInto(&ss.lastCtx)
+		ss.hasCtx = true
+		ss.ctxMu.Unlock()
+	}
 	*t = passTally{}
+}
+
+// collect adds one alarm to the pass's incident slab, offering the
+// slab when it fills.
+func (v *verifier) collect(ss *session, a *ipds.Alarm) {
+	sl := &v.slab
+	sl.evs[sl.n] = incident.AlarmEvent{Session: ss.id, Seq: a.Seq, PC: a.PC, Func: a.Func, Taken: a.Taken}
+	if sl.n++; sl.n == slabCap {
+		v.offerSlab(ss)
+	}
+}
+
+// offerSlab hands the alarms collected so far to the incident stage
+// and empties the slab. Alarms the queue had no room for are dropped
+// (counted by the stage).
+func (v *verifier) offerSlab(ss *session) {
+	sl := &v.slab
+	if sl.n == 0 {
+		return
+	}
+	if v.srv.incidents.offer(sl.evs[:sl.n]) < sl.n {
+		ss.incidentDrop()
+	}
+	sl.n = 0
+}
+
+// offerCtx offers one forensic capture to the incident stage. The
+// analyzer keeps only the lowest-Seq context of each (func, branch)
+// signal and a session's Seqs only grow, so once one of the session's
+// captures for a signal has been accepted — with its alarm ahead of it
+// in the queue — every later one would be discarded unread: those are
+// skipped here, deep copy and queue slot included. drops is the
+// session's drop count when the capture's batch began; a drop since
+// then may have cost the capture's alarm, so the capture is not marked.
+func (v *verifier) offerCtx(ss *session, c *ipds.AlarmContext, drops uint64) {
+	k := ctxMark{pc: c.Alarm.PC, fn: c.Alarm.Func}
+	if _, ok := ss.ctxMarks[k]; ok {
+		return
+	}
+	// The capture's alarm goes first: the analyzer drops a context whose
+	// signal it has not seen yet.
+	v.offerSlab(ss)
+	if !v.srv.incidents.offerCtx(c) {
+		ss.incidentDrop()
+		return
+	}
+	if ss.incDrops == drops {
+		if ss.ctxMarks == nil {
+			ss.ctxMarks = map[ctxMark]struct{}{}
+		}
+		ss.ctxMarks[k] = struct{}{}
+	}
 }
 
 // send pushes one op into the core's writer ring, parking (counted as
@@ -467,22 +540,25 @@ func (w *coreWriter) loop() {
 // per-core breakdown behind BENCH_pr6.json and `ipdsload -selfserve`.
 // Events/Batches/Alarms are lifetime totals for sessions pinned to
 // this core; Parks/Wakes count the verifier's parks, idle or on a
-// full writer ring (WriterParks the writer's); Stalls counts
-// writer-ring-full waits; RingHighWater is the deepest any session
-// ring pinned here ever got.
+// full writer ring (WriterParks the writer's), and ParkedNs the time
+// those parks actually blocked (WriterParkedNs the writer's); Stalls
+// counts writer-ring-full waits; RingHighWater is the deepest any
+// session ring pinned here ever got.
 type CoreStats struct {
-	Core          int    `json:"core"`
-	Sessions      int    `json:"sessions"`       // live now
-	SessionsTotal uint64 `json:"sessions_total"` // ever pinned
-	Events        uint64 `json:"events"`
-	Batches       uint64 `json:"batches"`
-	Alarms        uint64 `json:"alarms"`
-	VerifyNs      uint64 `json:"verify_ns"` // cumulative wall time in verifyBatch
-	Parks         uint64 `json:"parks"`
-	Wakes         uint64 `json:"wakes"`
-	WriterParks   uint64 `json:"writer_parks"`
-	Stalls        uint64 `json:"stalls"`
-	RingHighWater int    `json:"ring_high_water"`
+	Core           int    `json:"core"`
+	Sessions       int    `json:"sessions"`       // live now
+	SessionsTotal  uint64 `json:"sessions_total"` // ever pinned
+	Events         uint64 `json:"events"`
+	Batches        uint64 `json:"batches"`
+	Alarms         uint64 `json:"alarms"`
+	VerifyNs       uint64 `json:"verify_ns"` // cumulative wall time in verifyBatch
+	Parks          uint64 `json:"parks"`
+	Wakes          uint64 `json:"wakes"`
+	WriterParks    uint64 `json:"writer_parks"`
+	ParkedNs       uint64 `json:"parked_ns"`
+	WriterParkedNs uint64 `json:"writer_parked_ns"`
+	Stalls         uint64 `json:"stalls"`
+	RingHighWater  int    `json:"ring_high_water"`
 }
 
 // CoreStats snapshots every verifier core. Safe from any goroutine;
@@ -505,18 +581,20 @@ func (s *Server) CoreStats() []CoreStats {
 			hw = liveHW[i]
 		}
 		out[i] = CoreStats{
-			Core:          i,
-			Sessions:      liveN[i],
-			SessionsTotal: v.sessionsCum.Load(),
-			Events:        v.events.Load(),
-			Batches:       v.batches.Load(),
-			Alarms:        v.alarms.Load(),
-			VerifyNs:      v.verifyNs.Load(),
-			Parks:         v.pk.Parks(),
-			Wakes:         v.pk.Wakes(),
-			WriterParks:   v.wr.pk.Parks(),
-			Stalls:        v.stalls.Load(),
-			RingHighWater: int(hw),
+			Core:           i,
+			Sessions:       liveN[i],
+			SessionsTotal:  v.sessionsCum.Load(),
+			Events:         v.events.Load(),
+			Batches:        v.batches.Load(),
+			Alarms:         v.alarms.Load(),
+			VerifyNs:       v.verifyNs.Load(),
+			Parks:          v.pk.Parks(),
+			Wakes:          v.pk.Wakes(),
+			WriterParks:    v.wr.pk.Parks(),
+			ParkedNs:       v.pk.ParkedNs(),
+			WriterParkedNs: v.wr.pk.ParkedNs(),
+			Stalls:         v.stalls.Load(),
+			RingHighWater:  int(hw),
 		}
 	}
 	return out

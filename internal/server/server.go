@@ -35,7 +35,8 @@
 // gracefully: already-queued batches are verified and already-queued
 // alarms delivered, each session ending in a final Ack and Bye. The
 // incident analytics queue remains the system's single
-// multi-producer merge point, deliberately off the serve path.
+// multi-producer merge point, deliberately off the serve path; each
+// verifier feeds it once per pass, with one run of the pass's alarms.
 package server
 
 import (
@@ -101,11 +102,12 @@ type Config struct {
 
 	// DisableIncidents turns off the incident analytics stage. It is ON
 	// by default: the stage runs behind a bounded queue off the serve
-	// path, so its steady-state cost is one non-blocking channel send
-	// per alarm.
+	// path, so its steady-state cost is one slab store per alarm and,
+	// per verifier pass, one copy into the stage's alarm ring and one
+	// non-blocking channel send.
 	DisableIncidents bool
 
-	// IncidentQueue bounds the analytics feed queue (default
+	// IncidentQueue bounds the analytics feed queue, in alarms (default
 	// DefaultIncidentQueue). When full, observations are dropped from
 	// analysis — counted as incident_queue_dropped_total — never
 	// stalling a verifier.
@@ -231,8 +233,9 @@ type Server struct {
 	spanPool sync.Pool
 
 	// incidents is the off-path analytics stage (nil when disabled):
-	// verifiers offer alarms and forensic captures to its bounded queue
-	// and a dedicated goroutine folds them into ranked incidents.
+	// verifiers offer runs of alarms and forensic captures to its
+	// bounded queue and a dedicated goroutine folds them into ranked
+	// incidents.
 	incidents *incidentStage
 
 	// verifiers are the per-core loops; each owns a writer. stopping
@@ -506,8 +509,9 @@ func (s *Server) handleConn(conn net.Conn) {
 
 // verifyBatch feeds one batch through the session's machine via the
 // zero-allocation OnBatch kernel, encodes the raised alarms and the
-// batch's Ack into one pooled buffer, tallies the batch into the
-// verifier's pass tally, and returns the batch to the pool. start is
+// batch's Ack into one pooled buffer, collects the alarms into the
+// verifier's incident slab, tallies the batch into the verifier's pass
+// tally, and returns the batch to the pool. start is
 // the unix-nanos time the batch's verification began; it returns the
 // buffer, for the caller to send, and the time verification ended,
 // which starts the next batch of the pass. Runs on the session's pinned
@@ -530,21 +534,15 @@ func (s *Server) verifyBatch(v *verifier, ss *session, t task, start int64) (*fr
 	// operation and (after writer coalescing) one socket write per
 	// batch, however many alarms it raised.
 	fb := s.leaseBuf()
+	inc := s.incidents
+	drops := ss.incDrops
 	for i := range alarms {
 		var err error
 		if fb.b, err = wire.AppendAlarm(fb.b, alarmFrame(&alarms[i])); err != nil {
 			panic(err) // alarmFrame clamps Func; unreachable absent a bug
 		}
-		// Feed the analytics stage off the hot path: a non-blocking
-		// send of a detached value copy (drops are counted), so the
-		// serve loop never stalls or allocates for analysis. This is
-		// the one multi-producer queue in the system — the merge point
-		// where all cores' alarms meet.
-		if s.incidents != nil {
-			a := &alarms[i]
-			s.incidents.offer(incident.AlarmEvent{
-				Session: ss.id, Seq: a.Seq, PC: a.PC, Func: a.Func, Taken: a.Taken,
-			})
+		if inc != nil {
+			v.collect(ss, &alarms[i])
 		}
 	}
 	// Emission is capture-driven: each context the machine snapshotted
@@ -555,6 +553,7 @@ func (s *Server) verifyBatch(v *verifier, ss *session, t task, start int64) (*fr
 		if tot := ss.m.CtxCaptured(); tot != ss.ctxSeen {
 			fresh := int(tot - ss.ctxSeen)
 			ss.ctxSeen = tot
+			v.tally.ctx = true
 			// The context ring is shallow: in a pathological burst the
 			// oldest captures of this batch may already be overwritten
 			// before emission. Counted, never silent.
@@ -571,18 +570,9 @@ func (s *Server) verifyBatch(v *verifier, ss *session, t task, start int64) (*fr
 				} else {
 					s.met.ctxDropped.Inc()
 				}
-				if s.incidents != nil {
-					s.incidents.offerCtx(c)
+				if inc != nil {
+					v.offerCtx(ss, c, drops)
 				}
-			}
-			if c := ss.m.LastContext(); c != nil {
-				// Refresh the session's forensic snapshot for
-				// /debug/sessions. CopyInto reuses the snapshot's
-				// slices, so the steady state stays allocation-free.
-				ss.ctxMu.Lock()
-				c.CopyInto(&ss.lastCtx)
-				ss.hasCtx = true
-				ss.ctxMu.Unlock()
 			}
 		}
 	}
@@ -602,9 +592,9 @@ func (s *Server) verifyBatch(v *verifier, ss *session, t task, start int64) (*fr
 	tl.verifyNs += spent
 	tl.lastStart = start
 	if t.sp != nil {
-		// Incident offer + forensics emission + ack encode are done; the
-		// record rides the frame buffer to the core writer, which stamps
-		// AckNs and commits once the coalesced write lands.
+		// Incident collection + forensics emission + ack encode are
+		// done; the record rides the frame buffer to the core writer,
+		// which stamps AckNs and commits once the coalesced write lands.
 		t.sp.OfferEndNs = end
 		fb.sp = t.sp
 	}

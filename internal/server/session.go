@@ -86,6 +86,15 @@ type session struct {
 	// lifetime capture count; fresh captures past it are emitted once.
 	ctxSeen uint64
 
+	// ctxMarks holds the (func, branch) signals whose forensic context
+	// the incident stage has accepted from this session; later captures
+	// of a marked signal are not offered (verifier.offerCtx). incDrops
+	// counts the session's incident-queue drops, each of which clears
+	// the marks. Verifier-owned; the set is bounded by the image's
+	// branch count.
+	ctxMarks map[ctxMark]struct{}
+	incDrops uint64
+
 	// Core-writer-owned coalescing state: frames queued for this
 	// session in the current write cycle accumulate in wbuf and go out
 	// as one conn.Write. wfailed latches the first write error; output
@@ -98,6 +107,23 @@ type session struct {
 	// batches: detached from their frame buffers at append time,
 	// committed (ack stamp) when the cycle's single write lands.
 	wspans []*SpanRec
+}
+
+// ctxMark names one (func, branch) alarm signal in session.ctxMarks.
+type ctxMark struct {
+	pc uint64
+	fn string
+}
+
+// incidentDrop records that some of the session's alarms or contexts
+// were dropped from the incident queue, and clears the session's
+// context marks. That is conservative — a capture accepted behind its
+// alarm stays the signal's lowest-Seq one through any later drop — but
+// a cleared mark costs only one more offer, and no mark can rest on an
+// alarm the analyzer did not see.
+func (s *session) incidentDrop() {
+	clear(s.ctxMarks)
+	s.incDrops++
 }
 
 // isClosedErr reports a read failing because the connection was closed

@@ -181,3 +181,21 @@ func TestDecodeAlarmIntoDoesNotAlloc(t *testing.T) {
 		t.Fatalf("DecodeAlarmInto allocates %.1f times per alarm, want 0", allocs)
 	}
 }
+
+// TestDecodeAckIntoDoesNotAlloc holds the client's Ack decode to zero
+// allocations: an Ack boxed into a Frame costs one per verified batch.
+func TestDecodeAckIntoDoesNotAlloc(t *testing.T) {
+	enc, err := Append(nil, Ack{Events: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a Ack
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := DecodeAckInto(enc[4:], &a); err != nil || a.Events != 1<<40 {
+			t.Fatalf("DecodeAckInto = %+v, %v", a, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("DecodeAckInto allocates %.1f times per ack, want 0", allocs)
+	}
+}

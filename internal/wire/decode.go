@@ -533,11 +533,33 @@ func (d *decoder) alarmCtx() (Frame, error) {
 
 func (d *decoder) ack() (Frame, error) {
 	var a Ack
-	var err error
-	if a.Events, err = d.uvarint("ack events"); err != nil {
+	if err := d.ackBody(&a); err != nil {
 		return nil, err
 	}
-	return d.done(a)
+	return a, nil
+}
+
+// ackBody decodes an Ack frame's body into *a, trailing-byte check
+// included.
+func (d *decoder) ackBody(a *Ack) error {
+	var err error
+	if a.Events, err = d.uvarint("ack events"); err != nil {
+		return err
+	}
+	return d.end(TypeAck)
+}
+
+// DecodeAckInto parses an Ack frame payload into *a — the Ack
+// counterpart of DecodeAlarmInto, with no Frame boxing. It accepts and
+// refuses exactly the payloads Decode does for TypeAck; any other frame
+// type is an error.
+func DecodeAckInto(payload []byte, a *Ack) error {
+	*a = Ack{}
+	d, err := intoDecoder(payload, TypeAck, "DecodeAckInto")
+	if err != nil {
+		return err
+	}
+	return d.ackBody(a)
 }
 
 // hash reads the fixed-length content hash common to the registry

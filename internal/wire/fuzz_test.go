@@ -8,12 +8,14 @@ import (
 )
 
 // FuzzDecode is the native fuzz target behind `go test -fuzz=FuzzDecode
-// ./internal/wire` (cmd/ipdsfuzz -wire runs the same property from a
-// seeded generator for CI). Properties: Decode never panics, never
+// ./internal/wire` (`make fuzz-gate` runs it from the committed seeds
+// under testdata/fuzz). Properties: Decode never panics, never
 // over-allocates past the payload size, and every accepted frame
 // re-encodes to a payload that decodes to the same frame (canonical
-// form fixed point), and every accepted untraced Batch, once stamped
-// with StampBatch, decodes to the same events plus the stamp.
+// form fixed point), every accepted untraced Batch, once stamped with
+// StampBatch, decodes to the same events plus the stamp, and the
+// boxing-free decoders (DecodeBatchInto, DecodeAlarmInto,
+// DecodeAckInto) give Decode's verdict and fields on every payload.
 func FuzzDecode(f *testing.F) {
 	for _, fr := range sampleFrames() {
 		enc, err := Append(nil, fr)
@@ -86,6 +88,21 @@ func FuzzDecode(f *testing.F) {
 			}
 		} else if alarmErr == nil {
 			t.Fatalf("DecodeAlarmInto accepted a non-alarm payload")
+		}
+
+		// DecodeAckInto likewise on every ack payload: same verdict and
+		// the same count.
+		var ack Ack
+		ackErr := DecodeAckInto(payload, &ack)
+		if len(payload) > 0 && FrameType(payload[0]) == TypeAck {
+			if (err == nil) != (ackErr == nil) {
+				t.Fatalf("Decode err=%v but DecodeAckInto err=%v", err, ackErr)
+			}
+			if err == nil && ack != fr.(Ack) {
+				t.Fatalf("DecodeAckInto %+v, Decode %+v", ack, fr)
+			}
+		} else if ackErr == nil {
+			t.Fatalf("DecodeAckInto accepted a non-ack payload")
 		}
 
 		if err != nil {

@@ -23,8 +23,8 @@
 // decoder is pure: hostile, truncated or oversized input yields an
 // error, never a panic and never an allocation proportional to an
 // attacker-controlled count (counts are validated against the bytes
-// actually present before any slice is sized). cmd/ipdsfuzz -wire and
-// FuzzDecode hammer exactly that contract.
+// actually present before any slice is sized). The native fuzz target
+// FuzzDecode hammers exactly that contract.
 package wire
 
 import (
