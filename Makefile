@@ -130,7 +130,9 @@ trace-gate:
 # linked-list oracle under single-branch flips; zero alarms unflipped),
 # plus the other untrusted decoders: compile-cache blobs (accepted
 # blobs re-encode byte-identically) and textual event lines (accepted
-# lines round-trip through Event.Text). A failing input is written under testdata/fuzz; commit it as a seed
+# lines round-trip through Event.Text), and the client's delta-coded
+# alarm log (adds, forks and table overflows decode back to a plain
+# slice model). A failing input is written under testdata/fuzz; commit it as a seed
 # alongside the fix.
 FUZZTIME ?= 10s
 fuzz-gate:
@@ -139,6 +141,7 @@ fuzz-gate:
 	$(GO) test -run '^$$' -fuzz '^FuzzKernel$$' -fuzztime $(FUZZTIME) ./internal/ipds
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlob$$' -fuzztime $(FUZZTIME) ./internal/tcache
 	$(GO) test -run '^$$' -fuzz '^FuzzParseEventText$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzAlarmLog$$' -fuzztime $(FUZZTIME) ./internal/ipdsclient
 
 # Full gate: what a PR must pass.
 ci: vet build docscheck race race-parallel race-server smoke-load bench alloc-gate kernel-gate forensics-gate incident-gate scale-gate fleet-gate trace-gate fuzz-gate

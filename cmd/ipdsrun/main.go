@@ -12,8 +12,10 @@
 // exits and committed branches — in the canonical textual form shared
 // with the wire protocol's Batch frames (see internal/wire): `enter
 // 0x40`, `branch 0x4a T`, `branch 0x52 NT`, `leave`, with '#' comment
-// and blank lines ignored. The file replays against a daemon via
-// `ipdsload -events-file`, and text ↔ wire round trips are byte-exact.
+// and blank lines ignored. A run that ends inside a function (exit_prog,
+// a fault) is closed with a leave per open frame, so the stream ends at
+// depth 0. The file replays against a daemon via `ipdsload
+// -events-file`, and text ↔ wire round trips are byte-exact.
 //
 // Usage:
 //
@@ -29,6 +31,7 @@ import (
 	"os"
 
 	"repro/internal/ipds"
+	"repro/internal/ipdsclient"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -125,7 +128,7 @@ func main() {
 	}
 	var res vm.Result
 	var m *ipds.Machine
-	var events []wire.Event
+	var events ipdsclient.Tracer
 	for i := 0; i < *repeat; i++ {
 		stop := tr.Span("run")
 		v := vm.New(art.Prog, vm.DefaultConfig, input)
@@ -133,17 +136,7 @@ func main() {
 		m.Instrument(reg, "workload", name)
 		ipds.Attach(v, m)
 		if *eventFile != "" {
-			v.AddHooks(vm.Hooks{
-				OnCall: func(fn *ir.Func) {
-					events = append(events, wire.Event{Kind: wire.EvEnter, PC: fn.Base})
-				},
-				OnRet: func(fn *ir.Func) {
-					events = append(events, wire.Event{Kind: wire.EvLeave})
-				},
-				OnBranch: func(br *ir.Instr, taken bool) {
-					events = append(events, wire.Event{Kind: wire.EvBranch, PC: br.PC, Taken: taken})
-				},
-			})
+			v.AddHooks(events.Hooks())
 		}
 		if *trace {
 			v.AddHooks(vm.Hooks{OnBranch: func(br *ir.Instr, taken bool) {
@@ -151,6 +144,7 @@ func main() {
 			}})
 		}
 		res = v.Run()
+		events.Close()
 		stop()
 	}
 
@@ -160,8 +154,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ipdsrun:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(f, "# %s: %d events (%d runs)\n", name, len(events), *repeat)
-		if err := wire.WriteEventsText(f, events); err == nil {
+		fmt.Fprintf(f, "# %s: %d events (%d runs)\n", name, len(events.Events), *repeat)
+		if err := wire.WriteEventsText(f, events.Events); err == nil {
 			err = f.Close()
 		} else {
 			f.Close()

@@ -1,83 +1,109 @@
 package ipdsclient
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/wire"
 )
 
-// chunkLen is the entry count of one alarm-log chunk.
-const chunkLen = 4096
+// The alarm log is one append-only byte stream of delta-coded records
+// held in fixed-size chunks. A flood repeats a handful of
+// (Func, PC, Slot, Expected, Taken) signals at small Seq gaps with a
+// latency sample that rarely changes, so a record is mostly three
+// one- or two-byte varints:
+//
+//	code    uvarint: ref<<2 | latency mode
+//	        ref 0 is never written (a chunk's unused tail is zero),
+//	        ref 1 escapes to a literal signal, ref k+2 is signal k
+//	seq     zigzag varint: Seq minus the previous record's Seq
+//	literal (ref 1 only) uvarint PC, Slot, name index, Expected<<1|Taken
+//	latency (mode latDelta only) zigzag varint: sample minus the previous sample
+//
+// Deltas wrap modulo 2^64, so any Seq and latency round-trip — a
+// Redial that rolled back re-delivers lower Seqs.
+const (
+	latNone  = 0 // the alarm has no latency sample
+	latSame  = 1 // the sample equals the previous one
+	latDelta = 2 // a sample delta follows
+)
 
-// maxNames bounds a log's function-name table: alarmRec.Fn is a uint16.
+// chunkBytes is the size of one alarm-log chunk: several thousand
+// flood alarms.
+const chunkBytes = 16 << 10
+
+// maxRecord bounds one encoded record: a 3-byte code (refs stay below
+// maxSignals+2), three 10-byte varints (Seq, PC, latency), Slot,
+// name index and Expected<<1|Taken. A record never straddles chunks.
+const maxRecord = 3 + 3*binary.MaxVarintLen64 + binary.MaxVarintLen32 + 3 + 2
+
+// maxNames bounds a log's function-name table: a signal's fn is a
+// uint16.
 const maxNames = 1 << 16
 
-// alarmRec is one retained alarm: a wire.Alarm whose function name is
-// replaced by its index in the log's name table. It holds no pointer,
-// so the collector never scans a chunk of them, and packs to 24 bytes.
-type alarmRec struct {
-	Seq, PC  uint64
-	Slot     uint32
-	Fn       uint16
-	Expected uint8
-	Taken    bool
-}
+// maxSignals bounds a log's signal table. An alarm whose signal would
+// grow it past the bound is recorded as a literal, so a hostile server
+// cannot grow the table and the log stays linear in the alarm bytes
+// received.
+const maxSignals = 1 << 16
 
-// chunks is an append-only sequence stored in fixed chunkLen-entry
-// arrays. Appending never copies earlier entries, and a full chunk is
-// never written again, so a fork can share it.
-type chunks[T any] struct {
-	c []*[chunkLen]T
-	n int
-}
+// hotSigs is the size of a log's direct-mapped cache of recent
+// signals, which spares a flood's few signals the table's map lookup.
+const hotSigs = 128
 
-func (s *chunks[T]) add(v T) {
-	i := s.n % chunkLen
-	if i == 0 {
-		s.c = append(s.c, new([chunkLen]T))
-	}
-	s.c[len(s.c)-1][i] = v
-	s.n++
-}
+// hotSlot picks sig's entry in the recent-signal cache: its branch
+// site and direction.
+func hotSlot(sig signal) uint64 { return (sig.pc>>1 | b2u(sig.taken)) % hotSigs }
 
-// each calls f on every entry in append order.
-func (s *chunks[T]) each(f func(T)) {
-	for i := 0; i < s.n; i++ {
-		f(s.c[i/chunkLen][i%chunkLen])
-	}
-}
+// chunk is one fixed-size run of the log's byte stream. It holds no
+// pointer, so the collector never scans it.
+type chunk [chunkBytes]byte
 
-// fork returns a copy that shares every full chunk and copies only the
-// partly filled last one, so appends to either side stay private.
-func (s *chunks[T]) fork() chunks[T] {
-	out := chunks[T]{c: append([]*[chunkLen]T(nil), s.c...), n: s.n}
-	if s.n%chunkLen != 0 {
-		last := *s.c[len(s.c)-1]
-		out.c[len(out.c)-1] = &last
-	}
-	return out
+// signal is what an alarm carries besides its Seq: the interned
+// function name's index and the branch site and directions. It packs
+// to 16 pointer-free bytes.
+type signal struct {
+	pc       uint64
+	slot     uint32
+	fn       uint16
+	expected uint8
+	taken    bool
 }
 
 // alarmLog is a client's retained alarm stream: the alarms in delivery
-// order, their delivery-latency samples (one per alarm whose batch
-// mark was still outstanding), and the interned function names the
-// records index.
+// order, each with its delivery-latency sample when its batch mark was
+// still outstanding, plus the interned signals and function names the
+// records refer to. Written bytes and table entries are never
+// rewritten, so a snapshot (view) decodes without the client's lock.
 type alarmLog struct {
-	recs  chunks[alarmRec]
-	lat   chunks[time.Duration]
+	chunks []*chunk
+	off    int // bytes written into the last chunk
+	n      int // alarms
+	nlat   int // latency samples
+
+	// Codec state: the previous record's Seq and latency sample.
+	seq uint64
+	lat int64
+
+	sigs   []signal
+	sigIDs map[signal]uint16
+	hot    [hotSigs]uint32 // 1 + index of a recent signal per hotSlot; 0 = empty
+
 	names []string
 	ids   map[string]uint16
 	last  uint16 // id of the most recently added name
 }
 
-// add appends a (whose Func is ignored) with function name fn,
-// interning fn, and returns the interned name. A flood repeats one
-// function's name, so the last interned name is compared before the
-// table is searched. A name beyond the table's maxNames bound is
-// refused and nothing is appended.
-func (l *alarmLog) add(a wire.Alarm, fn []byte) (string, error) {
+// add appends a (whose Func is ignored) with function name fn and, when
+// hasLat, the delivery-latency sample lat, and returns the interned
+// name. A flood repeats one function's name and a few signals, so the
+// last name and the recently seen signals are compared before the
+// tables are searched. A name beyond the name table's bound is refused
+// and nothing is appended.
+func (l *alarmLog) add(a wire.Alarm, fn []byte, lat time.Duration, hasLat bool) (string, error) {
 	id, ok := l.last, len(l.names) > 0 && l.names[l.last] == string(fn)
 	if !ok {
 		id, ok = l.ids[string(fn)]
@@ -95,38 +121,196 @@ func (l *alarmLog) add(a wire.Alarm, fn []byte) (string, error) {
 		l.ids[name] = id
 	}
 	l.last = id
-	l.recs.add(alarmRec{Seq: a.Seq, PC: a.PC, Slot: a.Slot, Fn: id, Expected: a.Expected, Taken: a.Taken})
+
+	sig := signal{pc: a.PC, slot: a.Slot, fn: id, expected: a.Expected, taken: a.Taken}
+	ref := l.intern(sig)
+	mode := uint64(latNone)
+	if hasLat {
+		mode = latDelta
+		if int64(lat) == l.lat {
+			mode = latSame
+		}
+	}
+
+	if len(l.chunks) == 0 || chunkBytes-l.off < maxRecord {
+		l.chunks = append(l.chunks, new(chunk))
+		l.off = 0
+	}
+	b := l.chunks[len(l.chunks)-1][l.off:]
+	k := binary.PutUvarint(b, ref<<2|mode)
+	k += binary.PutVarint(b[k:], int64(a.Seq-l.seq))
+	if ref == 1 {
+		k += binary.PutUvarint(b[k:], sig.pc)
+		k += binary.PutUvarint(b[k:], uint64(sig.slot))
+		k += binary.PutUvarint(b[k:], uint64(sig.fn))
+		k += binary.PutUvarint(b[k:], uint64(sig.expected)<<1|b2u(sig.taken))
+	}
+	if mode == latDelta {
+		k += binary.PutVarint(b[k:], int64(lat)-l.lat)
+	}
+	l.off += k
+	l.seq = a.Seq
+	if hasLat {
+		l.lat = int64(lat)
+		l.nlat++
+	}
+	l.n++
 	return l.names[id], nil
 }
 
-// alarms rebuilds the delivered alarms as wire.Alarm values.
-func (l *alarmLog) alarms() []wire.Alarm {
-	out := make([]wire.Alarm, 0, l.recs.n)
-	l.recs.each(func(r alarmRec) {
-		out = append(out, wire.Alarm{Seq: r.Seq, PC: r.PC, Func: l.names[r.Fn], Slot: r.Slot, Expected: r.Expected, Taken: r.Taken})
-	})
-	return out
+// intern returns sig's record ref: k+2 for signal k, interning sig
+// while the table has room, or 1 (a literal record) once it is full.
+// The recent-signal cache is checked before the table's map.
+func (l *alarmLog) intern(sig signal) uint64 {
+	h := &l.hot[hotSlot(sig)]
+	if k := *h; k != 0 && l.sigs[k-1] == sig {
+		return uint64(k) + 1
+	}
+	k, ok := l.sigIDs[sig]
+	if !ok {
+		if len(l.sigs) == maxSignals {
+			return 1
+		}
+		if l.sigIDs == nil {
+			l.sigIDs = map[signal]uint16{}
+		}
+		k = uint16(len(l.sigs))
+		l.sigs = append(l.sigs, sig)
+		l.sigIDs[sig] = k
+	}
+	*h = uint32(k) + 1
+	return uint64(k) + 2
 }
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// view snapshots what decoding the log needs: the chunk pointers, the
+// byte length of the last chunk and the table headers. Later appends
+// write only past the snapshot, so the view decodes without the lock
+// that guards add.
+func (l *alarmLog) view() logView {
+	return logView{chunks: l.chunks, off: l.off, n: l.n, nlat: l.nlat, sigs: l.sigs, names: l.names}
+}
+
+// alarms rebuilds the delivered alarms as wire.Alarm values.
+func (l *alarmLog) alarms() []wire.Alarm { return l.view().alarms() }
 
 // latencies returns the delivery-latency samples, nil when there are
 // none.
-func (l *alarmLog) latencies() []time.Duration {
-	var out []time.Duration
-	if l.lat.n > 0 {
-		out = make([]time.Duration, 0, l.lat.n)
+func (l *alarmLog) latencies() []time.Duration { return l.view().latencies() }
+
+// fork returns a log holding the same alarms that the caller may keep
+// appending to without changing l. It shares every full chunk and
+// copies only the partly filled last one and the codec state. The
+// fork's tables are clipped, so its first append reallocates instead of
+// writing into the spare capacity l appends to.
+func (l *alarmLog) fork() alarmLog {
+	out := *l
+	out.chunks = slices.Clone(l.chunks)
+	if n := len(out.chunks); n > 0 && l.off < chunkBytes {
+		last := *l.chunks[n-1]
+		out.chunks[n-1] = &last
 	}
-	l.lat.each(func(d time.Duration) { out = append(out, d) })
+	out.sigs = slices.Clip(l.sigs)
+	out.sigIDs = maps.Clone(l.sigIDs)
+	out.names = slices.Clip(l.names)
+	out.ids = maps.Clone(l.ids)
 	return out
 }
 
-// fork returns a log holding the same alarms that the caller may keep
-// appending to without changing l.
-func (l *alarmLog) fork() alarmLog {
-	return alarmLog{
-		recs:  l.recs.fork(),
-		lat:   l.lat.fork(),
-		names: append([]string(nil), l.names...),
-		ids:   maps.Clone(l.ids),
-		last:  l.last,
+// logView is a decodable snapshot of an alarm log (alarmLog.view).
+type logView struct {
+	chunks  []*chunk
+	off     int
+	n, nlat int
+	sigs    []signal
+	names   []string
+}
+
+// decode walks the snapshot's records in order, storing each alarm in
+// alarms and each latency sample in lats; either may be nil, and
+// otherwise holds v.n alarms or v.nlat samples.
+func (v logView) decode(alarms []wire.Alarm, lats []time.Duration) {
+	var (
+		seq    uint64
+		lat    int64
+		ia, il int
+	)
+	for i, c := range v.chunks {
+		end := chunkBytes
+		if i == len(v.chunks)-1 {
+			end = v.off
+		}
+		b := c[:end]
+		for p := 0; p < len(b) && b[p] != 0; {
+			var code, d uint64
+			code, p = uvarint(b, p)
+			d, p = uvarint(b, p)
+			seq += unzigzag(d)
+			var sig signal
+			if ref := code >> 2; ref == 1 {
+				var slot, fn, et uint64
+				sig.pc, p = uvarint(b, p)
+				slot, p = uvarint(b, p)
+				fn, p = uvarint(b, p)
+				et, p = uvarint(b, p)
+				sig.slot, sig.fn, sig.expected, sig.taken = uint32(slot), uint16(fn), uint8(et>>1), et&1 == 1
+			} else {
+				sig = v.sigs[ref-2]
+			}
+			if mode := code & 3; mode != latNone {
+				if mode == latDelta {
+					d, p = uvarint(b, p)
+					lat += int64(unzigzag(d))
+				}
+				if lats != nil {
+					lats[il] = time.Duration(lat)
+					il++
+				}
+			}
+			if alarms != nil {
+				alarms[ia] = wire.Alarm{Seq: seq, PC: sig.pc, Func: v.names[sig.fn],
+					Slot: sig.slot, Expected: sig.expected, Taken: sig.taken}
+				ia++
+			}
+		}
 	}
 }
+
+// alarms rebuilds the snapshot's alarms as wire.Alarm values.
+func (v logView) alarms() []wire.Alarm {
+	out := make([]wire.Alarm, v.n)
+	v.decode(out, nil)
+	return out
+}
+
+// latencies returns the snapshot's latency samples, nil when there are
+// none.
+func (v logView) latencies() []time.Duration {
+	if v.nlat == 0 {
+		return nil
+	}
+	out := make([]time.Duration, v.nlat)
+	v.decode(nil, out)
+	return out
+}
+
+// uvarint decodes the uvarint at b[p:] and returns it with the offset
+// past it; one-byte values, the common case, take the inlined path.
+// The log writes its own bytes, so the encoding is always well formed.
+func uvarint(b []byte, p int) (uint64, int) {
+	if x := b[p]; x < 0x80 {
+		return uint64(x), p + 1
+	}
+	v, k := binary.Uvarint(b[p:])
+	return v, p + k
+}
+
+// unzigzag maps a zigzag-coded uvarint back to the signed delta it
+// encodes, as a wrapping uint64.
+func unzigzag(u uint64) uint64 { return u>>1 ^ -(u & 1) }

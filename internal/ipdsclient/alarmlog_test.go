@@ -3,8 +3,10 @@ package ipdsclient
 import (
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -76,18 +78,27 @@ func waitAlarms(tb testing.TB, c *Client, n int) {
 	}
 }
 
-func TestAlarmRecIs24Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(alarmRec{}); n != 24 {
-		t.Fatalf("alarmRec is %d bytes, want 24", n)
+// firstChunkAlarms returns how many alarms of the sampleAlarm stream
+// over the given name count, each with a latency sample, fill a log's
+// first chunk.
+func firstChunkAlarms(names int) int {
+	var l alarmLog
+	for i := 0; ; i++ {
+		a := sampleAlarm(i, names)
+		l.add(a, []byte(a.Func), time.Duration(i), true)
+		if len(l.chunks) == 2 {
+			return i
+		}
 	}
 }
 
-// TestAlarmLogRoundTrip sends alarm streams around the chunk
-// boundaries through the client's reader and checks that Alarms()
-// returns them field for field in delivery order, with one latency
-// sample per alarm a batch mark covers.
+// TestAlarmLogRoundTrip sends alarm streams that end short of, at and
+// past chunk boundaries through the client's reader and checks that
+// Alarms() returns them field for field in delivery order, with one
+// latency sample per alarm a batch mark covers.
 func TestAlarmLogRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, chunkLen - 1, chunkLen, chunkLen + 1, 3*chunkLen + 5} {
+	fill := firstChunkAlarms(300)
+	for _, n := range []int{0, 1, 4095, 4096, 4097, 12293, fill - 1, fill, fill + 1, 3*fill + 5} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			c, srv := pipeClient(t, Config{})
 			// One mark covering every alarm's Seq, so each alarm takes a
@@ -222,19 +233,18 @@ func TestAlarmLogNameBound(t *testing.T) {
 // TestAlarmLogFork checks that a fork and its source never see each
 // other's appends, with the source's last chunk full or partial.
 func TestAlarmLogFork(t *testing.T) {
-	for _, n := range []int{0, 5, chunkLen, chunkLen + 5} {
+	fill := firstChunkAlarms(10)
+	for _, n := range []int{0, 5, fill, fill + 5} {
 		var src alarmLog
 		for i := 0; i < n; i++ {
 			a := sampleAlarm(i, 10)
-			src.add(a, []byte(a.Func))
-			src.lat.add(time.Duration(i))
+			src.add(a, []byte(a.Func), time.Duration(i), true)
 		}
 		before, beforeLat := src.alarms(), src.latencies()
 		fork := src.fork()
-		for i := n; i < n+chunkLen+3; i++ {
+		for i := n; i < n+fill+3; i++ {
 			a := sampleAlarm(i, 20)
-			fork.add(a, []byte(a.Func))
-			fork.lat.add(time.Duration(-i))
+			fork.add(a, []byte(a.Func), time.Duration(-i), true)
 		}
 		if got := src.alarms(); len(got) != len(before) || len(src.names) > 10 {
 			t.Fatalf("n=%d: source holds %d alarms, %d names after the fork grew", n, len(got), len(src.names))
@@ -264,8 +274,9 @@ func TestAlarmLogFork(t *testing.T) {
 
 // BenchmarkClientAlarmIngest is the alarm path's allocation gate: one
 // op is one pre-encoded Alarm frame through the client's reader —
-// decode, intern, record, latency sample. The log allocates one chunk
-// per chunkLen alarms, which amortises to 0 allocs/op.
+// decode, intern, record, latency sample. The log allocates one
+// chunkBytes chunk per several thousand alarms, which amortises to 0
+// allocs/op.
 func BenchmarkClientAlarmIngest(b *testing.B) {
 	c, srv := pipeClient(b, Config{})
 	const block = 64
@@ -288,5 +299,172 @@ func BenchmarkClientAlarmIngest(b *testing.B) {
 	}
 	for want := (b.N + block - 1) / block * block; c.AlarmCount() < want; {
 		runtime.Gosched()
+	}
+}
+
+// mapEntryBytes is an upper bound on one map entry's retained size
+// (slots, control bytes and growth slack) for the log's small key and
+// value types, used by footprint. Maps of up to 65,536 such entries
+// measured 14–61 bytes per entry with Go 1.24.
+const mapEntryBytes = 64
+
+// footprint returns the bytes the log retains: its chunks, tables and
+// names, with each map entry counted at the mapEntryBytes bound.
+func (l *alarmLog) footprint() int {
+	const ptr, str = 8, 16
+	b := len(l.chunks)*chunkBytes + cap(l.chunks)*ptr
+	b += cap(l.sigs)*int(unsafe.Sizeof(signal{})) + len(l.sigIDs)*mapEntryBytes
+	b += cap(l.names)*str + len(l.ids)*mapEntryBytes
+	for _, s := range l.names {
+		b += len(s)
+	}
+	return b
+}
+
+// TestAlarmLogBytesPerAlarm holds the log's retained bytes per alarm
+// (footprint, not MemStats) to two budgets: a flood shaped like a
+// tampered session's, and an adversarial stream with nothing to
+// compress and more distinct signals than the table holds. Both must
+// also decode back to the alarms that went in.
+func TestAlarmLogBytesPerAlarm(t *testing.T) {
+	const n = 1_000_000
+	// flood: 8 signals, Seq gaps of ~150, a latency sample on every
+	// alarm that changes once per 64 alarms.
+	flood := func(r *rand.Rand, a *wire.Alarm, lat *time.Duration, i int) bool {
+		k := uint64(r.IntN(8))
+		*a = wire.Alarm{Seq: a.Seq + 140 + uint64(r.IntN(21)), PC: 0x400 + 4*k, Func: "handler",
+			Slot: uint32(k), Expected: uint8(k % 3), Taken: k%2 == 1}
+		if i%64 == 0 {
+			*lat = time.Duration(200_000 + r.IntN(100_000))
+		}
+		return true
+	}
+	// adversarial: random 64-bit Seq, PC, Slot and latency, arbitrary
+	// Expected, a sample on half the alarms.
+	adversarial := func(r *rand.Rand, a *wire.Alarm, lat *time.Duration, i int) bool {
+		*a = wire.Alarm{Seq: r.Uint64(), PC: r.Uint64(), Func: fmt.Sprint("fn", r.IntN(4)),
+			Slot: r.Uint32(), Expected: uint8(r.Uint32()), Taken: r.IntN(2) == 1}
+		*lat = time.Duration(r.Uint64())
+		return r.IntN(2) == 1
+	}
+	for _, tc := range []struct {
+		name   string
+		gen    func(*rand.Rand, *wire.Alarm, *time.Duration, int) bool
+		budget float64
+		sigs   int
+	}{
+		{"flood", flood, 4, 8},
+		{"adversarial", adversarial, 48, maxSignals},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var (
+				l   alarmLog
+				a   wire.Alarm
+				lat time.Duration
+			)
+			r := rand.New(rand.NewPCG(1, 2))
+			for i := 0; i < n; i++ {
+				hasLat := tc.gen(r, &a, &lat, i)
+				if _, err := l.add(a, []byte(a.Func), lat, hasLat); err != nil {
+					t.Fatal(err)
+				}
+			}
+			per := float64(l.footprint()) / n
+			t.Logf("%d alarms, %d signals: %.2f bytes per alarm", n, len(l.sigs), per)
+			if per > tc.budget {
+				t.Errorf("log retains %.2f bytes per alarm, budget %v", per, tc.budget)
+			}
+			if len(l.sigs) != tc.sigs {
+				t.Errorf("signal table holds %d signals, want %d", len(l.sigs), tc.sigs)
+			}
+			// Decode and compare against the regenerated stream.
+			got, lats := l.alarms(), l.latencies()
+			r = rand.New(rand.NewPCG(1, 2))
+			a, lat = wire.Alarm{}, 0
+			nl := 0
+			for i := range got {
+				hasLat := tc.gen(r, &a, &lat, i)
+				if got[i] != a {
+					t.Fatalf("alarm %d = %+v, want %+v", i, got[i], a)
+				}
+				if hasLat {
+					if lats[nl] != lat {
+						t.Fatalf("latency %d = %v, want %v", nl, lats[nl], lat)
+					}
+					nl++
+				}
+			}
+			if len(got) != n || nl != len(lats) {
+				t.Fatalf("decoded %d alarms and %d latencies, want %d and %d", len(got), len(lats), n, nl)
+			}
+		})
+	}
+}
+
+// TestAlarmsListOutsideLock lists a large log over and over while the
+// server sends acks: each ack must be taken in well under the time one
+// listing takes, since Alarms() decodes after releasing the client's
+// lock. Under -race it also checks that decoding a snapshot while the
+// reader appends is race-free.
+func TestAlarmsListOutsideLock(t *testing.T) {
+	c, srv := pipeClient(t, Config{})
+	const n = 1 << 19
+	c.mu.Lock()
+	for i := 0; i < n; i++ {
+		a := wire.Alarm{Seq: uint64(i) * 150, PC: 0x400 + 4*uint64(i%8), Func: "handler", Slot: uint32(i % 8)}
+		if _, err := c.alarms.add(a, []byte(a.Func), time.Duration(i/64), true); err != nil {
+			c.mu.Unlock()
+			t.Fatal(err)
+		}
+	}
+	c.mu.Unlock()
+	// The fastest of three listings: the first pays for fresh pages.
+	list := time.Hour
+	for range 3 {
+		start := time.Now()
+		if got := len(c.Alarms()); got != n {
+			t.Fatalf("Alarms() listed %d alarms, want %d", got, n)
+		}
+		list = min(list, time.Since(start))
+	}
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if got := len(c.Alarms()); got < n {
+				t.Errorf("Alarms() listed %d alarms, want at least %d", got, n)
+				return
+			}
+		}
+	}()
+	// Alarms arrive between the acks, so the lister's snapshots race
+	// the reader's appends.
+	more := encodeAlarms(t, []wire.Alarm{{Seq: n * 150, PC: 0x400, Func: "handler"}})
+	var waits []time.Duration
+	for k := uint64(1); k <= 11; k++ {
+		// Spaced out, the acks land at different points of a listing.
+		time.Sleep(list / 3)
+		t0 := time.Now()
+		if _, err := srv.Write(append(wire.MustAppend(nil, wire.Ack{Events: k}), more...)); err != nil {
+			t.Fatal(err)
+		}
+		for c.Acked() != k {
+			runtime.Gosched()
+		}
+		waits = append(waits, time.Since(t0))
+	}
+	close(stop)
+	<-done
+	slices.Sort(waits)
+	if med := waits[len(waits)/2]; med > list/4 {
+		t.Fatalf("median ack took %v while Alarms() was listing; one listing takes %v", med, list)
+	} else {
+		t.Logf("median ack %v, one listing %v", med, list)
 	}
 }

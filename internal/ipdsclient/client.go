@@ -332,17 +332,17 @@ func (c *Client) alarm(raw []byte, now time.Time) error {
 	}
 	a.Seq += c.brBase
 	c.mu.Lock()
-	a.Func, err = c.alarms.add(a, fn)
-	if err == nil {
-		// The alarm's Seq counts branch events; find the batch that
-		// carried it for a delivery-latency sample.
-		for _, mk := range c.marks {
-			if a.Seq <= mk.branchHi {
-				c.alarms.lat.add(now.Sub(mk.sent))
-				break
-			}
+	// The alarm's Seq counts branch events; the batch that carried it
+	// gives a delivery-latency sample.
+	var lat time.Duration
+	hasLat := false
+	for _, mk := range c.marks {
+		if a.Seq <= mk.branchHi {
+			lat, hasLat = now.Sub(mk.sent), true
+			break
 		}
 	}
+	a.Func, err = c.alarms.add(a, fn, lat, hasLat)
 	c.mu.Unlock()
 	if err != nil {
 		return err
@@ -588,18 +588,22 @@ func Redial(c *Client) (*Client, error) {
 	return dialConn(conn, c.cfg, c, evBase, brBase)
 }
 
-// Alarms returns the alarms received so far (in delivery order).
+// Alarms returns the alarms received so far (in delivery order). The
+// list is decoded from a snapshot taken under the lock but built after
+// releasing it, so listing a large log never stalls ack and alarm
+// delivery.
 func (c *Client) Alarms() []wire.Alarm {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.alarms.alarms()
+	v := c.alarms.view()
+	c.mu.Unlock()
+	return v.alarms()
 }
 
 // AlarmCount returns len(Alarms()) without building the list.
 func (c *Client) AlarmCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.alarms.recs.n
+	return c.alarms.n
 }
 
 // AlarmContexts returns the forensic contexts received so far (in
@@ -655,13 +659,14 @@ func (c *Client) ServerError() *wire.Error {
 }
 
 // Latencies returns the collected ack round-trip and alarm delivery
-// samples (both may be empty).
+// samples (both may be empty). Like Alarms, it decodes the alarm
+// samples after releasing the lock.
 func (c *Client) Latencies() (ack, alarm []time.Duration) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	ack = append([]time.Duration(nil), c.ackLat...)
-	alarm = c.alarms.latencies()
-	return ack, alarm
+	v := c.alarms.view()
+	c.mu.Unlock()
+	return ack, v.latencies()
 }
 
 // Percentile returns the q-th (0..1) percentile of samples (0 when

@@ -11,23 +11,52 @@ import (
 // Capture executes art.Prog under the VM with the given input and
 // records the branch-event stream an attached detector would see —
 // function entries, exits, and every committed conditional branch — as
-// wire events ready to ship to an ipdsd daemon.
+// wire events ready to ship to an ipdsd daemon. The stream is closed
+// (Tracer.Close), so it ends at depth 0 and can be looped on one
+// session.
 func Capture(art *pipeline.Artifacts, input []string) []wire.Event {
-	var evs []wire.Event
+	var t Tracer
 	v := vm.New(art.Prog, vm.DefaultConfig, input)
-	v.AddHooks(vm.Hooks{
+	v.AddHooks(t.Hooks())
+	v.Run()
+	t.Close()
+	return t.Events
+}
+
+// Tracer records the branch-event stream of VM runs as wire events.
+// Add its Hooks to a VM before Run and call Close after it.
+type Tracer struct {
+	Events []wire.Event
+	open   int // frames entered and not yet left
+}
+
+// Hooks returns the VM hooks that append to t.Events.
+func (t *Tracer) Hooks() vm.Hooks {
+	return vm.Hooks{
 		OnCall: func(fn *ir.Func) {
-			evs = append(evs, wire.Event{Kind: wire.EvEnter, PC: fn.Base})
+			t.Events = append(t.Events, wire.Event{Kind: wire.EvEnter, PC: fn.Base})
+			t.open++
 		},
 		OnRet: func(fn *ir.Func) {
-			evs = append(evs, wire.Event{Kind: wire.EvLeave})
+			t.Events = append(t.Events, wire.Event{Kind: wire.EvLeave})
+			t.open--
 		},
 		OnBranch: func(br *ir.Instr, taken bool) {
-			evs = append(evs, wire.Event{Kind: wire.EvBranch, PC: br.PC, Taken: taken})
+			t.Events = append(t.Events, wire.Event{Kind: wire.EvBranch, PC: br.PC, Taken: taken})
 		},
-	})
-	v.Run()
-	return evs
+	}
+}
+
+// Close ends a run's stream at depth 0: it appends a leave for every
+// frame the run never returned from — main after exit_prog, the whole
+// stack after a fault. Looped on one session, an open stream would
+// deepen the daemon's table stack by those frames on every pass until
+// the session hits the call-depth limit (vm.MaxCallDepth). The leaves
+// follow the run's last branch, so the alarms are unchanged.
+func (t *Tracer) Close() {
+	for ; t.open > 0; t.open-- {
+		t.Events = append(t.Events, wire.Event{Kind: wire.EvLeave})
+	}
 }
 
 // Tamper returns a copy of a captured trace with every stride-th branch

@@ -74,22 +74,6 @@ func BenchmarkVerifyBatchIncident(b *testing.B) {
 	if len(trace) == 0 {
 		b.Fatal("empty trace")
 	}
-	// The capture ends mid-call (the VM halts inside main), so looping
-	// it would deepen the machine's stack every pass and turn the
-	// arena's record-depth growth into a per-op allocation. Balance the
-	// tail: the loop then measures a long-lived session at steady depth.
-	depth := 0
-	for _, ev := range trace {
-		switch ev.Kind {
-		case wire.EvEnter:
-			depth++
-		case wire.EvLeave:
-			depth--
-		}
-	}
-	for ; depth > 0; depth-- {
-		trace = append(trace, wire.Event{Kind: wire.EvLeave})
-	}
 
 	store := NewImageStore(nil)
 	store.Add("bench", art.Image)

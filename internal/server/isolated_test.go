@@ -15,9 +15,9 @@ import (
 
 // isolatedFrames compiles telnetd and returns its artifacts plus a
 // benign captured trace pre-encoded as 512-event Batch frames, one
-// frame per element. The capture ends mid-call, so the tail is balanced
-// with leaves: replaying the frames in a loop keeps the machine at a
-// steady depth however many times it wraps.
+// frame per element. Capture closes the run's open frames, so
+// replaying the frames in a loop keeps the machine at a steady depth
+// however many times it wraps.
 func isolatedFrames(tb testing.TB) (*pipeline.Artifacts, [][]byte) {
 	tb.Helper()
 	w := workload.ByName("telnetd")
@@ -29,18 +29,6 @@ func isolatedFrames(tb testing.TB) (*pipeline.Artifacts, [][]byte) {
 		tb.Fatalf("compile: %v", err)
 	}
 	trace := ipdsclient.Capture(art, w.Sessions()[0])
-	depth := 0
-	for _, ev := range trace {
-		switch ev.Kind {
-		case wire.EvEnter:
-			depth++
-		case wire.EvLeave:
-			depth--
-		}
-	}
-	for ; depth > 0; depth-- {
-		trace = append(trace, wire.Event{Kind: wire.EvLeave})
-	}
 	var frames [][]byte
 	for off := 0; off < len(trace); off += 512 {
 		frames = append(frames, wire.AppendBatches(nil, trace[off:min(off+512, len(trace))], 512))

@@ -1,0 +1,120 @@
+package server_test
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/ipdsclient"
+	"repro/internal/ir"
+	"repro/internal/pipeline"
+	"repro/internal/server"
+	"repro/internal/vm"
+	"repro/internal/wire"
+	"repro/internal/workload"
+)
+
+// TestDepthLimitEndsEnterFlood: a client that only ever enters a
+// function — 2,048,000 EvEnter events, a table stack no VM run
+// reaches — is ended with ErrLimit once a verified batch leaves
+// the stack deeper than vm.MaxCallDepth, counted in
+// server_session_limit_total, and never verified past that batch. The
+// daemon's live heap stays near its baseline: unbounded, the flood grew
+// it by tens of megabytes.
+func TestDepthLimitEndsEnterFlood(t *testing.T) {
+	w := startWorld(t, server.Config{})
+	const batch, events = 512, 2_048_000
+	enters := make([]wire.Event, batch)
+	for i := range enters {
+		enters[i] = wire.Event{Kind: wire.EvEnter, PC: w.art.Prog.Funcs[0].Base}
+	}
+	block := wire.AppendBatches(nil, enters, batch)
+	heap0 := liveHeap()
+
+	c, err := ipdsclient.Dial(ipdsclient.Config{Addr: w.addr, Image: w.hash, Program: "guard", Batch: batch})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	for sent := 0; sent < events; sent += batch {
+		if err := c.SendEncoded(block, batch, 0); err != nil {
+			break // the daemon ended the session and closed the connection
+		}
+	}
+	select {
+	case <-c.Done():
+	case <-time.After(10 * time.Second):
+	}
+	grown := int64(liveHeap()) - int64(heap0)
+	if grown > 4<<20 {
+		t.Fatalf("live heap grew %d bytes over the flood", grown)
+	}
+	t.Logf("live heap grew %d bytes", grown)
+
+	if e := c.ServerError(); e == nil || e.Code != wire.ErrLimit {
+		t.Fatalf("server error %+v, want ErrLimit", e)
+	}
+	// The stack is checked after every batch: the first batch to leave
+	// it deeper than the limit is the last one verified.
+	if want := uint64((vm.MaxCallDepth/batch + 1) * batch); c.Acked() != want {
+		t.Fatalf("acked %d events, want %d", c.Acked(), want)
+	}
+	w.waitSessions(t, 0)
+	if got := w.reg.Counter("server_session_limit_total").Value(); got != 1 {
+		t.Fatalf("server_session_limit_total = %d, want 1", got)
+	}
+}
+
+// TestDepthLimitSparesLoopedCapture: the depth bound ends floods, not
+// looped load. telnetd's attack session ends in exit_prog inside main,
+// so its run never returns from main; Capture closes that frame, and
+// looping the capture more than vm.MaxCallDepth times on one session —
+// what ipdsload and the scale gate do — verifies every event.
+func TestDepthLimitSparesLoopedCapture(t *testing.T) {
+	w := workload.ByName("telnetd")
+	art, err := pipeline.Compile(w.Source, ir.DefaultOptions)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	trace := ipdsclient.Tamper(ipdsclient.Capture(art, w.AttackSession), 97)
+	if d := depthAfter(trace); d != 0 {
+		t.Fatalf("capture ends at depth %d, want 0", d)
+	}
+	world := startWorldWith(t, art, "telnetd", server.Config{})
+	passes := 2 * vm.MaxCallDepth
+	res := ipdsclient.RunLoad(ipdsclient.LoadConfig{
+		Addr: world.addr, Image: world.hash, Program: "telnetd",
+		Trace: trace, EventsPerConn: passes * len(trace),
+	})
+	if len(res.Errors) > 0 {
+		t.Fatalf("session errors: %v", res.Errors)
+	}
+	if res.Events < uint64(passes*len(trace)) || res.Alarms == 0 {
+		t.Fatalf("verified %d events with %d alarms, want ≥ %d events and some alarms", res.Events, res.Alarms, passes*len(trace))
+	}
+	if got := world.reg.Counter("server_session_limit_total").Value(); got != 0 {
+		t.Fatalf("server_session_limit_total = %d, want 0", got)
+	}
+}
+
+// depthAfter returns the table-stack depth a stream leaves behind.
+func depthAfter(evs []wire.Event) int {
+	d := 0
+	for _, ev := range evs {
+		switch ev.Kind {
+		case wire.EvEnter:
+			d++
+		case wire.EvLeave:
+			d--
+		}
+	}
+	return d
+}
+
+// liveHeap collects garbage and returns the bytes still live.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}

@@ -17,6 +17,7 @@ type metrics struct {
 	alarmsTotal    *obs.Counter // server_alarms_total
 	errorsTotal    *obs.Counter // server_errors_total
 	evictionsTotal *obs.Counter // server_evictions_total
+	sessionLimit   *obs.Counter // server_session_limit_total
 	batchLen       *obs.Histogram
 	verifyNs       *obs.Histogram
 
@@ -61,6 +62,7 @@ func newMetrics(r *obs.Registry) metrics {
 		alarmsTotal:    r.Counter("server_alarms_total"),
 		errorsTotal:    r.Counter("server_errors_total"),
 		evictionsTotal: r.Counter("server_evictions_total"),
+		sessionLimit:   r.Counter("server_session_limit_total"),
 		batchLen:       r.Histogram("server_batch_events"),
 		verifyNs:       r.Histogram("server_verify_ns"),
 		ringDepth:      r.Histogram("server_ring_depth"),

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/incident"
 	"repro/internal/ipds"
 	"repro/internal/ring"
+	"repro/internal/vm"
 	"repro/internal/wire"
 )
 
@@ -240,15 +242,22 @@ type passTally struct {
 func (v *verifier) pass(ss *session, tasks []task) (finished bool) {
 	now := nowNs()
 	var held *frameBuf
+	limited := false
 	for j := range tasks {
 		t := tasks[j]
 		tasks[j] = task{}
 		switch {
+		case t.b != nil && ss.limited.Load():
+			v.srv.discard(t)
 		case t.b != nil:
 			if held != nil {
 				v.send(writeOp{s: ss, fb: held})
 			}
 			held, now = v.srv.verifyBatch(v, ss, t, now)
+			if ss.m.Depth() > vm.MaxCallDepth {
+				ss.limited.Store(true)
+				limited = true
+			}
 		case t.fb != nil:
 			if held != nil {
 				v.send(writeOp{s: ss, fb: held})
@@ -264,10 +273,30 @@ func (v *verifier) pass(ss *session, tasks []task) (finished bool) {
 	if held != nil {
 		v.send(writeOp{s: ss, fb: held})
 	}
+	if limited {
+		v.limit(ss)
+	}
 	if finished {
 		v.finish(ss)
 	}
 	return finished
+}
+
+// limit ends a session whose table stack grew deeper than one VM run
+// nests (vm.MaxCallDepth): without the bound, a stream of
+// function entries grows the machine's activation stack for as long as
+// the client keeps sending. The client is told why, the session's
+// later batches are discarded unverified (pass), and the reader is
+// stopped; its done task then seals the session as usual — incidents,
+// the final Ack for what was verified, Bye. The stack is checked after
+// every batch, so it never grows more than one batch past the bound.
+func (v *verifier) limit(ss *session) {
+	v.srv.met.sessionLimit.Inc()
+	v.sendFrame(ss, wire.Error{Code: wire.ErrLimit,
+		Msg: fmt.Sprintf("table stack depth %d exceeds the call-depth limit %d", ss.m.Depth(), vm.MaxCallDepth)})
+	// A deadline in the past wakes a read blocked on the socket; the
+	// reader sees limited and stops.
+	ss.conn.SetReadDeadline(time.Unix(1, 0))
 }
 
 // publish flushes the pass tally into the per-core counters, the

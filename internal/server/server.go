@@ -507,6 +507,15 @@ func (s *Server) handleConn(conn net.Conn) {
 	go ss.readLoop()
 }
 
+// discard releases a batch that a limited session (verifier.limit)
+// sent after its bound was hit: it is never verified or acked.
+func (s *Server) discard(t task) {
+	if t.sp != nil {
+		s.spanDiscard(t.sp)
+	}
+	s.batchPool.Put(t.b)
+}
+
 // verifyBatch feeds one batch through the session's machine via the
 // zero-allocation OnBatch kernel, encodes the raised alarms and the
 // batch's Ack into one pooled buffer, collects the alarms into the

@@ -50,6 +50,11 @@ type session struct {
 	// batch to carry a span record.
 	sampleCnt uint64
 
+	// limited is set by the verifier when the session exceeds a
+	// per-session bound (verifier.limit): the verifier discards its
+	// later batches and the reader stops.
+	limited atomic.Bool
+
 	// acked counts fully verified events — the ack currency every Ack
 	// frame carries. Verifier-owned plain field.
 	acked uint64
@@ -251,7 +256,7 @@ func (s *session) readLoop() {
 	// in hand for the next frame.
 	b := srv.batchPool.Get().(*wire.Batch)
 	notified := false
-	for {
+	for !s.limited.Load() {
 		graced := srv.draining.Load()
 		if graced && !notified {
 			// Advisory drain notice, staged once through the verifier so
@@ -268,16 +273,20 @@ func (s *session) readLoop() {
 			s.conn.SetReadDeadline(time.Now().Add(drainGrace))
 		} else if !s.rd.FrameBuffered() {
 			s.conn.SetReadDeadline(time.Now().Add(srv.cfg.ReadTimeout))
-			if srv.draining.Load() {
-				// Shutdown's deadline poke may have landed before this
-				// deadline replaced it: go around under the grace deadline
-				// instead of blocking for a full ReadTimeout.
+			if srv.draining.Load() || s.limited.Load() {
+				// Shutdown's or limit's deadline poke may have landed
+				// before this deadline replaced it: go around (under the
+				// grace deadline, or to stop) instead of blocking for a
+				// full ReadTimeout.
 				continue
 			}
 		}
 		f, err := s.rd.NextInto(b)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				if s.limited.Load() {
+					break // verifier.limit's poke: the Error is already queued
+				}
 				if srv.draining.Load() {
 					if graced {
 						// Quiet under a grace deadline: fully drained.

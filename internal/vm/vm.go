@@ -139,7 +139,14 @@ type VM struct {
 }
 
 const nullBoundary = 0x1000
-const maxCallDepth = 512
+
+// MaxCallDepth bounds a run's call stack: a call that would push frame
+// MaxCallDepth+1 faults with ErrCallDepth. One run's event stream
+// therefore never nests deeper, and a captured stream is closed at its
+// end (ipdsclient.Tracer), so looping it on one session does not
+// either. The verification daemon ends a session whose table stack
+// exceeds it (internal/server).
+const MaxCallDepth = 512
 
 // New creates a VM for prog with the given input lines.
 func New(prog *ir.Program, cfg Config, input []string) *VM {
@@ -260,7 +267,7 @@ func (v *VM) finish(code int64) {
 }
 
 func (v *VM) pushFrame(fn *ir.Func, args []int64, retDst ir.Reg) {
-	if len(v.frames) >= maxCallDepth {
+	if len(v.frames) >= MaxCallDepth {
 		v.failf(ErrCallDepth, "calling %s", fn.Name)
 		return
 	}

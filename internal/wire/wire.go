@@ -383,6 +383,9 @@ const (
 	ErrIdle ErrCode = 4
 	// ErrDraining: the server is shutting down.
 	ErrDraining ErrCode = 5
+	// ErrLimit: the session exceeded a per-session resource bound (its
+	// table stack grew deeper than the VM's call-depth limit).
+	ErrLimit ErrCode = 6
 )
 
 // String names the error code.
@@ -398,6 +401,8 @@ func (c ErrCode) String() string {
 		return "idle"
 	case ErrDraining:
 		return "draining"
+	case ErrLimit:
+		return "limit"
 	}
 	return fmt.Sprintf("err(%d)", uint8(c))
 }

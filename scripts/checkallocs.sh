@@ -10,8 +10,9 @@
 # holds the benchmarks themselves to it, so a regression shows up even
 # if someone relaxes the unit tests.) Two serve-path benchmarks ride
 # along: the verifier's batch loop with the incident stage on, and the
-# client's alarm ingest (decode, intern, record), whose log allocates
-# one chunk per 4096 alarms and so must amortise to 0 allocs/op.
+# client's alarm ingest (decode, intern, record), whose delta-coded log
+# allocates one 16 KiB chunk per several thousand alarms and so must
+# amortise to 0 allocs/op.
 set -e
 
 out=$(go test -run '^$' -bench 'BenchmarkOnBranch|BenchmarkOnBatch' -benchtime 100x -benchmem ./internal/ipds)
