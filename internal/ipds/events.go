@@ -102,24 +102,39 @@ func (m *Machine) emit(e Event) {
 // pathological long-running simulation cannot grow without bound.
 const DefaultAlarmBuffer = 1024
 
-// alarmRing is a fixed-capacity FIFO of alarms. When full, pushing
-// overwrites the oldest entry and counts the drop.
+// alarmRingMin is the number of entries a ring allocates on its first
+// alarm.
+const alarmRingMin = 16
+
+// alarmRing is a bounded FIFO of alarms. Its buffer is allocated on
+// the first push and doubles from alarmRingMin up to capacity, so a
+// machine that never alarms holds no ring. Once full at capacity,
+// pushing overwrites the oldest entry and counts the drop.
 type alarmRing struct {
-	buf     []Alarm
-	start   int // index of the oldest entry
-	n       int // live entries
-	dropped uint64
+	buf      []Alarm
+	capacity int // bound on len(buf)
+	start    int // index of the oldest entry
+	n        int // live entries
+	dropped  uint64
 }
 
 func newAlarmRing(capacity int) *alarmRing {
 	if capacity <= 0 {
 		capacity = DefaultAlarmBuffer
 	}
-	return &alarmRing{buf: make([]Alarm, capacity)}
+	return &alarmRing{capacity: capacity}
 }
 
-// push appends an alarm, overwriting the oldest when full.
+// push appends an alarm, growing the buffer while it is below capacity
+// and overwriting the oldest entry once it is not.
 func (r *alarmRing) push(a Alarm) {
+	if r.n == len(r.buf) && r.n < r.capacity {
+		// Entries only wrap once the buffer is at capacity, so a
+		// growing ring is in order from index 0 (start is 0).
+		buf := make([]Alarm, min(max(2*r.n, alarmRingMin), r.capacity))
+		copy(buf, r.buf)
+		r.buf = buf
+	}
 	if r.n < len(r.buf) {
 		r.buf[(r.start+r.n)%len(r.buf)] = a
 		r.n++
@@ -142,6 +157,7 @@ func (r *alarmRing) all() []Alarm {
 	return out
 }
 
+// reset empties the ring and keeps its buffer.
 func (r *alarmRing) reset() {
 	r.start, r.n, r.dropped = 0, 0, 0
 }

@@ -174,7 +174,9 @@ type Machine struct {
 // New creates a machine for a program's table image. With
 // cfg.Recorder > 0 the flight-recorder ring and the alarm-context ring
 // are preallocated here, so enabling forensics never allocates on the
-// serve path later.
+// serve path later. The alarm ring is not: it allocates on the first
+// alarm and doubles up to cfg.AlarmBuffer, so a machine that never
+// alarms holds none.
 func New(img *tables.Image, cfg Config) *Machine {
 	m := &Machine{
 		img:    img,

@@ -51,6 +51,70 @@ func TestAlarmRingBounded(t *testing.T) {
 	}
 }
 
+// fixedRing is a reference alarm ring with its full capacity allocated
+// up front; TestAlarmRingGrowth holds the growing ring to its contents
+// and drop count.
+type fixedRing struct {
+	buf      []Alarm
+	start, n int
+	dropped  uint64
+}
+
+func (r *fixedRing) push(a Alarm) {
+	if r.n < len(r.buf) {
+		r.buf[(r.start+r.n)%len(r.buf)] = a
+		r.n++
+		return
+	}
+	r.buf[r.start] = a
+	r.start = (r.start + 1) % len(r.buf)
+	r.dropped++
+}
+
+// TestAlarmRingGrowth pushes past the default capacity while the ring
+// grows, and checks it retains exactly what a preallocated ring would,
+// allocates nothing before the first alarm, doubles from alarmRingMin,
+// and keeps its grown buffer across reset.
+func TestAlarmRingGrowth(t *testing.T) {
+	r := newAlarmRing(0)
+	if r.buf != nil || r.all() != nil {
+		t.Fatal("an empty ring must hold no buffer")
+	}
+	ref := &fixedRing{buf: make([]Alarm, DefaultAlarmBuffer)}
+	wantCap := alarmRingMin
+	for i := range 3000 {
+		a := Alarm{Seq: uint64(i), PC: uint64(4 * i), Func: "f"}
+		r.push(a)
+		ref.push(a)
+		if i < DefaultAlarmBuffer && i == wantCap {
+			wantCap *= 2
+		}
+		if len(r.buf) != min(wantCap, DefaultAlarmBuffer) {
+			t.Fatalf("after %d alarms the buffer holds %d, want %d", i+1, len(r.buf), min(wantCap, DefaultAlarmBuffer))
+		}
+	}
+	got, want := r.all(), make([]Alarm, 0, ref.n)
+	for i := range ref.n {
+		want = append(want, ref.buf[(ref.start+i)%len(ref.buf)])
+	}
+	if len(got) != DefaultAlarmBuffer || got[0].Seq != 3000-DefaultAlarmBuffer || r.dropped != 1976 {
+		t.Fatalf("ring keeps %d alarms from Seq %d, %d dropped; want 1024 from 1976, 1976 dropped", len(got), got[0].Seq, r.dropped)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("alarm %d: got %+v, preallocated ring has %+v", i, got[i], want[i])
+		}
+	}
+	if r.dropped != ref.dropped {
+		t.Fatalf("dropped %d, preallocated ring dropped %d", r.dropped, ref.dropped)
+	}
+	buf := r.buf
+	r.reset()
+	if r.all() != nil || r.dropped != 0 || &r.buf[0] != &buf[0] || len(r.buf) != DefaultAlarmBuffer {
+		t.Fatal("reset must empty the ring and keep its grown buffer")
+	}
+}
+
 func TestMachineAlarmOverflowCounted(t *testing.T) {
 	w := buildWorld(t, guardSrc)
 	cfg := DefaultConfig

@@ -120,12 +120,13 @@ type Client struct {
 	ctxN atomic.Uint64 // AlarmCtx frames seen (decoded or discarded)
 
 	mu        sync.Mutex
-	marks     []batchMark
+	marks     []batchMark // marks[head:] are unretired, in send order
+	head      int
 	alarms    alarmLog
 	ctxs      []wire.AlarmCtx
 	incidents []wire.Incident
 	acked     uint64
-	ackLat    []time.Duration
+	ackLat    LatencyHist // fixed size: retained memory is O(1) in acks
 	srvErr    *wire.Error
 	readerErr error
 
@@ -186,7 +187,7 @@ func dialConn(conn net.Conn, cfg Config, prev *Client, evBase, brBase uint64) (*
 		c.alarms = prev.alarms.fork()
 		c.ctxs = append([]wire.AlarmCtx(nil), prev.ctxs...)
 		c.incidents = append([]wire.Incident(nil), prev.incidents...)
-		c.ackLat = append([]time.Duration(nil), prev.ackLat...)
+		c.ackLat = prev.ackLat
 		prev.mu.Unlock()
 		c.ctxN.Store(prev.ctxN.Load())
 	}
@@ -307,16 +308,18 @@ func (c *Client) ack(a wire.Ack, now time.Time) {
 	c.mu.Lock()
 	c.acked = a.Events
 	// Retire every mark this cumulative ack covers; the newest retired
-	// mark timestamps the ack round trip.
-	retired := -1
-	for i, mk := range c.marks {
-		if mk.events <= a.Events {
-			retired = i
-		}
+	// mark timestamps the ack round trip. Marks are in send order, so
+	// the first mark the ack does not cover ends the scan.
+	i := c.head
+	for i < len(c.marks) && c.marks[i].events <= a.Events {
+		i++
 	}
-	if retired >= 0 {
-		c.ackLat = append(c.ackLat, now.Sub(c.marks[retired].sent))
-		c.marks = c.marks[retired+1:]
+	if i > c.head {
+		c.ackLat.Add(now.Sub(c.marks[i-1].sent))
+		c.head = i
+		if i == len(c.marks) {
+			c.marks, c.head = c.marks[:0], 0
+		}
 	}
 	c.mu.Unlock()
 }
@@ -336,7 +339,7 @@ func (c *Client) alarm(raw []byte, now time.Time) error {
 	// gives a delivery-latency sample.
 	var lat time.Duration
 	hasLat := false
-	for _, mk := range c.marks {
+	for _, mk := range c.marks[c.head:] {
 		if a.Seq <= mk.branchHi {
 			lat, hasLat = now.Sub(mk.sent), true
 			break
@@ -442,6 +445,11 @@ func (c *Client) ship(frames []byte, events, branches uint64) error {
 	c.branches += branches
 	mark := batchMark{evLo: evLo, events: c.sent, brLo: brLo, branchHi: c.branches, sent: now}
 	c.mu.Lock()
+	if len(c.marks) == cap(c.marks) && c.head > 0 && 2*c.head >= len(c.marks) {
+		// At least half the array is retired: move the rest to the front
+		// (amortised O(1) per mark) instead of growing the array.
+		c.marks, c.head = c.marks[:copy(c.marks, c.marks[c.head:])], 0
+	}
 	c.marks = append(c.marks, mark)
 	c.mu.Unlock()
 	c.conn.SetWriteDeadline(now.Add(c.cfg.Timeout))
@@ -570,10 +578,10 @@ func Redial(c *Client) (*Client, error) {
 	evBase, brBase := c.sent, c.branches
 	if acked := c.Acked(); acked != c.sent {
 		c.mu.Lock()
-		ok := len(c.marks) > 0 && c.marks[0].evLo == acked
+		ok := c.head < len(c.marks) && c.marks[c.head].evLo == acked
 		brLo := uint64(0)
 		if ok {
-			brLo = c.marks[0].brLo
+			brLo = c.marks[c.head].brLo
 		}
 		c.mu.Unlock()
 		if !ok {
@@ -658,12 +666,14 @@ func (c *Client) ServerError() *wire.Error {
 	return &e
 }
 
-// Latencies returns the collected ack round-trip and alarm delivery
-// samples (both may be empty). Like Alarms, it decodes the alarm
-// samples after releasing the lock.
-func (c *Client) Latencies() (ack, alarm []time.Duration) {
+// Latencies returns the ack round-trip histogram and the alarm
+// delivery samples (either may be empty). Ack round trips are binned,
+// so a long-running client holds a fixed 15 KiB for them; alarm
+// samples stay exact in the alarm log and, like Alarms, are decoded
+// after releasing the lock.
+func (c *Client) Latencies() (ack LatencyHist, alarm []time.Duration) {
 	c.mu.Lock()
-	ack = append([]time.Duration(nil), c.ackLat...)
+	ack = c.ackLat
 	v := c.alarms.view()
 	c.mu.Unlock()
 	return ack, v.latencies()

@@ -56,7 +56,9 @@ func NewLexer(src string) *Lexer {
 // terminated by an EOF token) and any lexical errors.
 func Lex(src string) ([]Token, ErrorList) {
 	lx := NewLexer(src)
-	var toks []Token
+	// The workloads run 3.8-4.5 source bytes per token; one token per
+	// three bytes sizes the slice once instead of doubling it ~10 times.
+	toks := make([]Token, 0, len(src)/3+1)
 	for {
 		t := lx.Next()
 		toks = append(toks, t)

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
+	"io"
 	"sort"
 
 	"repro/internal/alias"
@@ -29,16 +31,53 @@ func KeyOf(data []byte) Key { return sha256.Sum256(data) }
 // derivation or the blob format changes incompatibly.
 const keyVersion = 2
 
-// keyBuf accumulates the keyed content before one bulk hash write.
-// Length-prefixing every string and a fixed tag byte per record keep
-// the encoding prefix-free, so distinct inputs cannot collide by
-// concatenation.
-type keyBuf struct{ b []byte }
+// keyBuf streams the keyed content into a SHA-256 through a fixed
+// buffer, so a key costs the same few allocations whatever the
+// function's size (hash.Hash writes never fail). Length-prefixing every string and a fixed tag byte
+// per record keep the encoding prefix-free, so distinct inputs cannot
+// collide by concatenation.
+type keyBuf struct {
+	h hash.Hash
+	n int
+	b [512]byte
+}
 
-func (k *keyBuf) u64(v uint64) { k.b = binary.LittleEndian.AppendUint64(k.b, v) }
-func (k *keyBuf) i64(v int64)  { k.u64(uint64(v)) }
-func (k *keyBuf) str(s string) { k.u64(uint64(len(s))); k.b = append(k.b, s...) }
-func (k *keyBuf) tag(t byte)   { k.b = append(k.b, t) }
+// room flushes the buffer unless it has n bytes free.
+func (k *keyBuf) room(n int) {
+	if k.n+n > len(k.b) {
+		k.h.Write(k.b[:k.n])
+		k.n = 0
+	}
+}
+
+func (k *keyBuf) u64(v uint64) {
+	k.room(8)
+	binary.LittleEndian.PutUint64(k.b[k.n:], v)
+	k.n += 8
+}
+func (k *keyBuf) i64(v int64) { k.u64(uint64(v)) }
+func (k *keyBuf) tag(t byte) {
+	k.room(1)
+	k.b[k.n] = t
+	k.n++
+}
+func (k *keyBuf) str(s string) {
+	k.u64(uint64(len(s)))
+	if len(s) > len(k.b) {
+		k.room(len(k.b))
+		io.WriteString(k.h, s)
+		return
+	}
+	k.room(len(s))
+	k.n += copy(k.b[k.n:], s)
+}
+
+// sum flushes the buffer and returns the digest.
+func (k *keyBuf) sum() (key Key) {
+	k.h.Write(k.b[:k.n])
+	k.h.Sum(key[:0])
+	return key
+}
 
 // KeyFunc computes fn's content address. It covers, in order:
 //
@@ -62,7 +101,7 @@ func (k *keyBuf) tag(t byte)   { k.b = append(k.b, t) }
 // for every function that names one — correctness never depends on a
 // hit.
 func KeyFunc(al *alias.Analysis, fn *ir.Func, conf core.Config) Key {
-	kb := &keyBuf{b: make([]byte, 0, 64*len(fn.Instrs)+256)}
+	kb := &keyBuf{h: sha256.New()}
 	kb.str(fmt.Sprintf("tcache/v%d conf=%v", keyVersion, conf))
 	kb.str(fn.Name)
 	kb.u64(fn.Base)
@@ -164,5 +203,5 @@ func KeyFunc(al *alias.Analysis, fn *ir.Func, conf core.Config) Key {
 		}
 	}
 
-	return sha256.Sum256(kb.b)
+	return kb.sum()
 }

@@ -12,7 +12,9 @@
 # along: the verifier's batch loop with the incident stage on, and the
 # client's alarm ingest (decode, intern, record), whose delta-coded log
 # allocates one 16 KiB chunk per several thousand alarms and so must
-# amortise to 0 allocs/op.
+# amortise to 0 allocs/op. The client's ack ingest (decode, retire the
+# covered mark, bin the round trip into a fixed histogram) must not
+# allocate at all.
 set -e
 
 out=$(go test -run '^$' -bench 'BenchmarkOnBranch|BenchmarkOnBatch' -benchtime 100x -benchmem ./internal/ipds)
@@ -35,14 +37,16 @@ echo "$srvout" | grep -q '^BenchmarkVerifyBatchIncident' || {
 	echo "checkallocs: BenchmarkVerifyBatchIncident missing from gate output" >&2
 	exit 1
 }
-# The client's alarm path: an alarm flood must not cost the reader an
-# allocation per alarm.
-cliout=$(go test -run '^$' -bench 'BenchmarkClientAlarmIngest' -benchtime 20000x -benchmem ./internal/ipdsclient)
+# The client's alarm and ack paths: neither an alarm flood nor a long
+# run of acks may cost the reader an allocation per frame.
+cliout=$(go test -run '^$' -bench 'BenchmarkClientAlarmIngest|BenchmarkClientAckIngest' -benchtime 20000x -benchmem ./internal/ipdsclient)
 echo "$cliout"
-echo "$cliout" | grep -q '^BenchmarkClientAlarmIngest' || {
-	echo "checkallocs: BenchmarkClientAlarmIngest missing from gate output" >&2
-	exit 1
-}
+for b in BenchmarkClientAlarmIngest BenchmarkClientAckIngest; do
+	echo "$cliout" | grep -q "^$b" || {
+		echo "checkallocs: $b missing from gate output" >&2
+		exit 1
+	}
+done
 out=$(printf '%s\n%s\n%s\n' "$out" "$srvout" "$cliout")
 
 echo "$out" | awk '
