@@ -1,10 +1,15 @@
 package ipdsclient
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/wire"
@@ -34,6 +39,16 @@ const (
 // chunkBytes is the size of one alarm-log chunk: several thousand
 // flood alarms.
 const chunkBytes = 16 << 10
+
+// Once a log has written blockChunks chunks past its sealed blocks, it
+// seals them as one block: DEFLATE at BestSpeed, whose 32 KiB window
+// finds a looping flood's repeats, or the raw blockBytes when that does
+// not shrink them. Sealing sits below the record layer: a sealed block
+// inflates to the very chunks that went in.
+const (
+	blockChunks = 4
+	blockBytes  = blockChunks * chunkBytes
+)
 
 // maxRecord bounds one encoded record: a 3-byte code (refs stay below
 // maxSignals+2), three 10-byte varints (Seq, PC, latency), Slot,
@@ -76,13 +91,15 @@ type signal struct {
 // alarmLog is a client's retained alarm stream: the alarms in delivery
 // order, each with its delivery-latency sample when its batch mark was
 // still outstanding, plus the interned signals and function names the
-// records refer to. Written bytes and table entries are never
-// rewritten, so a snapshot (view) decodes without the client's lock.
+// records refer to. Written bytes, sealed blocks and table entries are
+// never rewritten, so a snapshot (view) decodes without the client's
+// lock.
 type alarmLog struct {
-	chunks []*chunk
-	off    int // bytes written into the last chunk
-	n      int // alarms
-	nlat   int // latency samples
+	blocks [][]byte // sealed blocks, oldest first; len blockBytes = kept raw
+	chunks []*chunk // the open chunks after them
+	off    int      // bytes written into the last chunk
+	n      int      // alarms
+	nlat   int      // latency samples
 
 	// Codec state: the previous record's Seq and latency sample.
 	seq uint64
@@ -189,12 +206,91 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// view snapshots what decoding the log needs: the chunk pointers, the
-// byte length of the last chunk and the table headers. Later appends
-// write only past the snapshot, so the view decodes without the lock
-// that guards add.
+// full returns the oldest blockChunks open chunks once a later chunk
+// has been started, so nothing will write them again; ok is false
+// while the log holds no such block. The chunks may be compressed
+// (sealBlock) without the lock that guards add.
+func (l *alarmLog) full() (b [blockChunks]*chunk, ok bool) {
+	if len(l.chunks) <= blockChunks {
+		return b, false
+	}
+	return [blockChunks]*chunk(l.chunks), true
+}
+
+// sealed replaces the block full returned by its sealed bytes z. Only
+// the goroutine that appends may seal, so the block is still the
+// oldest open one. The open chunks move to a new slice, so a view
+// keeps the chunks it snapshotted and the dropped ones are freed.
+func (l *alarmLog) sealed(z []byte) {
+	n := len(l.chunks) - blockChunks
+	open := make([]*chunk, n, max(n, blockChunks+1))
+	copy(open, l.chunks[blockChunks:])
+	l.chunks = open
+	l.blocks = append(l.blocks, z)
+}
+
+// sealer is the process's one DEFLATE writer, made on the first seal
+// and reused under the lock: it holds ~1.2 MB, so one per client (or a
+// sync.Pool's one per P) would cost more than the logs it shrinks. out
+// is the block-sized buffer it compresses into.
+var sealer struct {
+	sync.Mutex
+	w   *flate.Writer
+	out blockBuf
+}
+
+// errNoShrink stops a compression whose output has reached blockBytes.
+var errNoShrink = errors.New("ipdsclient: sealed block does not shrink")
+
+// blockBuf collects a compressed block, refusing to grow past
+// blockBytes.
+type blockBuf []byte
+
+func (b *blockBuf) Write(p []byte) (int, error) {
+	if len(p) > blockBytes-len(*b) {
+		return 0, errNoShrink
+	}
+	*b = append(*b, p...)
+	return len(p), nil
+}
+
+// sealBlock compresses a full block's chunks into a slice of the
+// compressed size, or copies them raw into one blockBytes slice when
+// compressing them does not shrink them.
+func sealBlock(b *[blockChunks]*chunk) []byte {
+	sealer.Lock()
+	defer sealer.Unlock()
+	if sealer.w == nil {
+		sealer.w, _ = flate.NewWriter(nil, flate.BestSpeed)
+		sealer.out = make(blockBuf, 0, blockBytes)
+	}
+	sealer.out = sealer.out[:0]
+	sealer.w.Reset(&sealer.out)
+	var err error
+	for _, c := range b {
+		if _, err = sealer.w.Write(c[:]); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = sealer.w.Close()
+	}
+	if err == nil && len(sealer.out) < blockBytes {
+		return bytes.Clone(sealer.out)
+	}
+	raw := make([]byte, blockBytes)
+	for i, c := range b {
+		copy(raw[i*chunkBytes:], c[:])
+	}
+	return raw
+}
+
+// view snapshots what decoding the log needs: the sealed blocks, the
+// open chunk pointers, the byte length of the last chunk and the table
+// headers. Later appends and seals write only past the snapshot, so
+// the view decodes without the lock that guards add.
 func (l *alarmLog) view() logView {
-	return logView{chunks: l.chunks, off: l.off, n: l.n, nlat: l.nlat, sigs: l.sigs, names: l.names}
+	return logView{blocks: l.blocks, chunks: l.chunks, off: l.off, n: l.n, nlat: l.nlat, sigs: l.sigs, names: l.names}
 }
 
 // alarms rebuilds the delivered alarms as wire.Alarm values.
@@ -205,12 +301,14 @@ func (l *alarmLog) alarms() []wire.Alarm { return l.view().alarms() }
 func (l *alarmLog) latencies() []time.Duration { return l.view().latencies() }
 
 // fork returns a log holding the same alarms that the caller may keep
-// appending to without changing l. It shares every full chunk and
-// copies only the partly filled last one and the codec state. The
-// fork's tables are clipped, so its first append reallocates instead of
-// writing into the spare capacity l appends to.
+// appending to without changing l. It shares every sealed block and
+// full chunk and copies only the partly filled last chunk and the codec
+// state. The fork's block list and tables are clipped, so its first
+// append reallocates instead of writing into the spare capacity l
+// appends to.
 func (l *alarmLog) fork() alarmLog {
 	out := *l
+	out.blocks = slices.Clip(l.blocks)
 	out.chunks = slices.Clone(l.chunks)
 	if n := len(out.chunks); n > 0 && l.off < chunkBytes {
 		last := *l.chunks[n-1]
@@ -225,6 +323,7 @@ func (l *alarmLog) fork() alarmLog {
 
 // logView is a decodable snapshot of an alarm log (alarmLog.view).
 type logView struct {
+	blocks  [][]byte
 	chunks  []*chunk
 	off     int
 	n, nlat int
@@ -234,52 +333,92 @@ type logView struct {
 
 // decode walks the snapshot's records in order, storing each alarm in
 // alarms and each latency sample in lats; either may be nil, and
-// otherwise holds v.n alarms or v.nlat samples.
+// otherwise holds v.n alarms or v.nlat samples. Sealed blocks are
+// inflated one at a time into one reused block buffer.
 func (v logView) decode(alarms []wire.Alarm, lats []time.Duration) {
+	d := decoder{sigs: v.sigs, names: v.names, alarms: alarms, lats: lats}
 	var (
-		seq    uint64
-		lat    int64
-		ia, il int
+		src bytes.Reader
+		zr  io.ReadCloser
+		buf []byte
 	)
+	for _, z := range v.blocks {
+		b := z
+		if len(z) < blockBytes {
+			src.Reset(z)
+			if zr == nil {
+				zr, buf = flate.NewReader(&src), make([]byte, blockBytes)
+			} else {
+				zr.(flate.Resetter).Reset(&src, nil)
+			}
+			if _, err := io.ReadFull(zr, buf); err != nil {
+				panic(fmt.Sprintf("ipdsclient: sealed alarm block: %v", err))
+			}
+			b = buf
+		}
+		for i := 0; i < blockBytes; i += chunkBytes {
+			d.chunk(b[i : i+chunkBytes])
+		}
+	}
 	for i, c := range v.chunks {
 		end := chunkBytes
 		if i == len(v.chunks)-1 {
 			end = v.off
 		}
-		b := c[:end]
-		for p := 0; p < len(b) && b[p] != 0; {
-			var code, d uint64
-			code, p = uvarint(b, p)
-			d, p = uvarint(b, p)
-			seq += unzigzag(d)
-			var sig signal
-			if ref := code >> 2; ref == 1 {
-				var slot, fn, et uint64
-				sig.pc, p = uvarint(b, p)
-				slot, p = uvarint(b, p)
-				fn, p = uvarint(b, p)
-				et, p = uvarint(b, p)
-				sig.slot, sig.fn, sig.expected, sig.taken = uint32(slot), uint16(fn), uint8(et>>1), et&1 == 1
-			} else {
-				sig = v.sigs[ref-2]
+		d.chunk(c[:end])
+	}
+}
+
+// decoder carries the codec state and the output positions from one
+// chunk's records to the next.
+type decoder struct {
+	sigs   []signal
+	names  []string
+	seq    uint64
+	lat    int64
+	alarms []wire.Alarm
+	lats   []time.Duration
+	ia, il int
+}
+
+// chunk decodes the records of one chunk's bytes, which end at the
+// first zero byte or at the end of b. The state lives in locals while
+// the loop runs.
+func (d *decoder) chunk(b []byte) {
+	seq, lat, ia, il := d.seq, d.lat, d.ia, d.il
+	for p := 0; p < len(b) && b[p] != 0; {
+		var code, u uint64
+		code, p = uvarint(b, p)
+		u, p = uvarint(b, p)
+		seq += unzigzag(u)
+		var sig signal
+		if ref := code >> 2; ref == 1 {
+			var slot, fn, et uint64
+			sig.pc, p = uvarint(b, p)
+			slot, p = uvarint(b, p)
+			fn, p = uvarint(b, p)
+			et, p = uvarint(b, p)
+			sig.slot, sig.fn, sig.expected, sig.taken = uint32(slot), uint16(fn), uint8(et>>1), et&1 == 1
+		} else {
+			sig = d.sigs[ref-2]
+		}
+		if mode := code & 3; mode != latNone {
+			if mode == latDelta {
+				u, p = uvarint(b, p)
+				lat += int64(unzigzag(u))
 			}
-			if mode := code & 3; mode != latNone {
-				if mode == latDelta {
-					d, p = uvarint(b, p)
-					lat += int64(unzigzag(d))
-				}
-				if lats != nil {
-					lats[il] = time.Duration(lat)
-					il++
-				}
-			}
-			if alarms != nil {
-				alarms[ia] = wire.Alarm{Seq: seq, PC: sig.pc, Func: v.names[sig.fn],
-					Slot: sig.slot, Expected: sig.expected, Taken: sig.taken}
-				ia++
+			if d.lats != nil {
+				d.lats[il] = time.Duration(lat)
+				il++
 			}
 		}
+		if d.alarms != nil {
+			d.alarms[ia] = wire.Alarm{Seq: seq, PC: sig.pc, Func: d.names[sig.fn],
+				Slot: sig.slot, Expected: sig.expected, Taken: sig.taken}
+			ia++
+		}
 	}
+	d.seq, d.lat, d.ia, d.il = seq, lat, ia, il
 }
 
 // alarms rebuilds the snapshot's alarms as wire.Alarm values.

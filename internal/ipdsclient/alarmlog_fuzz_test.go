@@ -61,6 +61,11 @@ func (m *logModel) check(t *testing.T, side int) {
 	if len(m.log.sigs) > maxSignals || len(m.log.names) > maxNames {
 		t.Fatalf("side %d: %d signals, %d names past the bounds", side, len(m.log.sigs), len(m.log.names))
 	}
+	for i, z := range m.log.blocks {
+		if len(z) > blockBytes {
+			t.Fatalf("side %d: sealed block %d holds %d bytes, more than raw", side, i, len(z))
+		}
+	}
 	for sig, k := range m.log.sigIDs {
 		if m.log.sigs[k] != sig {
 			t.Fatalf("side %d: signal %d is %+v, indexed as %+v", side, k, m.log.sigs[k], sig)
@@ -122,10 +127,67 @@ var fillers = sync.OnceValue(func() (f struct {
 // name, a MaxString name and two short ones.
 var fuzzNames = [4]string{"", "main", strings.Repeat("x", wire.MaxString), "handle"}
 
+// maxSealRuns bounds the seal runs one input may take, each a few
+// thousand adds, so an input stays a few milliseconds.
+const maxSealRuns = 4
+
+// sealWord is word i of a seal run's stream from seed x (splitmix64).
+func sealWord(x, i uint64) uint64 {
+	z := x + (i+1)*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// sealRun appends alarms to side s until its log holds a full block,
+// forks there when fork is set and there is room for a side (the
+// window between the client reader's append and its seal, in which a
+// Redial can fork), seals, and appends extra alarms past the seal. Each
+// alarm is drawn from seed x with 56-bit Seq and latency deltas, so a
+// block fills in a few thousand adds. With period > 0 the deltas loop
+// every period alarms and the block compresses; without, it does not
+// shrink and is kept raw.
+func sealRun(t *testing.T, sides *[]*logModel, s *logModel, x uint64, period, extra int, fork bool) {
+	seq, lat := uint64(0), time.Duration(0)
+	if n := len(s.alarms); n > 0 {
+		seq = s.alarms[n-1].Seq
+	}
+	for i, sealedAt := 0, -1; sealedAt < 0 || i < sealedAt+extra; i++ {
+		k := uint64(i)
+		if period > 0 {
+			k %= uint64(period)
+		}
+		// 56-bit zigzag deltas fill their 8-byte varints with random
+		// bits, which DEFLATE does not shrink.
+		w := sealWord(x, k)
+		seq += unzigzag(w >> 8)
+		lat += time.Duration(unzigzag(sealWord(^x, k) >> 8))
+		site := w >> 62
+		a := wire.Alarm{Seq: seq, PC: 0x40 + 4*site, Func: "main", Slot: uint32(site), Expected: uint8(site), Taken: w&1 != 0}
+		if !s.add(t, a, lat, w&2 != 0) {
+			return // the name table is full without "main"
+		}
+		if _, full := s.log.full(); full && sealedAt < 0 {
+			if fork && len(*sides) < 4 {
+				*sides = append(*sides, s.fork())
+			}
+			s.log.seal()
+			sealedAt = i
+		}
+	}
+}
+
+// fork returns a model of m's log forked.
+func (m *logModel) fork() *logModel {
+	return &logModel{log: m.log.fork(), alarms: slices.Clone(m.alarms), lats: slices.Clone(m.lats)}
+}
+
 // FuzzAlarmLog drives an operation sequence — adds with arbitrary
-// fields, forks with appends on both sides, and overflows of the
-// signal and name tables — against plain []wire.Alarm and
-// []time.Duration models, and checks every side decodes to its model.
+// fields, forks with appends on both sides, overflows of the signal and
+// name tables, and runs of appends past a block seal — against plain
+// []wire.Alarm and []time.Duration models, and checks every side
+// decodes to its model. The current side seals its full blocks after
+// every operation, as the client's reader does after every alarm.
 //
 // Each operation is one opcode byte followed by its fields:
 //
@@ -137,8 +199,14 @@ var fuzzNames = [4]string{"", "main", strings.Repeat("x", wire.MaxString), "hand
 //	          Expected and Slot take one byte each.
 //	op%8 == 5 fork the current side (at most 4 sides).
 //	op%8 == 6 switch to side byte%sides.
-//	op%8 == 7 overflow: byte bit 0 picks the name table (fuzzRoom+1
-//	          new names) or the signal table (fuzzRoom+5 new sites).
+//	op%8 == 7 with byte bit 1 clear, overflow: bit 0 picks the name
+//	          table (fuzzRoom+1 new names) or the signal table
+//	          (fuzzRoom+5 new sites).
+//	          With byte bit 1 set, a seal run (sealRun, at most
+//	          maxSealRuns per input) from an 8-byte seed: bit 2 loops
+//	          the stream every 16 alarms, bit 3 forks at the full
+//	          block before its seal, bits 4-7 are the alarms appended
+//	          past the seal, over 4.
 //
 // An overflow first pads the table (pad), so the real bounds are
 // reached in a few adds.
@@ -148,7 +216,7 @@ func FuzzAlarmLog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)
 		sides := []*logModel{{}}
-		cur := 0
+		cur, runs := 0, 0
 		var seq uint64
 		var lat time.Duration
 		for len(in) > 0 {
@@ -180,13 +248,18 @@ func FuzzAlarmLog(f *testing.F) {
 				s.add(t, a, lat, fl&1 != 0)
 			case op == 5:
 				if len(sides) < 4 {
-					fork := &logModel{log: s.log.fork(), alarms: slices.Clone(s.alarms), lats: slices.Clone(s.lats)}
-					sides = append(sides, fork)
+					sides = append(sides, s.fork())
 				}
 			case op == 6:
 				cur = int(in.uint(1)) % len(sides)
 			case op == 7:
-				if in.uint(1)&1 == 0 {
+				switch b := in.uint(1); {
+				case b&2 != 0:
+					x := in.uint(8)
+					if runs++; runs <= maxSealRuns {
+						sealRun(t, &sides, s, x, int(b&4)*4, int(b>>4)*4, b&8 != 0)
+					}
+				case b&1 == 0:
 					s.log.names = pad(s.log.names, fillers().names, maxNames)
 					for i := 0; i <= fuzzRoom; i++ {
 						a := wire.Alarm{Seq: seq + uint64(i), PC: 0x40, Func: fmt.Sprint("n", i)}
@@ -197,7 +270,7 @@ func FuzzAlarmLog(f *testing.F) {
 					if len(s.log.names) != maxNames {
 						t.Fatalf("name table holds %d names after the overflow, want %d", len(s.log.names), maxNames)
 					}
-				} else {
+				default:
 					// Refused only when the name table is full without "main".
 					s.log.sigs = pad(s.log.sigs, fillers().sigs, maxSignals)
 					added := false
@@ -210,6 +283,7 @@ func FuzzAlarmLog(f *testing.F) {
 					}
 				}
 			}
+			s.log.seal()
 		}
 		for i, s := range sides {
 			s.check(t, i)

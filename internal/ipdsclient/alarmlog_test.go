@@ -21,6 +21,14 @@ import (
 // It returns the daemon's end of the pipe, for writing server frames.
 func pipeClient(tb testing.TB, cfg Config) (*Client, net.Conn) {
 	tb.Helper()
+	return pipeDial(tb, cfg, nil)
+}
+
+// pipeDial is pipeClient resuming from prev, when non-nil, as Redial
+// does: the new client carries prev's alarms (a fork of its log) and
+// keeps their Seqs (bases 0).
+func pipeDial(tb testing.TB, cfg Config, prev *Client) (*Client, net.Conn) {
+	tb.Helper()
 	cli, srv := net.Pipe()
 	go func() {
 		if _, err := wire.NewReader(srv).Next(); err != nil {
@@ -29,7 +37,7 @@ func pipeClient(tb testing.TB, cfg Config) (*Client, net.Conn) {
 		srv.Write(wire.MustAppend(nil, wire.HelloAck{Version: wire.Version, MaxBatch: wire.MaxBatch}))
 		io.Copy(io.Discard, srv)
 	}()
-	c, err := DialConn(cli, cfg)
+	c, err := dialConn(cli, cfg.withDefaults(), prev, 0, 0)
 	if err != nil {
 		tb.Fatalf("dial: %v", err)
 	}
@@ -78,59 +86,111 @@ func waitAlarms(tb testing.TB, c *Client, n int) {
 	}
 }
 
-// firstChunkAlarms returns how many alarms of the sampleAlarm stream
-// over the given name count, each with a latency sample, fill a log's
-// first chunk.
-func firstChunkAlarms(names int) int {
+// seal seals every full block of l in the calling goroutine, as the
+// client's reader does after each alarm (there outside its lock).
+func (l *alarmLog) seal() {
+	for b, ok := l.full(); ok; b, ok = l.full() {
+		l.sealed(sealBlock(&b))
+	}
+}
+
+// fillAlarms returns how many alarms of the sampleAlarm stream over the
+// given name count fill a sealing log's first k chunks: the alarm after
+// them starts chunk k+1, and at k = blockChunks seals the first block.
+// With lat, each alarm carries a latency sample i ns.
+func fillAlarms(names, k int, lat bool) int {
 	var l alarmLog
 	for i := 0; ; i++ {
 		a := sampleAlarm(i, names)
-		l.add(a, []byte(a.Func), time.Duration(i), true)
-		if len(l.chunks) == 2 {
+		l.add(a, []byte(a.Func), time.Duration(i), lat)
+		l.seal()
+		if len(l.blocks)*blockChunks+len(l.chunks) > k {
 			return i
 		}
 	}
 }
 
+// sampleAlarms returns alarms i of the sampleAlarm stream for i in
+// [from, to).
+func sampleAlarms(from, to, names int) []wire.Alarm {
+	out := make([]wire.Alarm, 0, to-from)
+	for i := from; i < to; i++ {
+		out = append(out, sampleAlarm(i, names))
+	}
+	return out
+}
+
+// sameAlarms fails tb unless got holds want field for field.
+func sameAlarms(tb testing.TB, what string, got, want []wire.Alarm) {
+	tb.Helper()
+	if len(got) != len(want) {
+		tb.Fatalf("%s: %d alarms, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			tb.Fatalf("%s: alarm %d = %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
 // TestAlarmLogRoundTrip sends alarm streams that end short of, at and
-// past chunk boundaries through the client's reader and checks that
-// Alarms() returns them field for field in delivery order, with one
-// latency sample per alarm a batch mark covers.
+// past chunk and block boundaries through the client's reader and
+// checks that Alarms() returns them field for field in delivery order.
+// A marked stream has one batch mark covering every alarm, so each
+// takes a latency sample; its samples are clock readings, so its
+// boundaries are those of the unmarked stream give or take a few
+// alarms. A redial then forks the log, before or after its seals, and
+// appends past a seal on the new session, which must not show through
+// the old one.
 func TestAlarmLogRoundTrip(t *testing.T) {
-	fill := firstChunkAlarms(300)
-	for _, n := range []int{0, 1, 4095, 4096, 4097, 12293, fill - 1, fill, fill + 1, 3*fill + 5} {
-		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			c, srv := pipeClient(t, Config{})
-			// One mark covering every alarm's Seq, so each alarm takes a
-			// latency sample.
-			batch := wire.AppendBatches(nil, []wire.Event{{Kind: wire.EvBranch, PC: 0x40}}, 1)
-			if err := c.SendEncoded(batch, 1, uint64(n)+1); err != nil {
-				t.Fatal(err)
+	for _, marked := range []bool{true, false} {
+		fill, block := fillAlarms(300, 1, marked), fillAlarms(300, blockChunks, marked)
+		for _, n := range []int{0, 1, 4095, 4096, 4097, 12293, fill - 1, fill, fill + 1, 3*fill + 5,
+			block - 1, block, block + 1, 3*block + 5} {
+			name := fmt.Sprint(n)
+			if !marked {
+				name = fmt.Sprint("unmarked-", n)
 			}
-			want := make([]wire.Alarm, n)
-			for i := range want {
-				want[i] = sampleAlarm(i, 300)
-			}
-			if n > 0 {
-				if _, err := srv.Write(encodeAlarms(t, want)); err != nil {
+			t.Run(name, func(t *testing.T) {
+				c, srv := pipeClient(t, Config{})
+				lats := 0
+				if marked {
+					batch := wire.AppendBatches(nil, []wire.Event{{Kind: wire.EvBranch, PC: 0x40}}, 1)
+					if err := c.SendEncoded(batch, 1, uint64(n)+1); err != nil {
+						t.Fatal(err)
+					}
+					lats = n
+				}
+				want := sampleAlarms(0, n, 300)
+				if n > 0 {
+					if _, err := srv.Write(encodeAlarms(t, want)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				waitAlarms(t, c, n)
+				got := c.Alarms()
+				if got == nil || len(got) != n || c.AlarmCount() != len(got) {
+					t.Fatalf("Alarms() = %d alarms (nil %v), AlarmCount %d, want %d", len(got), got == nil, c.AlarmCount(), n)
+				}
+				sameAlarms(t, "Alarms()", got, want)
+				_, lat := c.Latencies()
+				if len(lat) != lats || (lats == 0) != (lat == nil) {
+					t.Fatalf("%d latency samples (nil %v), want %d", len(lat), lat == nil, lats)
+				}
+
+				c2, srv2 := pipeDial(t, Config{}, c)
+				more := sampleAlarms(n, n+block+3, 300)
+				if _, err := srv2.Write(encodeAlarms(t, more)); err != nil {
 					t.Fatal(err)
 				}
-			}
-			waitAlarms(t, c, n)
-			got := c.Alarms()
-			if got == nil || len(got) != n || c.AlarmCount() != len(got) {
-				t.Fatalf("Alarms() = %d alarms (nil %v), AlarmCount %d, want %d", len(got), got == nil, c.AlarmCount(), n)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("alarm %d: got %+v, want %+v", i, got[i], want[i])
+				waitAlarms(t, c2, n+len(more))
+				sameAlarms(t, "redialled Alarms()", c2.Alarms(), append(want, more...))
+				sameAlarms(t, "Alarms() after the redial", c.Alarms(), want)
+				if _, lat2 := c2.Latencies(); len(lat2) != lats {
+					t.Fatalf("redialled client holds %d latency samples, want %d", len(lat2), lats)
 				}
-			}
-			_, lat := c.Latencies()
-			if len(lat) != n || (n == 0) != (lat == nil) {
-				t.Fatalf("%d latency samples (nil %v), want %d", len(lat), lat == nil, n)
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -231,20 +291,28 @@ func TestAlarmLogNameBound(t *testing.T) {
 }
 
 // TestAlarmLogFork checks that a fork and its source never see each
-// other's appends, with the source's last chunk full or partial.
+// other's appends, with the source's last chunk full or partial, before
+// and after seals, and with a full block not yet sealed — a Redial can
+// fork between the reader's append and its seal. The fork then appends
+// past a seal of its own.
 func TestAlarmLogFork(t *testing.T) {
-	fill := firstChunkAlarms(10)
-	for _, n := range []int{0, 5, fill, fill + 5} {
+	fill, block := fillAlarms(10, 1, true), fillAlarms(10, blockChunks, true)
+	for _, n := range []int{0, 5, fill, fill + 5, block, block + 1, 2*block + 7} {
 		var src alarmLog
 		for i := 0; i < n; i++ {
 			a := sampleAlarm(i, 10)
 			src.add(a, []byte(a.Func), time.Duration(i), true)
+			if i < n-1 {
+				src.seal()
+			}
 		}
 		before, beforeLat := src.alarms(), src.latencies()
 		fork := src.fork()
-		for i := n; i < n+fill+3; i++ {
+		src.seal()
+		for i := n; i < n+block+3; i++ {
 			a := sampleAlarm(i, 20)
 			fork.add(a, []byte(a.Func), time.Duration(-i), true)
+			fork.seal()
 		}
 		if got := src.alarms(); len(got) != len(before) || len(src.names) > 10 {
 			t.Fatalf("n=%d: source holds %d alarms, %d names after the fork grew", n, len(got), len(src.names))
@@ -275,8 +343,9 @@ func TestAlarmLogFork(t *testing.T) {
 // BenchmarkClientAlarmIngest is the alarm path's allocation gate: one
 // op is one pre-encoded Alarm frame through the client's reader —
 // decode, intern, record, latency sample. The log allocates one
-// chunkBytes chunk per several thousand alarms, which amortises to 0
-// allocs/op.
+// chunkBytes chunk per several thousand alarms and a sealed block per
+// blockChunks of them, which amortises to 0 allocs/op. It reports the
+// blocks the run sealed, which the gate holds to at least 4.
 func BenchmarkClientAlarmIngest(b *testing.B) {
 	c, srv := pipeClient(b, Config{})
 	const block = 64
@@ -300,6 +369,11 @@ func BenchmarkClientAlarmIngest(b *testing.B) {
 	for want := (b.N + block - 1) / block * block; c.AlarmCount() < want; {
 		runtime.Gosched()
 	}
+	b.StopTimer()
+	// The last block's seal may still be in flight; count what landed.
+	c.mu.Lock()
+	b.ReportMetric(float64(len(c.alarms.blocks)), "seals")
+	c.mu.Unlock()
 }
 
 // mapEntryBytes is an upper bound on one map entry's retained size
@@ -308,11 +382,15 @@ func BenchmarkClientAlarmIngest(b *testing.B) {
 // measured 14–61 bytes per entry with Go 1.24.
 const mapEntryBytes = 64
 
-// footprint returns the bytes the log retains: its chunks, tables and
-// names, with each map entry counted at the mapEntryBytes bound.
+// footprint returns the bytes the log retains: its sealed blocks, open
+// chunks, tables and names, with each map entry counted at the
+// mapEntryBytes bound.
 func (l *alarmLog) footprint() int {
-	const ptr, str = 8, 16
-	b := len(l.chunks)*chunkBytes + cap(l.chunks)*ptr
+	const ptr, str, slice = 8, 16, 24
+	b := len(l.chunks)*chunkBytes + cap(l.chunks)*ptr + cap(l.blocks)*slice
+	for _, z := range l.blocks {
+		b += cap(z)
+	}
 	b += cap(l.sigs)*int(unsafe.Sizeof(signal{})) + len(l.sigIDs)*mapEntryBytes
 	b += cap(l.names)*str + len(l.ids)*mapEntryBytes
 	for _, s := range l.names {
@@ -322,10 +400,11 @@ func (l *alarmLog) footprint() int {
 }
 
 // TestAlarmLogBytesPerAlarm holds the log's retained bytes per alarm
-// (footprint, not MemStats) to two budgets: a flood shaped like a
-// tampered session's, and an adversarial stream with nothing to
-// compress and more distinct signals than the table holds. Both must
-// also decode back to the alarms that went in.
+// (footprint, not MemStats) to budgets on three streams: a flood shaped
+// like a tampered session's, the same flood looping one pattern as a
+// session that replays one tampered block raises it, and an adversarial
+// stream with nothing to compress and more distinct signals than the
+// table holds. All must also decode back to the alarms that went in.
 func TestAlarmLogBytesPerAlarm(t *testing.T) {
 	const n = 1_000_000
 	// flood: 8 signals, Seq gaps of ~150, a latency sample on every
@@ -334,6 +413,27 @@ func TestAlarmLogBytesPerAlarm(t *testing.T) {
 		k := uint64(r.IntN(8))
 		*a = wire.Alarm{Seq: a.Seq + 140 + uint64(r.IntN(21)), PC: 0x400 + 4*k, Func: "handler",
 			Slot: uint32(k), Expected: uint8(k % 3), Taken: k%2 == 1}
+		if i%64 == 0 {
+			*lat = time.Duration(200_000 + r.IntN(100_000))
+		}
+		return true
+	}
+	// repeating: the flood's first 1,000 alarms replayed pass after
+	// pass, each pass 1,000 gaps later; the latency sample still takes
+	// a fresh value once per 64 alarms.
+	pattern := make([]wire.Alarm, 1000)
+	var plat time.Duration
+	pr := rand.New(rand.NewPCG(3, 4))
+	for i := range pattern {
+		if i > 0 {
+			pattern[i] = pattern[i-1]
+		}
+		flood(pr, &pattern[i], &plat, i)
+	}
+	pass := pattern[len(pattern)-1].Seq + 150
+	repeating := func(r *rand.Rand, a *wire.Alarm, lat *time.Duration, i int) bool {
+		*a = pattern[i%len(pattern)]
+		a.Seq += uint64(i/len(pattern)) * pass
 		if i%64 == 0 {
 			*lat = time.Duration(200_000 + r.IntN(100_000))
 		}
@@ -353,7 +453,8 @@ func TestAlarmLogBytesPerAlarm(t *testing.T) {
 		budget float64
 		sigs   int
 	}{
-		{"flood", flood, 4, 8},
+		{"flood", flood, 2.5, 8},
+		{"repeating", repeating, 0.5, 8},
 		{"adversarial", adversarial, 48, maxSignals},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -368,9 +469,16 @@ func TestAlarmLogBytesPerAlarm(t *testing.T) {
 				if _, err := l.add(a, []byte(a.Func), lat, hasLat); err != nil {
 					t.Fatal(err)
 				}
+				l.seal()
 			}
-			per := float64(l.footprint()) / n
-			t.Logf("%d alarms, %d signals: %.2f bytes per alarm", n, len(l.sigs), per)
+			// unsealed counts every sealed block at its raw size.
+			foot, unsealed := l.footprint(), l.footprint()
+			for _, z := range l.blocks {
+				unsealed += blockBytes - cap(z)
+			}
+			per := float64(foot) / n
+			t.Logf("%d alarms, %d signals, %d sealed blocks: %.2f bytes per alarm, %.2f unsealed (%.2fx)",
+				n, len(l.sigs), len(l.blocks), per, float64(unsealed)/n, float64(unsealed)/float64(foot))
 			if per > tc.budget {
 				t.Errorf("log retains %.2f bytes per alarm, budget %v", per, tc.budget)
 			}
@@ -466,5 +574,99 @@ func TestAlarmsListOutsideLock(t *testing.T) {
 		t.Fatalf("median ack took %v while Alarms() was listing; one listing takes %v", med, list)
 	} else {
 		t.Logf("median ack %v, one listing %v", med, list)
+	}
+}
+
+// TestSealOutsideLock holds the process's sealer while the reader has
+// a full block to seal. The reader must wait for it without the
+// client's lock, so AlarmCount and Alarms answer meanwhile from the
+// unsealed chunks; compressing under the lock would hang them. Once the
+// sealer is released the block swaps in and decodes the same.
+func TestSealOutsideLock(t *testing.T) {
+	c, srv := pipeClient(t, Config{})
+	block := fillAlarms(300, blockChunks, false)
+	want := sampleAlarms(0, block+1, 300)
+	if _, err := srv.Write(encodeAlarms(t, want[:block])); err != nil {
+		t.Fatal(err)
+	}
+	waitAlarms(t, c, block)
+
+	sealer.Lock()
+	held := true
+	defer func() {
+		if held {
+			sealer.Unlock()
+		}
+	}()
+	// The last alarm starts a chunk past the first block, so the reader
+	// goes on to seal it and waits for the sealer.
+	if _, err := srv.Write(encodeAlarms(t, want[block:])); err != nil {
+		t.Fatal(err)
+	}
+	listed := make(chan []wire.Alarm, 1)
+	go func() {
+		for c.AlarmCount() < len(want) {
+			runtime.Gosched()
+		}
+		listed <- c.Alarms()
+	}()
+	select {
+	case got := <-listed:
+		sameAlarms(t, "Alarms() while a block waits to be sealed", got, want)
+	case <-time.After(10 * time.Second):
+		t.Fatal("the client's lock stayed held while a block waited for the sealer")
+	}
+	c.mu.Lock()
+	blocks := len(c.alarms.blocks)
+	c.mu.Unlock()
+	if blocks != 0 {
+		t.Fatalf("%d blocks sealed while the sealer was held", blocks)
+	}
+
+	sealer.Unlock()
+	held = false
+	deadline := time.Now().Add(10 * time.Second)
+	for blocks != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d blocks sealed after the sealer was released, want 1", blocks)
+		}
+		time.Sleep(time.Millisecond)
+		c.mu.Lock()
+		blocks = len(c.alarms.blocks)
+		c.mu.Unlock()
+	}
+	sameAlarms(t, "Alarms() after the seal", c.Alarms(), want)
+}
+
+// BenchmarkSealBlock is the cost of sealing one block of the
+// sampleAlarm stream, which loops 64 signals and compresses, and of
+// one filled with random bytes, which is kept raw.
+func BenchmarkSealBlock(b *testing.B) {
+	var l alarmLog
+	for i := 0; len(l.chunks) <= blockChunks; i++ {
+		a := sampleAlarm(i%64, 8)
+		l.add(a, []byte(a.Func), time.Duration(i*997%5000), true)
+	}
+	loop, _ := l.full()
+	var random [blockChunks]*chunk
+	r := rand.New(rand.NewPCG(1, 2))
+	for i := range random {
+		random[i] = new(chunk)
+		for j := range random[i] {
+			random[i][j] = byte(r.Uint32())
+		}
+	}
+	for _, bc := range []struct {
+		name  string
+		block *[blockChunks]*chunk
+	}{{"loop", &loop}, {"random", &random}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(blockBytes)
+			var n int
+			for range b.N {
+				n = len(sealBlock(bc.block))
+			}
+			b.ReportMetric(float64(n), "sealed-bytes")
+		})
 	}
 }

@@ -346,9 +346,18 @@ func (c *Client) alarm(raw []byte, now time.Time) error {
 		}
 	}
 	a.Func, err = c.alarms.add(a, fn, lat, hasLat)
+	full, seal := c.alarms.full()
 	c.mu.Unlock()
 	if err != nil {
 		return err
+	}
+	// A full block's chunks are written for good: compress them without
+	// the lock that Acked, Alarms and Redial take, then swap them out.
+	if seal {
+		z := sealBlock(&full)
+		c.mu.Lock()
+		c.alarms.sealed(z)
+		c.mu.Unlock()
 	}
 	if c.cfg.OnAlarm != nil {
 		c.cfg.OnAlarm(a)

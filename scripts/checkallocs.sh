@@ -10,9 +10,9 @@
 # holds the benchmarks themselves to it, so a regression shows up even
 # if someone relaxes the unit tests.) Two serve-path benchmarks ride
 # along: the verifier's batch loop with the incident stage on, and the
-# client's alarm ingest (decode, intern, record), whose delta-coded log
-# allocates one 16 KiB chunk per several thousand alarms and so must
-# amortise to 0 allocs/op. The client's ack ingest (decode, retire the
+# client's alarm ingest (decode, intern, record, seal), whose delta-coded log
+# allocates one 16 KiB chunk per several thousand alarms and one sealed
+# block per four chunks, and so must amortise to 0 allocs/op. The client's ack ingest (decode, retire the
 # covered mark, bin the round trip into a fixed histogram) must not
 # allocate at all.
 set -e
@@ -38,8 +38,12 @@ echo "$srvout" | grep -q '^BenchmarkVerifyBatchIncident' || {
 	exit 1
 }
 # The client's alarm and ack paths: neither an alarm flood nor a long
-# run of acks may cost the reader an allocation per frame.
-cliout=$(go test -run '^$' -bench 'BenchmarkClientAlarmIngest|BenchmarkClientAckIngest' -benchtime 20000x -benchmem ./internal/ipdsclient)
+# run of acks may cost the reader an allocation per frame. The alarm
+# run is long enough to seal at least 4 blocks (DEFLATE-compressed
+# 64 KiB runs of the log), so sealing is inside the gate too.
+alarmout=$(go test -run '^$' -bench 'BenchmarkClientAlarmIngest' -benchtime 200000x -benchmem ./internal/ipdsclient)
+ackout=$(go test -run '^$' -bench 'BenchmarkClientAckIngest' -benchtime 20000x -benchmem ./internal/ipdsclient)
+cliout=$(printf '%s\n%s\n' "$alarmout" "$ackout")
 echo "$cliout"
 for b in BenchmarkClientAlarmIngest BenchmarkClientAckIngest; do
 	echo "$cliout" | grep -q "^$b" || {
@@ -47,6 +51,17 @@ for b in BenchmarkClientAlarmIngest BenchmarkClientAckIngest; do
 		exit 1
 	}
 done
+echo "$cliout" | awk '
+/^BenchmarkClientAlarmIngest/ {
+	for (i = 2; i < NF; i++) if ($(i+1) == "seals") seals = $i
+}
+END {
+	if (seals + 0 < 4) {
+		printf "checkallocs: BenchmarkClientAlarmIngest sealed %d blocks (want at least 4)\n", seals > "/dev/stderr"
+		exit 1
+	}
+}
+'
 out=$(printf '%s\n%s\n%s\n' "$out" "$srvout" "$cliout")
 
 echo "$out" | awk '
