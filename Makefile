@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-kernel alloc-gate kernel-gate forensics-gate incident-gate scale-gate fleet-gate trace-gate fuzz-gate benchtable ci report docscheck race-parallel compile-baseline race-server smoke-load serve-baseline serve-baseline-pr5 serve-baseline-pr7 serve-baseline-pr10
+.PHONY: build test vet race bench bench-kernel alloc-gate kernel-gate forensics-gate incident-gate incident-flood-gate scale-gate fleet-gate trace-gate fuzz-gate benchtable ci report docscheck race-parallel compile-baseline race-server smoke-load serve-baseline serve-baseline-pr5 serve-baseline-pr7 serve-baseline-pr10
 
 build:
 	$(GO) build ./...
@@ -89,6 +89,13 @@ incident-gate:
 	$(GO) test -race -run 'TestIncident' ./internal/server
 	$(GO) test -race ./internal/incident
 
+# Incident flood gate: the incident stage must keep up with the
+# 64-session tampered telnetd load (~889K alarms). FLOOD_RUNS (default
+# 5) in-process runs must each report 0 alarms dropped from the
+# incident queue.
+incident-flood-gate:
+	./scripts/checkincidentflood.sh
+
 # Scale gate: the per-core serve path must actually scale. Runs the
 # 64-session load in SCALE_PAIRS (default 7) alternating pairs —
 # pinned to 1 verifier, then one verifier per core — and fails unless
@@ -144,7 +151,7 @@ fuzz-gate:
 	$(GO) test -run '^$$' -fuzz '^FuzzAlarmLog$$' -fuzztime $(FUZZTIME) ./internal/ipdsclient
 
 # Full gate: what a PR must pass.
-ci: vet build docscheck race race-parallel race-server smoke-load bench alloc-gate kernel-gate forensics-gate incident-gate scale-gate fleet-gate trace-gate fuzz-gate
+ci: vet build docscheck race race-parallel race-server smoke-load bench alloc-gate kernel-gate forensics-gate incident-gate incident-flood-gate scale-gate fleet-gate trace-gate fuzz-gate
 
 # Observability-driven per-workload table + JSON baseline.
 report:

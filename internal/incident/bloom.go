@@ -44,13 +44,51 @@ func (f *stableBloom) init(cells int) {
 // buckets slightly; false negatives fade in as old tuples decay, which
 // is the stable trade the filter is chosen for.
 func (f *stableBloom) addFresh(h uint64) bool {
-	mask := uint64(len(f.cells) - 1)
-	for i := 0; i < bloomDecay; i++ {
+	f.decay(bloomDecay)
+	return f.set(h)
+}
+
+// addRun inserts a tuple n times in a row (n ≥ 1) and reports whether
+// the first insert was fresh, leaving the filter exactly as n addFresh
+// calls would. Those calls' later inserts re-set cells the earlier ones
+// set to bloomMax, and the bloomDecay decays between two of them lower
+// each by at most two (the filter has at least two cells, so the cursor
+// reaches a cell at most twice in bloomDecay steps): every insert after
+// the first is a duplicate, and each of the tuple's cells ends at
+// bloomMax. So the run is its first insert, the decay of all
+// the others in one sweep, and one final set.
+func (f *stableBloom) addRun(h, n uint64) bool {
+	fresh := f.addFresh(h)
+	if n > 1 {
+		f.decay(bloomDecay * (n - 1))
+		f.set(h)
+	}
+	return fresh
+}
+
+// decay advances the cursor k cells, decrementing each cell it reaches.
+// A sweep of bloomMax times the whole filter empties it, so longer
+// sweeps stop there.
+func (f *stableBloom) decay(k uint64) {
+	size := uint64(len(f.cells))
+	mask := size - 1
+	if k >= bloomMax*size {
+		clear(f.cells)
+		f.cur = (f.cur + k) & mask
+		return
+	}
+	for ; k > 0; k-- {
 		f.cur = (f.cur + 1) & mask
 		if c := &f.cells[f.cur]; *c > 0 {
 			*c--
 		}
 	}
+}
+
+// set sets a tuple's cells to bloomMax and reports whether any of them
+// was empty (the tuple was fresh).
+func (f *stableBloom) set(h uint64) bool {
+	mask := uint64(len(f.cells) - 1)
 	// Double hashing: probe i at h1 + i·h2 (h2 odd, so every probe
 	// sequence cycles the whole power-of-two table).
 	h2 := (h>>33 | h<<31) | 1

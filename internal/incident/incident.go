@@ -70,7 +70,8 @@ type Config struct {
 	ClusterGap uint64
 
 	// BloomCells sizes each session's stable bloom dedup filter
-	// (default DefaultBloomCells), rounded up to a power of two.
+	// (default DefaultBloomCells), rounded up to a power of two of at
+	// least two cells.
 	BloomCells int
 
 	// Reg receives incident_* metrics; nil disables (free).
@@ -90,7 +91,7 @@ func (c Config) withDefaults() Config {
 	if c.BloomCells <= 0 {
 		c.BloomCells = DefaultBloomCells
 	}
-	c.BloomCells = 1 << bits.Len(uint(c.BloomCells-1))
+	c.BloomCells = 1 << bits.Len(uint(max(c.BloomCells, 2)-1))
 	return c
 }
 
@@ -103,6 +104,19 @@ type AlarmEvent struct {
 	PC      uint64 // branch address
 	Func    string // enclosing function name
 	Taken   bool   // direction the stream claimed
+}
+
+// Record is a run of one session's alarms at one (func, branch)
+// signal within one sequence bucket: what the analyzer reads of those
+// alarms, folded by their producer (Folder) so a flood costs the
+// analyzer one update per record rather than one per alarm.
+type Record struct {
+	Session  uint64 // producer's session id (never surfaced in output)
+	PC       uint64 // branch address
+	Func     string // enclosing function name
+	FirstSeq uint64 // Seq of the run's first alarm
+	LastSeq  uint64 // Seq of its last, in the same bucket as FirstSeq
+	Count    uint64 // alarms in the run, at least one
 }
 
 // sigKey identifies one signal: a (function, branch PC) pair.
@@ -158,10 +172,12 @@ type series struct {
 // metrics is the incident_* instrument set; nil-safe like all of obs.
 type metrics struct {
 	alarms   *obs.Counter   // incident_alarms_total
+	records  *obs.Counter   // incident_records_total (an alarm fed alone is one)
 	folds    *obs.Counter   // incident_dedup_folds_total
 	bursts   *obs.Counter   // incident_changepoints_total
 	overflow *obs.Counter   // incident_signal_overflow_total
 	signals  *obs.Gauge     // incident_signals
+	filters  *obs.Gauge     // incident_dedup_filters (sessions holding one)
 	open     *obs.Gauge     // incident_open (at last ranking)
 	rankNs   *obs.Histogram // incident_rank_ns (per Incidents call)
 }
@@ -169,20 +185,23 @@ type metrics struct {
 func newIncidentMetrics(r *obs.Registry) metrics {
 	return metrics{
 		alarms:   r.Counter("incident_alarms_total"),
+		records:  r.Counter("incident_records_total"),
 		folds:    r.Counter("incident_dedup_folds_total"),
 		bursts:   r.Counter("incident_changepoints_total"),
 		overflow: r.Counter("incident_signal_overflow_total"),
 		signals:  r.Gauge("incident_signals"),
+		filters:  r.Gauge("incident_dedup_filters"),
 		open:     r.Gauge("incident_open"),
 		rankNs:   r.Histogram("incident_rank_ns"),
 	}
 }
 
 // Analyzer is the streaming incident pipeline. One goroutine may feed
-// Observe/ObserveBatch/ObserveContext while others call
-// Incidents/Stats: a single mutex guards all state (the analyzer runs
-// off the serve hot path and the daemon feeds it a run of alarms per
-// lock, so locking is cheap where an ipds.Machine's would not be).
+// Observe/ObserveRecords/ObserveContext/EndSession while
+// others call Incidents/Stats: a single mutex guards all state (the
+// analyzer runs off the serve hot path and the daemon feeds it a run of
+// records per lock, so locking is cheap where an ipds.Machine's would
+// not be).
 type Analyzer struct {
 	cfg Config
 	met metrics
@@ -190,6 +209,7 @@ type Analyzer struct {
 	mu       sync.Mutex
 	signals  map[sigKey]*signal
 	sessions map[uint64]*sessState
+	filters  int // sessions holding a dedup filter
 	alarms   uint64
 	folded   uint64
 	overflow uint64
@@ -206,57 +226,60 @@ func NewAnalyzer(cfg Config) *Analyzer {
 	}
 }
 
-// Observe feeds one alarm through layers 1 and 2: ObserveBatch of a
-// single alarm.
+// Observe feeds one alarm through layers 1 and 2, as a one-alarm
+// Record.
 func (a *Analyzer) Observe(ev AlarmEvent) {
-	a.ObserveBatch([]AlarmEvent{ev})
+	a.ObserveRecords([]Record{{Session: ev.Session, PC: ev.PC, Func: ev.Func, FirstSeq: ev.Seq, LastSeq: ev.Seq, Count: 1}})
 }
 
-// ObserveBatch feeds a run of alarms through layers 1 and 2 under one
-// lock, exactly as the same alarms fed one by one to Observe. The
-// session state, signal and series an alarm resolves to are reused by
-// the next alarm of the same session and signal, so a run of one
-// session's alarms (the daemon feeds a verifier pass's alarms as one
-// run) pays the map lookups once per change of signal rather than once
-// per alarm. Steady state (known signals, known session) is
-// allocation-free.
-func (a *Analyzer) ObserveBatch(evs []AlarmEvent) {
-	if len(evs) == 0 {
+// ObserveRecords feeds a run of records through layers 1 and 2 under
+// one lock. The session state, signal and series a record resolves to
+// are reused by the next record of the same session and signal, so a
+// run pays the map lookups once per change of signal. A record of n
+// alarms updates the analyzer exactly as its n alarms fed one after
+// another would (bloom.go, addRun); records that fold alarms of
+// different signals out of their interleaving can change only which
+// tuples the dedup filter reports as repeats (DESIGN.md §10). Steady
+// state (known signals, known session) is allocation-free.
+func (a *Analyzer) ObserveRecords(recs []Record) {
+	if len(recs) == 0 {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var (
-		st                      *sessState
-		sess                    uint64
-		sig                     *signal
-		sr                      *series
-		folds, bursts, overflow uint64
+		st                              *sessState
+		sess                            uint64
+		sig                             *signal
+		sr                              *series
+		alarms, folds, bursts, overflow uint64
 	)
 	bw := uint64(a.cfg.BucketEvents)
-	for i := range evs {
-		ev := &evs[i]
-		bucket := ev.Seq / bw
-		if sig == nil || ev.PC != sig.pc || ev.Func != sig.fn {
-			k := sigKey{pc: ev.PC, fn: ev.Func}
+	for i := range recs {
+		r := &recs[i]
+		n := r.Count
+		alarms += n
+		bucket := r.FirstSeq / bw
+		if sig == nil || r.PC != sig.pc || r.Func != sig.fn {
+			k := sigKey{pc: r.PC, fn: r.Func}
 			next := a.signals[k]
 			if next == nil {
 				if len(a.signals) >= a.cfg.MaxSignals {
-					overflow++
+					overflow += n
 					continue
 				}
-				next = newSignal(ev, bucket)
+				next = newSignal(r, bucket)
 				a.signals[k] = next
 				a.met.signals.Set(int64(len(a.signals)))
 			}
 			sig, sr = next, nil
 		}
-		sig.alarms++
-		if ev.Seq < sig.firstSeq {
-			sig.firstSeq = ev.Seq
+		sig.alarms += n
+		if r.FirstSeq < sig.firstSeq {
+			sig.firstSeq = r.FirstSeq
 		}
-		if ev.Seq > sig.lastSeq {
-			sig.lastSeq = ev.Seq
+		if r.LastSeq > sig.lastSeq {
+			sig.lastSeq = r.LastSeq
 		}
 		if bucket < sig.firstBucket {
 			sig.firstBucket = bucket
@@ -265,38 +288,46 @@ func (a *Analyzer) ObserveBatch(evs []AlarmEvent) {
 			sig.lastBucket = bucket
 		}
 
-		if st == nil || ev.Session != sess {
-			sess, sr = ev.Session, nil
+		if st == nil || r.Session != sess {
+			sess, sr = r.Session, nil
 			if st = a.sessions[sess]; st == nil {
 				st = &sessState{series: map[*signal]*series{}}
-				st.bloom.init(a.cfg.BloomCells)
 				a.sessions[sess] = st
 			}
 		}
 		if sr == nil {
 			if sr = st.series[sig]; sr == nil {
-				sr = &series{firstSeq: ev.Seq}
+				sr = &series{firstSeq: r.FirstSeq}
 				st.series[sig] = sr
 				sig.sessions++
 			}
 		}
 
 		// Layer 2: fold repeat (func, branch, bucket) tuples per session.
-		if st.bloom.addFresh(sig.tupleHash(bucket)) {
+		// A record's alarms after its first are repeats of its tuple.
+		if st.bloom.cells == nil {
+			st.bloom.init(a.cfg.BloomCells)
+			a.filters++
+			a.met.filters.Set(int64(a.filters))
+		}
+		repeats := n - 1
+		if st.bloom.addRun(sig.tupleHash(bucket), n) {
 			sig.tuples++
 		} else {
-			sig.folded++
-			folds++
+			repeats++
 		}
+		sig.folded += repeats
+		folds += repeats
 
 		// Layer 1: close finished rate buckets into the CUSUM detector.
 		// Alarms arrive per session in sequence order, so bucket advances
 		// are monotone within a series.
+		cnt := float64(n)
 		switch {
 		case !sr.open:
-			sr.open, sr.bucket, sr.count = true, bucket, 1
+			sr.open, sr.bucket, sr.count = true, bucket, cnt
 		case bucket == sr.bucket:
-			sr.count++
+			sr.count += cnt
 		case bucket > sr.bucket:
 			if sr.cu.feed(sr.count) {
 				sig.bursts++
@@ -316,28 +347,43 @@ func (a *Analyzer) ObserveBatch(evs []AlarmEvent) {
 					sr.cu.feed(0) // one-sided detector: a drop never fires
 				}
 			}
-			sr.bucket, sr.count = bucket, 1
+			sr.bucket, sr.count = bucket, cnt
 		}
 	}
-	n := uint64(len(evs))
-	a.alarms += n
+	a.alarms += alarms
 	a.folded += folds
 	a.overflow += overflow
-	a.met.alarms.Add(n)
+	a.met.alarms.Add(alarms)
+	a.met.records.Add(uint64(len(recs)))
 	a.met.folds.Add(folds)
 	a.met.bursts.Add(bursts)
 	a.met.overflow.Add(overflow)
 }
 
-// newSignal opens the signal of ev's (func, branch) pair.
-func newSignal(ev *AlarmEvent, bucket uint64) *signal {
+// newSignal opens the signal of r's (func, branch) pair.
+func newSignal(r *Record, bucket uint64) *signal {
 	return &signal{
-		fn: ev.Func, pc: ev.PC,
-		hpc:      tuplePrefix(ev.Func, ev.PC),
-		firstSeq: ev.Seq, lastSeq: ev.Seq,
+		fn: r.Func, pc: r.PC,
+		hpc:      tuplePrefix(r.Func, r.PC),
+		firstSeq: r.FirstSeq, lastSeq: r.LastSeq,
 		firstBucket: bucket, lastBucket: bucket,
 		firstBurst: ^uint64(0),
 		ctxSeq:     ^uint64(0),
+	}
+}
+
+// EndSession frees a finished session's dedup filter. Its rate series
+// stay: ranking reads them (open buckets, LeadLag first occurrences).
+// The daemon never reuses a session id, so no later record can meet
+// the freed filter and the ranked incidents do not change; a record
+// that did would start the session a fresh filter.
+func (a *Analyzer) EndSession(session uint64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if st := a.sessions[session]; st != nil && st.bloom.cells != nil {
+		st.bloom = stableBloom{}
+		a.filters--
+		a.met.filters.Set(int64(a.filters))
 	}
 }
 

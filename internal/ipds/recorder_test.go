@@ -631,3 +631,52 @@ func TestRecorderPendingBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestForensicRingsFixedAcrossFlood: the flight recorder and the
+// alarm-context ring are sized once, at New, and an alarm flood that
+// captures a context for every alarm and overwrites the context ring
+// many times over neither grows nor reallocates either: the recorder's
+// ring and pending ring keep their storage, each context slot's
+// window, stack and BSV copies stop growing once warm, and further
+// flood passes allocate nothing.
+func TestForensicRingsFixedAcrossFlood(t *testing.T) {
+	w, evs := benchTrace(t)
+	bent := tamperEvery(evs, 5)
+	m := New(w.img, recorderConfig(DefaultRecorderDepth))
+	buf, pend, ctxs := &m.rec.buf[0], &m.rec.pend[0], &m.ctxBuf[0]
+	sizes := [3]int{len(m.rec.buf), len(m.rec.pend), len(m.ctxBuf)}
+	// slotCaps sums every context slot's slice capacities.
+	slotCaps := func() (n int) {
+		for i := range m.ctxBuf {
+			c := &m.ctxBuf[i]
+			n += cap(c.Recent) + cap(c.Stack) + cap(c.BSV)
+		}
+		return n
+	}
+	for range 4 {
+		m.OnBatch(bent)
+	}
+	warm, captured := slotCaps(), m.CtxCaptured()
+	if captured <= uint64(3*len(m.ctxBuf)) {
+		t.Fatalf("warm-up captured %d contexts; the ring of %d was not overwritten", captured, len(m.ctxBuf))
+	}
+	if n := testing.AllocsPerRun(50, func() { m.OnBatch(bent) }); n != 0 {
+		t.Fatalf("a flood pass allocates %.1f times with forensics on, want 0", n)
+	}
+	if got := [3]int{len(m.rec.buf), len(m.rec.pend), len(m.ctxBuf)}; got != sizes {
+		t.Fatalf("recorder/pending/context ring sizes %v after the flood, want %v", got, sizes)
+	}
+	if &m.rec.buf[0] != buf || &m.rec.pend[0] != pend || &m.ctxBuf[0] != ctxs {
+		t.Fatal("a forensic ring was reallocated during the flood")
+	}
+	if got := slotCaps(); got != warm {
+		t.Fatalf("context slots grew from %d to %d elements of capacity", warm, got)
+	}
+	for i := range m.ctxBuf {
+		if c := &m.ctxBuf[i]; len(c.Recent) > len(m.rec.buf) || len(c.Stack) > MaxContextStack {
+			t.Fatalf("context %d holds %d recent events and %d frames, past the %d-event window or the %d-frame stack cap",
+				i, len(c.Recent), len(c.Stack), len(m.rec.buf), MaxContextStack)
+		}
+	}
+	t.Logf("%d alarms captured %d contexts into a %d-slot ring", m.Stats().Alarms, m.CtxCaptured(), len(m.ctxBuf))
+}

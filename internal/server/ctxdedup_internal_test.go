@@ -18,13 +18,14 @@ import (
 )
 
 // TestContextDedupMatchesEveryCapture holds the verifier's incident
-// feed — per-pass slabs, and forensic captures offered only until the
-// session's first one for their signal is accepted — to the plain
-// feed it replaces: every alarm offered on its own, then every fresh
-// capture of its batch. Three tampered sessions share one verifier,
-// passes of random length interleave them, and a reference analyzer
-// fed the plain way from in-process replays must end up with the same
-// stats and the same ranked incidents, retained contexts included.
+// feed — per-pass records folding the pass's alarms by signal and
+// bucket, and forensic captures offered only until the session's first
+// one for their signal is accepted — to the plain feed it replaces:
+// every alarm offered on its own, then every fresh capture of its
+// batch. Three tampered sessions share one verifier, passes of random
+// length interleave them, and a reference analyzer fed the plain way
+// from in-process replays must end up with the same stats and the same
+// ranked incidents, fold counts and retained contexts included.
 func TestContextDedupMatchesEveryCapture(t *testing.T) {
 	w := workload.ByName("telnetd")
 	art, err := pipeline.Compile(w.Source, ir.DefaultOptions)
@@ -151,7 +152,6 @@ func TestContextMarkNeedsItsAlarm(t *testing.T) {
 		srv.Shutdown(ctx)
 	}()
 	st := srv.incidents
-	st.sync() // the consumer is ranging over the live queue
 	release := st.stall()
 	v := newVerifier(srv, len(srv.verifiers))
 	ss := &session{id: 1, srv: srv, v: v}
@@ -160,35 +160,37 @@ func TestContextMarkNeedsItsAlarm(t *testing.T) {
 		return &a, &ipds.AlarmContext{Alarm: a, Recorded: seq}
 	}
 
-	// The queue's alarm ring is full: the alarm is dropped, its
-	// capture still finds a slot.
-	st.queued.Store(int64(cap(st.ch)))
+	// The queue is full when the alarm's record is offered, and a slot
+	// frees before its capture is: the alarm is dropped, the capture
+	// queued.
+	st.bound = 0
 	a, c := capture(10)
 	drops := ss.incDrops
 	v.collect(ss, a)
+	v.offerRecords(ss)
+	st.bound = 64
 	v.offerCtx(ss, c, drops)
-	if st.dropped.Value() != 1 || len(st.ch) != 1 {
-		t.Fatalf("dropped %d, queued %d messages; want the alarm dropped and its capture queued", st.dropped.Value(), len(st.ch))
+	if st.dropped.Value() != 1 || st.n != 1 {
+		t.Fatalf("dropped %d, queued %d items; want the alarm dropped and its capture queued", st.dropped.Value(), st.n)
 	}
 	if len(ss.ctxMarks) != 0 {
 		t.Fatal("capture marked although its alarm was dropped")
 	}
 
-	st.queued.Store(0)
 	a, c = capture(20)
 	drops = ss.incDrops
 	v.collect(ss, a)
 	v.offerCtx(ss, c, drops)
-	if len(ss.ctxMarks) != 1 || len(st.ch) != 3 {
-		t.Fatalf("%d marks, %d queued messages; want the capture marked behind its alarm", len(ss.ctxMarks), len(st.ch))
+	if len(ss.ctxMarks) != 1 || st.n != 3 {
+		t.Fatalf("%d marks, %d queued items; want the capture marked behind its alarm", len(ss.ctxMarks), st.n)
 	}
 	a, c = capture(30)
 	v.collect(ss, a)
 	v.offerCtx(ss, c, drops)
-	if len(st.ch) != 3 {
-		t.Fatalf("%d queued messages; a marked signal's capture must be skipped, slab flush included", len(st.ch))
+	if st.n != 3 {
+		t.Fatalf("%d queued items; a marked signal's capture must be skipped, record flush included", st.n)
 	}
-	v.offerSlab(ss)
+	v.offerRecords(ss)
 	release()
 
 	incs := srv.Incidents()
@@ -197,12 +199,14 @@ func TestContextMarkNeedsItsAlarm(t *testing.T) {
 	}
 }
 
-// TestIncidentQueueFillsToBound: the queue holds IncidentQueue alarms
-// however short the runs they arrive in. Against a stalled stage with
-// a 64-alarm queue, 60 one-alarm passes are all queued, a 10-alarm pass
-// gets its first 4 in and the rest of the flood is dropped (counted).
-// Once the stage drains, a run that wraps past the ring's end reaches
-// the analyzer whole and in order.
+// TestIncidentQueueFillsToBound: the queue holds nothing before the
+// first alarm, grows by doubling, and holds IncidentQueue records
+// however few alarms each folds. Against a stalled stage with a
+// 64-record queue, 60 one-alarm passes are all queued, a pass folding
+// 20 alarms into 10 records gets its first 4 records in, and the rest
+// of the flood is dropped, its alarms counted. Once the stage drains,
+// a run that wraps past the ring's end reaches the analyzer whole and
+// in order.
 func TestIncidentQueueFillsToBound(t *testing.T) {
 	srv := New(NewImageStore(nil), Config{Verifiers: 1, IncidentQueue: 64, Reg: obs.NewRegistry()})
 	defer func() {
@@ -211,50 +215,63 @@ func TestIncidentQueueFillsToBound(t *testing.T) {
 		srv.Shutdown(ctx)
 	}()
 	st := srv.incidents
-	st.sync() // the consumer is ranging over the live queue
+	srv.Incidents() // a drain barrier queues nothing
 	release := st.stall()
+	if st.buf != nil {
+		t.Fatalf("queue holds %d slots before the first alarm", len(st.buf))
+	}
 	v := newVerifier(srv, len(srv.verifiers))
 	ss := &session{id: 1, srv: srv, v: v}
 	seq := uint64(0)
-	pass := func(n int) {
-		for range n {
-			seq++
-			v.collect(ss, &ipds.Alarm{Seq: seq, PC: 0x99, Func: "act"})
+	// pass raises n alarms over the given number of signals, step
+	// Seqs apart, as one verifier pass.
+	pass := func(n, signals int, step uint64) {
+		for i := range n {
+			seq += step
+			v.collect(ss, &ipds.Alarm{Seq: seq, PC: 0x99 + uint64(i%signals), Func: "act"})
 		}
-		v.offerSlab(ss)
+		v.offerRecords(ss)
 	}
-	for range 60 {
-		pass(1)
+	pass(1, 1, 1)
+	if len(st.buf) != incQueueMin {
+		t.Fatalf("first offer allocated %d slots, want %d", len(st.buf), incQueueMin)
 	}
-	pass(10)
-	pass(1)
-	if q, msgs, d := st.queued.Load(), len(st.ch), st.dropped.Value(); q != 64 || msgs != 61 || d != 7 {
-		t.Fatalf("%d alarms in %d runs queued, %d dropped; want 64 in 61, 7 dropped", q, msgs, d)
+	for range 59 {
+		pass(1, 1, 1)
+	}
+	pass(20, 10, 1)
+	pass(1, 1, 1)
+	if st.n != 64 || len(st.buf) != 64 || st.dropped.Value() != 13 {
+		t.Fatalf("%d records queued in %d slots, %d alarms dropped; want 64 in 64, 13 dropped", st.n, len(st.buf), st.dropped.Value())
 	}
 	release()
-	if got := srv.Incidents(); len(got) != 1 || got[0].Alarms != 64 || got[0].LastSeq != 64 {
-		t.Fatalf("incidents %+v, want act@0x99 with alarms 1..64", got)
+	got := srv.Incidents()
+	if s := st.an.Stats(); s.Alarms != 68 || len(got) != 4 {
+		t.Fatalf("analyzed %d alarms into %d incidents, want 60+8 into 4", s.Alarms, len(got))
 	}
 
-	// The ring's tail is back at slot 0: 50 alarms move it to slot 50,
-	// and the next 30 wrap.
+	// The ring's head is back at slot 0: 50 records, one alarm each,
+	// move it to slot 50, and the next 30 wrap.
 	ss = &session{id: 2, srv: srv, v: v}
 	seq = 0
-	pass(50)
+	pass(50, 1, 512)
 	st.sync()
 	release = st.stall()
-	pass(30)
-	if st.tail != 16 || len(st.ch) != 1 {
-		t.Fatalf("tail at %d with %d runs queued; want one run wrapped to 16", st.tail, len(st.ch))
+	pass(30, 1, 512)
+	if st.head != 50 || st.n != 30 || len(st.buf) != 64 {
+		t.Fatalf("head at %d with %d records in %d slots; want 30 from slot 50, wrapping", st.head, st.n, len(st.buf))
 	}
 	release()
 	st.sync()
-	if s := st.an.Stats(); s.Alarms != 144 || st.dropped.Value() != 7 || st.queued.Load() != 0 {
-		t.Fatalf("analyzed %d alarms (%d dropped, %d still queued); want 144, 7, 0", s.Alarms, st.dropped.Value(), st.queued.Load())
+	st.mu.Lock()
+	queued := st.n
+	st.mu.Unlock()
+	if s := st.an.Stats(); s.Alarms != 148 || st.dropped.Value() != 13 || queued != 0 {
+		t.Fatalf("analyzed %d alarms (%d dropped, %d still queued); want 148, 13, 0", s.Alarms, st.dropped.Value(), queued)
 	}
 	for _, in := range srv.Incidents() {
-		if in.Sessions != 2 || in.LastSeq != 80 {
-			t.Fatalf("incident %+v, want both sessions, the second through seq 80", in)
+		if in.PC == 0x99 && (in.Sessions != 2 || in.LastSeq != 80*512) {
+			t.Fatalf("incident %+v, want both sessions, the second through seq %d", in, 80*512)
 		}
 	}
 }

@@ -32,20 +32,17 @@ func (discardConn) SetReadDeadline(t time.Time) error  { return nil }
 func (discardConn) SetWriteDeadline(t time.Time) error { return nil }
 
 // stall holds the analyzer off the queue until the returned release
-// is called: offers land in a fresh channel the consumer goroutine is
-// not ranging over (run reads st.ch once, when it starts), and release
-// hands them to it in order. The caller must be the stage's only
-// producer while stalled.
+// is called: it closes the stage, which drains what is queued and stops
+// the consumer, and release reopens it under a new consumer, which
+// meets everything offered meanwhile in order. The caller must be the
+// stage's only producer while stalled.
 func (st *incidentStage) stall() (release func()) {
-	live := st.ch
-	st.ch = make(chan incMsg, cap(live))
+	st.close()
 	return func() {
-		held := st.ch
-		st.ch = live
-		close(held)
-		for m := range held {
-			live <- m
-		}
+		st.mu.Lock()
+		st.closed = false
+		st.mu.Unlock()
+		st.start()
 	}
 }
 
@@ -57,8 +54,8 @@ func (st *incidentStage) stall() (release func()) {
 // roomy queue absorbs every offer), so the allocs/op it reports — which
 // b.ReportAllocs counts process-wide — is the verifier's and its core
 // writer's alone: `make alloc-gate` requires it to stay 0 even while
-// every alarm is collected into the verifier's slab and offered to the
-// incident queue's alarm ring, every forensic capture the session has not already
+// every alarm is folded into the verifier's records and offered to the
+// incident queue, every forensic capture the session has not already
 // had accepted for its signal is deep-copied across it, and every 64th
 // batch's span record feeds the (live) wait histograms.
 func BenchmarkVerifyBatchIncident(b *testing.B) {
@@ -79,7 +76,7 @@ func BenchmarkVerifyBatchIncident(b *testing.B) {
 	store.Add("bench", art.Image)
 	// A roomy queue: benchmark iterations outrun the analyzer goroutine,
 	// and overflow drops — while allocation-free — would leave the
-	// Observe path itself unmeasured.
+	// offer path itself unmeasured.
 	srv := New(store, Config{IncidentQueue: 1 << 16, Reg: obs.NewRegistry()})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -140,10 +137,11 @@ func BenchmarkVerifyBatchIncident(b *testing.B) {
 	// the machine's rings, the analyzer's signal and series maps. Then
 	// rehearse the timed section — the same batches, analyzer stalled —
 	// so the forensic-context free list holds one for every capture
-	// the timed section queues, and the frame-buffer pool already
-	// holds as many buffers as that run keeps in flight. Each sync
-	// barrier lets the analyzer drain its backlog, freeing the alarm
-	// ring and putting every context back on its free list.
+	// the timed section queues, the queue has grown to hold all of its
+	// records, and the frame-buffer pool already holds as many buffers
+	// as that run keeps in flight. Each sync barrier lets the analyzer
+	// drain its backlog, emptying the queue and putting every context
+	// back on its free list.
 	feed(max(512, 64*len(chunks)))
 	srv.incidents.sync()
 	release := srv.incidents.stall()

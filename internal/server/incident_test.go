@@ -152,6 +152,10 @@ func TestIncidentGateFloodRanksFirst(t *testing.T) {
 	if di.Dropped != 0 {
 		t.Fatalf("incident queue dropped %d observations", di.Dropped)
 	}
+	// Every session has ended, and its end freed its dedup filter.
+	if n := w.reg.Gauge("incident_dedup_filters").Value(); n != 0 {
+		t.Fatalf("%d dedup filters held after every session ended", n)
+	}
 	if di.Alarms != uint64(refAlarms) {
 		t.Fatalf("daemon analyzed %d alarms, reference %d", di.Alarms, refAlarms)
 	}

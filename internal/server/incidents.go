@@ -5,92 +5,92 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/incident"
 	"repro/internal/ipds"
 	"repro/internal/obs"
+	"repro/internal/ring"
 	"repro/internal/wire"
 )
 
-// The incident stage: a bounded queue and one consumer goroutine
+// The incident stage: a bounded FIFO and one consumer goroutine
 // between the verifier pool and an incident.Analyzer. A verifier never
-// hands the stage one alarm at a time: it collects a pass's alarms in
-// its own slab and offers them as one run — one lock, one copy into
-// the stage's alarm ring and one non-blocking channel send — so an
-// alarm flood costs the serve path one queue operation and the
-// analyzer one lock per pass, not per alarm. The serve loop keeps its
-// zero-allocation, never-blocks-on-analytics contract (the ring is
-// allocated once, context copies are recycled through a free list);
-// when the analytics fall behind the queue, alarms are dropped from
-// analysis — counted, never silently — while verification and alarm
-// delivery continue untouched.
+// hands the stage one alarm at a time: it folds a pass's alarms into
+// one incident.Record per (signal, bucket) and offers the pass's
+// records as one run — one lock, one copy into the FIFO — so an alarm
+// flood costs the serve path one queue operation per pass and the
+// analyzer one update per record, not per alarm. The serve loop keeps
+// its zero-allocation, never-blocks-on-analytics contract (the FIFO
+// grows to its high-water mark and stays there, context copies are
+// recycled through a free list); when the analytics fall behind the
+// queue, records are dropped from analysis — their alarms counted,
+// never silently — while verification and alarm delivery continue
+// untouched.
 
 // DefaultIncidentQueue bounds the analytics feed queue between the
-// verifier pool and the analyzer: the alarms queued (the alarm ring's
-// length), and the queue's slots (one per run of alarms or forensic
-// context).
+// verifier pool and the analyzer, in records and forensic contexts.
 const DefaultIncidentQueue = 8192
 
-// slabCap is the alarm capacity of a verifier's slab. A verifier
-// offers its slab when it fills, before any forensic context (the
-// analyzer discards a context whose signal it has not yet seen), and
-// at the end of every pass. An offer copies only the alarms it holds,
-// so the size sets just how many runs a flood pass is cut into: 256
-// holds every pass of the measured floods whole — at most 158 alarms
-// on perfbench's tamper workload and 224 (32 batches of ~7) on the
-// 64-session tampered telnetd load (docs/PERFORMANCE.md, "Slab size,
-// measured").
-const slabCap = 256
+// foldCap is the record capacity of a verifier's folder. A verifier
+// offers its records when the folder fills, before any forensic
+// context (the analyzer discards a context whose signal it has not yet
+// seen), and at the end of every pass. 256 records hold every pass of
+// the measured floods whole, even one record an alarm: at most 158
+// alarms a pass on perfbench's tamper workload and 224 (32 batches of
+// ~7) on the 64-session tampered telnetd load (docs/PERFORMANCE.md,
+// "Slab size, measured").
+const foldCap = 256
 
-// alarmSlab holds a verifier's pass's alarms, in stream order, until
-// the verifier offers them to the stage as one run.
-type alarmSlab struct {
-	n   int
-	evs [slabCap]incident.AlarmEvent
-}
+// incQueueMin is the FIFO's first allocation, made by the first offer.
+const incQueueMin = 16
 
-// incMsg is one queue entry: a run of n alarms at ring[off:] (wrapping
-// past the ring's end), a forensic context, or a drain barrier
-// (done != nil).
-type incMsg struct {
-	off, n int
-	ctx    *ipds.AlarmContext
-	done   chan struct{}
+// incPop bounds the items the consumer takes from the FIFO per lock.
+const incPop = 64
+
+// incItem is one FIFO entry: a record of alarms (rec.Count > 0), a
+// forensic capture (ctx), or the end of session rec.Session (neither).
+type incItem struct {
+	rec incident.Record
+	ctx *ipds.AlarmContext
 }
 
 // incidentStage owns the analyzer and its feed queue.
 type incidentStage struct {
 	an *incident.Analyzer
-	ch chan incMsg
+	pk *ring.Parker // the consumer's wait; offers wake it
 
-	// ring holds the queued alarms. An offer copies its run in at tail
-	// and sends the run's message in the same ringMu section, so the
-	// consumer meets runs in ring order; it releases each run's slots
-	// by subtracting its length from queued once the analyzer is done
-	// with them. Producers fill at most len(ring)-queued slots, so the
-	// queue holds up to IncidentQueue alarms however short the runs.
-	ringMu sync.Mutex
-	ring   []incident.AlarmEvent
-	tail   int // next slot to fill; ringMu
-	queued atomic.Int64
+	// mu guards the FIFO, the counts, the context free list and closed.
+	// The FIFO is a ring over buf holding n items from head. buf is nil
+	// until the first offer and doubles when full, up to bound for
+	// records and contexts, which are dropped past it; session ends are
+	// always queued, past the bound if need be (one per finishing
+	// session that alarmed).
+	mu     sync.Mutex
+	buf    []incItem
+	head   int
+	n      int
+	bound  int
+	closed bool
 
-	// ctxFree recycles the deep copies that carry forensic captures
-	// across the queue (the machine-owned originals are only valid
-	// until the machine's next batch). It is a free list rather than a
-	// sync.Pool because a GC empties a Pool, after which every verifier
-	// would allocate afresh; copies in flight never outnumber the
-	// queue's slots, so it keeps every copy ever made.
-	ctxFree chan *ipds.AlarmContext
+	// pushed counts the items ever queued and consumed those the
+	// analyzer is done with; sync waits on drained for consumed to
+	// reach the pushed count it started at.
+	pushed, consumed uint64
+	drained          sync.Cond
+
+	// free recycles the deep copies that carry forensic captures across
+	// the queue (the machine-owned originals are only valid until the
+	// machine's next batch). It is a free list rather than a sync.Pool
+	// because a GC empties a Pool, after which every verifier would
+	// allocate afresh; copies in flight never outnumber the queue's
+	// bound, so it keeps every copy ever made.
+	free []*ipds.AlarmContext
 
 	wg sync.WaitGroup
 
-	mu     sync.Mutex
-	closed bool
-
 	dropped *obs.Counter // incident_queue_dropped_total (alarms and contexts)
-	depth   *obs.Gauge   // incident_queue_depth (alarms, sampled per run)
+	depth   *obs.Gauge   // incident_queue_depth (items, sampled per offer)
 }
 
 // newIncidentStage starts the consumer goroutine.
@@ -101,117 +101,194 @@ func newIncidentStage(cfg incident.Config, queue int, reg *obs.Registry) *incide
 	cfg.Reg = reg
 	st := &incidentStage{
 		an:      incident.NewAnalyzer(cfg),
-		ch:      make(chan incMsg, queue),
-		ring:    make([]incident.AlarmEvent, queue),
-		ctxFree: make(chan *ipds.AlarmContext, queue),
+		pk:      ring.NewParker(),
+		bound:   queue,
 		dropped: reg.Counter("incident_queue_dropped_total"),
 		depth:   reg.Gauge("incident_queue_depth"),
 	}
-	st.wg.Add(1)
-	go st.run()
+	st.drained.L = &st.mu
+	st.start()
 	return st
 }
 
-// run is the single consumer: it preserves queue FIFO order, which is
-// what makes a drain barrier mean "everything offered before me has
-// been analyzed".
+// start runs the consumer.
+func (st *incidentStage) start() {
+	st.wg.Add(1)
+	go st.run()
+}
+
+// push appends one item; st.mu is held. It reports false, queueing
+// nothing, when a bounded item meets a full queue.
+func (st *incidentStage) push(it incItem, bounded bool) bool {
+	if bounded && st.n >= st.bound {
+		return false
+	}
+	if st.n == len(st.buf) {
+		size := min(max(2*len(st.buf), incQueueMin), st.bound)
+		if size <= st.n { // a session end at the bound
+			size = st.n + incQueueMin
+		}
+		buf := make([]incItem, size)
+		k := copy(buf, st.buf[st.head:])
+		copy(buf[k:], st.buf[:st.head])
+		st.buf, st.head = buf, 0
+	}
+	i := st.head + st.n
+	if i >= len(st.buf) {
+		i -= len(st.buf)
+	}
+	st.buf[i] = it
+	st.n++
+	st.pushed++
+	return true
+}
+
+// pop moves up to len(dst) items, oldest first, into dst and clears
+// their slots; st.mu is held.
+func (st *incidentStage) pop(dst []incItem) int {
+	k := min(st.n, len(dst))
+	for j := range k {
+		dst[j] = st.buf[st.head]
+		st.buf[st.head] = incItem{}
+		if st.head++; st.head == len(st.buf) {
+			st.head = 0
+		}
+	}
+	st.n -= k
+	return k
+}
+
+// run is the single consumer: it preserves FIFO order, which is what
+// makes sync mean "everything offered before me has been analyzed". It
+// feeds each stretch of records to the analyzer under one analyzer
+// lock, counts what it is done with as it takes the next items, parks
+// while the queue is empty, and returns once the stage is closed and
+// drained.
 func (st *incidentStage) run() {
 	defer st.wg.Done()
-	for m := range st.ch {
-		switch {
-		case m.done != nil:
-			close(m.done)
-		case m.ctx != nil:
-			st.an.ObserveContext(m.ctx)
-			st.freeCtx(m.ctx)
-		default:
-			end := m.off + m.n
-			if wrap := end - len(st.ring); wrap > 0 {
-				st.an.ObserveBatch(st.ring[m.off:])
-				st.an.ObserveBatch(st.ring[:wrap])
-			} else {
-				st.an.ObserveBatch(st.ring[m.off:end])
-			}
-			st.queued.Add(-int64(m.n))
+	var (
+		items [incPop]incItem
+		recs  [incPop]incident.Record
+		n     int
+	)
+	for {
+		st.mu.Lock()
+		if n > 0 {
+			st.consumed += uint64(n)
+			st.drained.Broadcast()
 		}
+		n = st.pop(items[:])
+		closed := st.closed
+		st.mu.Unlock()
+		if n == 0 {
+			if closed {
+				return
+			}
+			st.pk.Prepare()
+			st.mu.Lock()
+			ready := st.n > 0 || st.closed
+			st.mu.Unlock()
+			if ready {
+				st.pk.Cancel()
+			} else {
+				st.pk.Park()
+			}
+			continue
+		}
+		k := 0
+		for i := range items[:n] {
+			it := &items[i]
+			if it.rec.Count > 0 {
+				recs[k] = it.rec
+				k++
+				continue
+			}
+			st.an.ObserveRecords(recs[:k])
+			k = 0
+			if it.ctx != nil {
+				st.an.ObserveContext(it.ctx)
+				st.mu.Lock()
+				st.free = append(st.free, it.ctx)
+				st.mu.Unlock()
+			} else {
+				st.an.EndSession(it.rec.Session)
+			}
+		}
+		st.an.ObserveRecords(recs[:k])
+		clear(items[:n])
 	}
 }
 
-// offer queues a run of alarms, non-blocking, and returns how many it
-// accepted: the run's head, as much of it as the ring has room for, or
-// none when the queue has no free slot. The rest are dropped from
-// analysis (counted) rather than stalling a verifier. evs stays
+// offer queues a run of records, non-blocking, and returns how many it
+// accepted: the run's head, as much of it as the queue has room for,
+// or none when it is full. The alarms of the rest are dropped from
+// analysis (counted) rather than stalling a verifier. recs stays
 // caller-owned.
-func (st *incidentStage) offer(evs []incident.AlarmEvent) int {
-	st.ringMu.Lock()
-	k := min(len(evs), len(st.ring)-int(st.queued.Load()))
-	if k > 0 {
-		// The slots from tail on are free: filling them before the send
-		// is harmless should it fail.
-		off := st.tail
-		if c := copy(st.ring[off:], evs[:k]); c < k {
-			copy(st.ring, evs[c:k])
-		}
-		q := st.queued.Add(int64(k))
-		select {
-		case st.ch <- incMsg{off: off, n: k}:
-			if st.tail = off + k; st.tail >= len(st.ring) {
-				st.tail -= len(st.ring)
-			}
-			st.depth.Set(q)
-		default: // every slot is taken by contexts and runs
-			st.queued.Add(-int64(k))
-			k = 0
-		}
+func (st *incidentStage) offer(recs []incident.Record) int {
+	st.mu.Lock()
+	k := 0
+	for k < len(recs) && st.push(incItem{rec: recs[k]}, true) {
+		k++
 	}
-	st.ringMu.Unlock()
-	if d := len(evs) - k; d > 0 {
-		st.dropped.Add(uint64(d))
+	st.depth.Set(int64(st.n))
+	st.mu.Unlock()
+	if k > 0 {
+		st.pk.Wake()
+	}
+	var lost uint64
+	for _, r := range recs[k:] {
+		lost += r.Count
+	}
+	if lost > 0 {
+		st.dropped.Add(lost)
 	}
 	return k
 }
 
 // offerCtx feeds one forensic capture, non-blocking, and reports
-// whether it was queued. The capture is deep-copied into a recycled
-// context first; c stays caller-owned.
+// whether it was queued. The capture is deep-copied, under the queue
+// lock, into a recycled context; c stays caller-owned.
 func (st *incidentStage) offerCtx(c *ipds.AlarmContext) bool {
-	var cc *ipds.AlarmContext
-	select {
-	case cc = <-st.ctxFree:
-	default:
-		cc = &ipds.AlarmContext{}
+	st.mu.Lock()
+	ok := st.n < st.bound
+	if ok {
+		var cc *ipds.AlarmContext
+		if k := len(st.free); k > 0 {
+			cc = st.free[k-1]
+			st.free = st.free[:k-1]
+		} else {
+			cc = &ipds.AlarmContext{}
+		}
+		c.CopyInto(cc)
+		st.push(incItem{ctx: cc}, true)
 	}
-	c.CopyInto(cc)
-	select {
-	case st.ch <- incMsg{ctx: cc}:
-		return true
-	default:
-		st.freeCtx(cc)
+	st.mu.Unlock()
+	if !ok {
 		st.dropped.Inc()
 		return false
 	}
+	st.pk.Wake()
+	return true
 }
 
-// freeCtx returns a context copy to the free list.
-func (st *incidentStage) freeCtx(cc *ipds.AlarmContext) {
-	select {
-	case st.ctxFree <- cc:
-	default:
-	}
+// endSession queues the end of a session, after every record it
+// offered: the analyzer then frees the session's dedup filter.
+func (st *incidentStage) endSession(id uint64) {
+	st.mu.Lock()
+	st.push(incItem{rec: incident.Record{Session: id}}, false)
+	st.mu.Unlock()
+	st.pk.Wake()
 }
 
 // sync blocks until every observation offered before the call has been
-// consumed by the analyzer. It is a no-op after close.
+// consumed by the analyzer. It queues nothing, and is a no-op after
+// close.
 func (st *incidentStage) sync() {
 	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
-		return
+	defer st.mu.Unlock()
+	for target := st.pushed; st.consumed < target && !st.closed; {
+		st.drained.Wait()
 	}
-	done := make(chan struct{})
-	st.ch <- incMsg{done: done} // blocking: run() always drains
-	st.mu.Unlock()
-	<-done
 }
 
 // close stops the consumer after draining the queue. Callable once all
@@ -224,8 +301,9 @@ func (st *incidentStage) close() {
 		return
 	}
 	st.closed = true
-	close(st.ch)
+	st.drained.Broadcast()
 	st.mu.Unlock()
+	st.pk.Wake()
 	st.wg.Wait()
 }
 

@@ -97,9 +97,9 @@ type verifier struct {
 	// session's and the server-wide series.
 	tally passTally
 
-	// slab collects the pass's alarms for the incident stage; it is
-	// empty between passes.
-	slab alarmSlab
+	// fold collects the pass's alarms for the incident stage as
+	// records; it is empty between passes.
+	fold incident.Folder
 
 	// Per-core telemetry, atomics so CoreStats can read cross-goroutine.
 	// Published once per session pass, so they trail the verified
@@ -125,7 +125,7 @@ func (m chMutex) unlock() { <-m }
 // newVerifier wires one verifier/writer pair for core id.
 func newVerifier(s *Server, id int) *verifier {
 	pk := ring.NewParker()
-	return &verifier{
+	v := &verifier{
 		srv:  s,
 		id:   id,
 		pk:   pk,
@@ -139,6 +139,10 @@ func newVerifier(s *Server, id int) *verifier {
 			spans: newSpanRing(s.cfg.TraceRing),
 		},
 	}
+	if s.incidents != nil {
+		v.fold = s.incidents.an.NewFolder(foldCap)
+	}
+	return v
 }
 
 // adopt hands a registered session to the verifier's loop. Called from
@@ -268,7 +272,7 @@ func (v *verifier) pass(ss *session, tasks []task) (finished bool) {
 			finished = true
 		}
 	}
-	v.offerSlab(ss)
+	v.offerRecords(ss)
 	v.publish(ss)
 	if held != nil {
 		v.send(writeOp{s: ss, fb: held})
@@ -336,28 +340,26 @@ func (v *verifier) publish(ss *session) {
 	*t = passTally{}
 }
 
-// collect adds one alarm to the pass's incident slab, offering the
-// slab when it fills.
+// collect folds one alarm into the pass's incident records, offering
+// them when the folder fills.
 func (v *verifier) collect(ss *session, a *ipds.Alarm) {
-	sl := &v.slab
-	sl.evs[sl.n] = incident.AlarmEvent{Session: ss.id, Seq: a.Seq, PC: a.PC, Func: a.Func, Taken: a.Taken}
-	if sl.n++; sl.n == slabCap {
-		v.offerSlab(ss)
+	if v.fold.Add(ss.id, a.Seq, a.PC, a.Func) {
+		v.offerRecords(ss)
 	}
 }
 
-// offerSlab hands the alarms collected so far to the incident stage
-// and empties the slab. Alarms the queue had no room for are dropped
-// (counted by the stage).
-func (v *verifier) offerSlab(ss *session) {
-	sl := &v.slab
-	if sl.n == 0 {
+// offerRecords hands the records folded so far to the incident stage and
+// empties the folder. Records the queue had no room for are dropped
+// (their alarms counted by the stage).
+func (v *verifier) offerRecords(ss *session) {
+	recs := v.fold.Records()
+	if len(recs) == 0 {
 		return
 	}
-	if v.srv.incidents.offer(sl.evs[:sl.n]) < sl.n {
+	if v.srv.incidents.offer(recs) < len(recs) {
 		ss.incidentDrop()
 	}
-	sl.n = 0
+	v.fold.Reset()
 }
 
 // offerCtx offers one forensic capture to the incident stage. The
@@ -375,7 +377,7 @@ func (v *verifier) offerCtx(ss *session, c *ipds.AlarmContext, drops uint64) {
 	}
 	// The capture's alarm goes first: the analyzer drops a context whose
 	// signal it has not seen yet.
-	v.offerSlab(ss)
+	v.offerRecords(ss)
 	if !v.srv.incidents.offerCtx(c) {
 		ss.incidentDrop()
 		return
@@ -430,8 +432,13 @@ func (v *verifier) finish(ss *session) {
 	}
 	// The barrier sync inside Server.Incidents guarantees every alarm
 	// this session offered has been analyzed: its offers happened on
-	// this goroutine before its done task, and the queue is FIFO.
-	if v.srv.incidents != nil {
+	// this goroutine before its done task, and the queue is FIFO. The
+	// end of a session that alarmed goes behind its last records, so the
+	// analyzer frees its dedup filter only once they are in.
+	if inc := v.srv.incidents; inc != nil {
+		if ss.alarmsN.Load() > 0 {
+			inc.endSession(ss.id)
+		}
 		incs := v.srv.Incidents()
 		if len(incs) > maxIncidentFrames {
 			incs = incs[:maxIncidentFrames]

@@ -36,7 +36,8 @@
 // alarms delivered, each session ending in a final Ack and Bye. The
 // incident analytics queue remains the system's single
 // multi-producer merge point, deliberately off the serve path; each
-// verifier feeds it once per pass, with one run of the pass's alarms.
+// verifier feeds it once per pass, with one run of records folding the
+// pass's alarms.
 package server
 
 import (
@@ -102,15 +103,17 @@ type Config struct {
 
 	// DisableIncidents turns off the incident analytics stage. It is ON
 	// by default: the stage runs behind a bounded queue off the serve
-	// path, so its steady-state cost is one slab store per alarm and,
-	// per verifier pass, one copy into the stage's alarm ring and one
-	// non-blocking channel send.
+	// path, so its steady-state cost is folding each alarm into the
+	// verifier's records of its pass and, per verifier pass, one copy
+	// of those records into the stage's queue under one lock. The queue
+	// holds nothing until the first alarm.
 	DisableIncidents bool
 
-	// IncidentQueue bounds the analytics feed queue, in alarms (default
-	// DefaultIncidentQueue). When full, observations are dropped from
-	// analysis — counted as incident_queue_dropped_total — never
-	// stalling a verifier.
+	// IncidentQueue bounds the analytics feed queue, in records and
+	// forensic contexts (default DefaultIncidentQueue); a record holds
+	// one session's alarms at one signal in one bucket. When full,
+	// observations are dropped from analysis — their alarms counted as
+	// incident_queue_dropped_total — never stalling a verifier.
 	IncidentQueue int
 
 	// Incident configures the analyzer (zero value selects the
@@ -233,7 +236,7 @@ type Server struct {
 	spanPool sync.Pool
 
 	// incidents is the off-path analytics stage (nil when disabled):
-	// verifiers offer runs of alarms and forensic captures to its
+	// verifiers offer runs of alarm records and forensic captures to its
 	// bounded queue and a dedicated goroutine folds them into ranked
 	// incidents.
 	incidents *incidentStage
@@ -518,8 +521,8 @@ func (s *Server) discard(t task) {
 
 // verifyBatch feeds one batch through the session's machine via the
 // zero-allocation OnBatch kernel, encodes the raised alarms and the
-// batch's Ack into one pooled buffer, collects the alarms into the
-// verifier's incident slab, tallies the batch into the verifier's pass
+// batch's Ack into one pooled buffer, folds the alarms into the
+// verifier's incident records, tallies the batch into the verifier's pass
 // tally, and returns the batch to the pool. start is
 // the unix-nanos time the batch's verification began; it returns the
 // buffer, for the caller to send, and the time verification ended,

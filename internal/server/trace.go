@@ -66,18 +66,21 @@ func (r SpanRec) E2ENs() int64 {
 
 // spanRing is one core's bounded committed-record ring. The core's
 // writer is the only committer; the debug endpoint snapshots under the
-// same mutex. Untraced traffic never touches it.
+// same mutex. Untraced traffic never touches it, and its records are
+// allocated by the first commit, so a core that never sees a stamped
+// batch holds none.
 type spanRing struct {
-	mu  sync.Mutex
-	buf []SpanRec
-	n   uint64 // lifetime commits; buf[(n-1) % len] is the newest
+	mu   sync.Mutex
+	size int
+	buf  []SpanRec // nil until the first commit
+	n    uint64    // lifetime commits; buf[(n-1) % len] is the newest
 }
 
 func newSpanRing(capacity int) *spanRing {
 	if capacity <= 0 {
 		return nil
 	}
-	return &spanRing{buf: make([]SpanRec, capacity)}
+	return &spanRing{size: capacity}
 }
 
 // commit stores one finished record, overwriting the oldest.
@@ -86,6 +89,9 @@ func (r *spanRing) commit(rec SpanRec) {
 		return
 	}
 	r.mu.Lock()
+	if r.buf == nil {
+		r.buf = make([]SpanRec, r.size)
+	}
 	r.buf[r.n%uint64(len(r.buf))] = rec
 	r.n++
 	r.mu.Unlock()
@@ -98,7 +104,7 @@ func (r *spanRing) snapshot(dst []SpanRec) []SpanRec {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n, size := r.n, uint64(len(r.buf))
+	n, size := r.n, uint64(r.size)
 	start := uint64(0)
 	if n > size {
 		start = n - size
