@@ -1,12 +1,15 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-kernel alloc-gate kernel-gate forensics-gate incident-gate incident-flood-gate scale-gate fleet-gate trace-gate fuzz-gate benchtable ci report docscheck race-parallel compile-baseline race-server smoke-load serve-baseline serve-baseline-pr5 serve-baseline-pr7 serve-baseline-pr10
+.PHONY: build test vet race bench bench-kernel alloc-gate kernel-gate forensics-gate incident-gate incident-flood-gate scale-gate fleet-gate trace-gate fuzz-gate ci report docscheck race-parallel race-server smoke-load
 
 build:
 	$(GO) build ./...
 
+# go vet ./... skips the ignore-tagged generator script; vet it by name
+# so it keeps compiling.
 vet:
 	$(GO) vet ./...
+	$(GO) vet scripts/genfuzzcorpus.go
 
 test:
 	$(GO) test ./...
@@ -20,15 +23,12 @@ race-parallel:
 	$(GO) test -race ./internal/pipeline -run Parallel
 	$(GO) test -race ./internal/tcache
 
-# Docs gates: godoc coverage of the exported API, the architecture
-# walkthrough and performance handbook staying linked from the README,
-# and the handbook's generated tables staying in sync with the
-# committed BENCH_pr*.json baselines.
+# Docs gates: godoc coverage of the exported API, and the architecture
+# walkthrough and performance handbook staying linked from the README.
 docscheck:
 	./scripts/checkdocs.sh
 	@grep -q 'docs/ARCHITECTURE.md' README.md || \
 		{ echo "docscheck: README.md does not link docs/ARCHITECTURE.md" >&2; exit 1; }
-	$(GO) run scripts/benchtable.go -check docs/PERFORMANCE.md
 
 # The daemon stack under the race detector, by name: wire protocol,
 # server lifecycle and the multi-session end-to-end verification.
@@ -153,75 +153,6 @@ fuzz-gate:
 # Full gate: what a PR must pass.
 ci: vet build docscheck race race-parallel race-server smoke-load bench alloc-gate kernel-gate forensics-gate incident-gate incident-flood-gate scale-gate fleet-gate trace-gate fuzz-gate
 
-# Observability-driven per-workload table + JSON baseline.
+# Observability-driven per-workload table, printed to stdout.
 report:
-	$(GO) run ./cmd/report -obs -baseline BENCH_pr1.json
-
-# Compile-time baseline across sequential/parallel/warm-cache modes.
-compile-baseline:
-	$(GO) run ./cmd/perfsim -compile -baseline BENCH_pr2.json
-
-# Serving-throughput baseline: events/sec at 1, 8 and 64 sessions
-# against an in-process per-core daemon, best-of-5 per config, each
-# row carrying the per-core breakdown (events, parks, stalls, ring
-# high-water per verifier). The final row is the 64-session load
-# pinned to a single verifier — the control the multi-core multiplier
-# is computed against (see docs/PERFORMANCE.md). Earlier generations'
-# committed files (BENCH_pr3/4/5.json) stay as the trajectory.
-serve-baseline:
-	rm -f BENCH_pr6.json
-	$(GO) run ./cmd/ipdsload -selfserve -workload telnetd -sessions 1 -events 5000000 -tamper 97 -repeat 5 -json BENCH_pr6.json
-	$(GO) run ./cmd/ipdsload -selfserve -workload telnetd -sessions 8 -events 1000000 -tamper 97 -repeat 5 -json BENCH_pr6.json
-	$(GO) run ./cmd/ipdsload -selfserve -workload telnetd -sessions 64 -events 100000 -tamper 97 -repeat 5 -json BENCH_pr6.json
-	$(GO) run ./cmd/ipdsload -selfserve -workload telnetd -sessions 64 -events 100000 -tamper 97 -repeat 5 -verifiers 1 -json BENCH_pr6.json
-
-# PR7 serving baseline: the fleet router's price. Each load point is
-# recorded twice back-to-back — a direct -selfserve control row, then
-# the same load through an in-process router over 3 nodes — at 1, 8
-# and 64 sessions, best-of-5 per config. Routed rows carry routed=true
-# and nodes=3; the bench table renders the direct/routed pairs side by
-# side, so the splice overhead is judged against a paired same-host
-# control.
-serve-baseline-pr7:
-	rm -f BENCH_pr7.json
-	$(GO) run ./cmd/ipdsload -selfserve -workload telnetd -sessions 1 -events 5000000 -tamper 97 -repeat 5 -json BENCH_pr7.json
-	$(GO) run ./cmd/ipdsload -selfserve -router -nodes 3 -workload telnetd -sessions 1 -events 5000000 -tamper 97 -repeat 5 -json BENCH_pr7.json
-	$(GO) run ./cmd/ipdsload -selfserve -workload telnetd -sessions 8 -events 1000000 -tamper 97 -repeat 5 -json BENCH_pr7.json
-	$(GO) run ./cmd/ipdsload -selfserve -router -nodes 3 -workload telnetd -sessions 8 -events 1000000 -tamper 97 -repeat 5 -json BENCH_pr7.json
-	$(GO) run ./cmd/ipdsload -selfserve -workload telnetd -sessions 64 -events 100000 -tamper 97 -repeat 5 -json BENCH_pr7.json
-	$(GO) run ./cmd/ipdsload -selfserve -router -nodes 3 -workload telnetd -sessions 64 -events 100000 -tamper 97 -repeat 5 -json BENCH_pr7.json
-
-# PR10 serving baseline: the trace plane's price and product. The
-# 8-session load point is recorded three times back-to-back — an
-# untraced control, the same load stamping every 64th batch (the
-# client stamps copies of frames from the same pre-encoded block the
-# control replays), and the stamped load routed over 3 nodes. Traced rows carry trace_spans and
-# the span-derived e2e_p50_ns/e2e_p99_ns the bench table renders.
-serve-baseline-pr10:
-	rm -f BENCH_pr10.json
-	$(GO) run ./cmd/ipdsload -selfserve -workload telnetd -sessions 8 -events 1000000 -tamper 97 -repeat 5 -json BENCH_pr10.json
-	$(GO) run ./cmd/ipdsload -selfserve -workload telnetd -sessions 8 -events 1000000 -tamper 97 -repeat 5 -trace-sample 64 -json BENCH_pr10.json
-	$(GO) run ./cmd/ipdsload -selfserve -router -nodes 3 -workload telnetd -sessions 8 -events 1000000 -tamper 97 -repeat 5 -trace-sample 64 -json BENCH_pr10.json
-
-# Regenerate the benchmark-trajectory table in docs/PERFORMANCE.md
-# from the committed BENCH_pr*.json files.
-benchtable:
-	$(GO) run scripts/benchtable.go -w docs/PERFORMANCE.md
-
-# PR5 serving baseline: same workload points as serve-baseline, with
-# the flight recorder and forensic alarm-context delivery active (the
-# daemon default). Rows carry alarm_ctxs and the daemon-side
-# verify_p50/p99/p99.9 batch-verify quantiles. Each config is recorded
-# twice back-to-back — a forensics=false control row, then the
-# forensics row — and each run is best-of-5 (-repeat): the forensics
-# budget (< 5%) is judged against the paired same-host control, which
-# is the PR4 serve path re-measured under identical conditions;
-# BENCH_pr4.json stays as the historical anchor.
-serve-baseline-pr5:
-	rm -f BENCH_pr5.json
-	$(GO) run ./cmd/ipdsload -selfserve -forensics=false -workload telnetd -sessions 1 -events 5000000 -tamper 97 -repeat 5 -json BENCH_pr5.json
-	$(GO) run ./cmd/ipdsload -selfserve -workload telnetd -sessions 1 -events 5000000 -tamper 97 -repeat 5 -json BENCH_pr5.json
-	$(GO) run ./cmd/ipdsload -selfserve -forensics=false -workload telnetd -sessions 8 -events 1000000 -tamper 97 -repeat 5 -json BENCH_pr5.json
-	$(GO) run ./cmd/ipdsload -selfserve -workload telnetd -sessions 8 -events 1000000 -tamper 97 -repeat 5 -json BENCH_pr5.json
-	$(GO) run ./cmd/ipdsload -selfserve -forensics=false -workload telnetd -sessions 64 -events 100000 -tamper 97 -repeat 5 -json BENCH_pr5.json
-	$(GO) run ./cmd/ipdsload -selfserve -workload telnetd -sessions 64 -events 100000 -tamper 97 -repeat 5 -json BENCH_pr5.json
+	$(GO) run ./cmd/report -obs

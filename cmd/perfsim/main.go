@@ -5,15 +5,13 @@
 //
 // Usage:
 //
-//	perfsim [-table1] [-checking] [-compile] [-baseline FILE]
+//	perfsim [-table1] [-checking] [-compile]
 //
 // -compile measures all three pipeline modes (sequential, parallel,
-// warm-cache); -baseline additionally writes that measurement as JSON
-// (the committed BENCH_pr2.json compile-time baseline).
+// warm-cache).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,7 +26,6 @@ func main() {
 		table1    = flag.Bool("table1", false, "print the simulated machine configuration")
 		checking  = flag.Bool("checking", false, "also measure IPDS checking speed")
 		compile   = flag.Bool("compile", false, "also measure compilation times")
-		baseline  = flag.String("baseline", "", "write the -compile measurement as JSON to this file")
 		telemetry = flag.String("telemetry", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 	)
 	flag.Parse()
@@ -68,33 +65,13 @@ func main() {
 		fmt.Println()
 		fmt.Print(c.Render())
 	}
-	if *compile || *baseline != "" {
+	if *compile {
 		ct, err := experiments.CompileTimes()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "perfsim:", err)
 			os.Exit(1)
 		}
-		if *baseline != "" {
-			// Baseline files additionally carry the raw verification
-			// kernel's throughput (the serve stack's upper bound).
-			if ct.Kernel, err = experiments.KernelThroughput(); err != nil {
-				fmt.Fprintln(os.Stderr, "perfsim:", err)
-				os.Exit(1)
-			}
-		}
 		fmt.Println()
 		fmt.Print(ct.Render())
-		if *baseline != "" {
-			data, err := json.MarshalIndent(ct, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "perfsim:", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*baseline, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "perfsim:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "perfsim: wrote compile-time baseline to %s\n", *baseline)
-		}
 	}
 }

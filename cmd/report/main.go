@@ -5,17 +5,15 @@
 // The -obs mode instead runs every workload on a metrics-instrumented
 // machine and renders the registry snapshot as the per-workload
 // observability table (checked %, avg BAT accesses/branch, spill
-// rate); -baseline additionally writes the rows as JSON so later perf
-// PRs have numbers to beat.
+// rate).
 //
 // Usage:
 //
 //	report [-attacks 100] [-seed 1]
-//	report -obs [-baseline BENCH.json]
+//	report -obs
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -25,9 +23,9 @@ import (
 	"repro/internal/obs"
 )
 
-// obsReport runs the observability-driven per-workload report and
-// optionally persists the rows as a JSON baseline file.
-func obsReport(baseline string) {
+// obsReport runs and prints the observability-driven per-workload
+// report.
+func obsReport() {
 	// TelemetryReport reuses the registry installed by -telemetry (so a
 	// live scrape sees the same numbers) or creates its own.
 	r, err := experiments.TelemetryReport()
@@ -36,26 +34,6 @@ func obsReport(baseline string) {
 		os.Exit(1)
 	}
 	fmt.Print(r.Render())
-	if baseline == "" {
-		return
-	}
-	f, err := os.Create(baseline)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "report:", err)
-		os.Exit(1)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r.Rows); err == nil {
-		err = f.Close()
-	} else {
-		f.Close()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "report:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "report: wrote %s\n", baseline)
 }
 
 func main() {
@@ -63,7 +41,6 @@ func main() {
 		attacks   = flag.Int("attacks", experiments.DefaultAttacks, "attacks per program")
 		seed      = flag.Int64("seed", 1, "campaign base seed")
 		obsMode   = flag.Bool("obs", false, "render the observability-derived per-workload table instead of the full report")
-		baseline  = flag.String("baseline", "", "with -obs, also write the telemetry rows as JSON to this file")
 		telemetry = flag.String("telemetry", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 	)
 	flag.Parse()
@@ -81,8 +58,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "report: telemetry on http://%s/metrics\n", addr)
 	}
 
-	if *obsMode || *baseline != "" {
-		obsReport(*baseline)
+	if *obsMode {
+		obsReport()
 		return
 	}
 

@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/ipds"
-	"repro/internal/ipdsclient"
 	"repro/internal/ir"
 	"repro/internal/pipeline"
 	"repro/internal/progen"
@@ -355,99 +354,13 @@ type CompileTimeRow struct {
 // CompileTimesResult records per-program compilation time (§6: "the
 // compilation time for all benchmarks is up to a few seconds"), plus
 // the speedups of the parallel and cached pipeline modes over the
-// sequential baseline. Serialised as JSON it is the BENCH_pr2.json
-// compile-time baseline (perfsim -compile -baseline).
+// sequential baseline. The frozen BENCH_pr2.json holds it as JSON.
 type CompileTimesResult struct {
 	Rows          []CompileTimeRow `json:"rows"`
 	Workers       int              `json:"workers"`
 	Total         time.Duration    `json:"total_ns"`
 	TotalParallel time.Duration    `json:"total_parallel_ns"`
 	TotalCached   time.Duration    `json:"total_cached_ns"`
-
-	// Kernel, when measured (perfsim -baseline), records the raw batched
-	// verification kernel's throughput — the machine alone, no wire
-	// protocol — so baseline files track the serve stack's two layers
-	// (kernel vs end-to-end ipdsload numbers) separately.
-	Kernel *KernelResult `json:"kernel,omitempty"`
-}
-
-// KernelResult is the in-process Machine.OnBatch throughput over a
-// captured workload trace: the ceiling the daemon's serve loop works
-// against. AllocsPerBatch is measured, not assumed; the hot path's
-// contract is that it stays 0 on a warmed machine.
-type KernelResult struct {
-	Program        string  `json:"program"`
-	Events         uint64  `json:"events"`
-	EventsSec      float64 `json:"events_per_sec"`
-	NsPerEvent     float64 `json:"ns_per_event"`
-	AllocsPerBatch float64 `json:"allocs_per_batch"`
-}
-
-// KernelThroughput measures the batched verification kernel over the
-// telnetd attack trace in daemon-sized batches for a fixed wall-clock
-// budget.
-func KernelThroughput() (*KernelResult, error) {
-	w := workload.ByName("telnetd")
-	if w == nil {
-		return nil, fmt.Errorf("telnetd workload missing")
-	}
-	art, err := pipeline.Compile(w.Source, ir.DefaultOptions)
-	if err != nil {
-		return nil, fmt.Errorf("compile %s: %w", w.Name, err)
-	}
-	trace := ipdsclient.Tamper(ipdsclient.Capture(art, w.AttackSession), 97)
-	if len(trace) == 0 {
-		return nil, fmt.Errorf("empty %s trace", w.Name)
-	}
-
-	const batch = 512
-	m := ipds.New(art.Image, ipds.DefaultConfig)
-	// Each replay is one session: the attack trace ends mid-call (the
-	// payload kills the server), so without the Reset every round would
-	// deepen the table stack past its high-water mark and the arena
-	// would keep growing — measurement artefact, not hot-path cost.
-	replay := func() {
-		rest := trace
-		for len(rest) > 0 {
-			n := batch
-			if n > len(rest) {
-				n = len(rest)
-			}
-			m.OnBatch(rest[:n])
-			rest = rest[n:]
-		}
-		m.Reset()
-	}
-	replay() // warm the arena and result buffer
-
-	// Allocation check first, on the warmed machine, before the timed
-	// run: mallocs across reps divided by batches fed.
-	const allocReps = 10
-	batches := (len(trace) + batch - 1) / batch
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < allocReps; i++ {
-		replay()
-	}
-	runtime.ReadMemStats(&after)
-	allocsPerBatch := float64(after.Mallocs-before.Mallocs) / float64(allocReps*batches)
-
-	const budget = 300 * time.Millisecond
-	var events uint64
-	start := time.Now()
-	for time.Since(start) < budget {
-		replay()
-		events += uint64(len(trace))
-	}
-	elapsed := time.Since(start)
-
-	return &KernelResult{
-		Program:        w.Name,
-		Events:         events,
-		EventsSec:      float64(events) / elapsed.Seconds(),
-		NsPerEvent:     float64(elapsed.Nanoseconds()) / float64(events),
-		AllocsPerBatch: allocsPerBatch,
-	}, nil
 }
 
 // ParallelSpeedup is the sequential/parallel wall-clock ratio.
@@ -560,10 +473,6 @@ func (r *CompileTimesResult) Render() string {
 	fmt.Fprintf(&b, "  %-10s %12v %12v %12v\n", "total", r.Total, r.TotalParallel, r.TotalCached)
 	fmt.Fprintf(&b, "  speedup vs sequential: parallel %.2fx, warm-cache %.2fx\n",
 		r.ParallelSpeedup(), r.CachedSpeedup())
-	if k := r.Kernel; k != nil {
-		fmt.Fprintf(&b, "  kernel (%s, OnBatch): %.0f events/sec, %.1f ns/event, %.2f allocs/batch\n",
-			k.Program, k.EventsSec, k.NsPerEvent, k.AllocsPerBatch)
-	}
 	return b.String()
 }
 

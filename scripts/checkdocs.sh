@@ -34,14 +34,9 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 
-# The performance handbook must stay linked from the README and keep
-# its generated-table markers (benchtable rewrites between them).
+# The performance handbook must stay linked from the README.
 grep -q 'docs/PERFORMANCE.md' README.md || {
     echo "checkdocs: README.md does not link docs/PERFORMANCE.md" >&2
-    exit 1
-}
-grep -q 'benchtable:begin' docs/PERFORMANCE.md || {
-    echo "checkdocs: docs/PERFORMANCE.md lacks the benchtable markers" >&2
     exit 1
 }
 
