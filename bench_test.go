@@ -31,7 +31,7 @@ import (
 
 // BenchmarkFigure7 regenerates the detection-rate experiment (reduced
 // to 20 attacks per program per iteration; the CLI default of 100 is
-// cmd/attacksim's job).
+// cmd/report's job).
 func BenchmarkFigure7(b *testing.B) {
 	var last *experiments.Figure7Result
 	for i := 0; i < b.N; i++ {

@@ -12,7 +12,7 @@
 //
 // With -telemetry the daemon serves /metrics (server_sessions_active,
 // server_events_total, server_batches_total,
-// server_backpressure_stalls_total, server_alarms_dropped_total,
+// server_backpressure_stalls_total, server_alarms_total,
 // incident_* …), /debug/vars, /debug/pprof, /debug/sessions — a JSON
 // document of every live session's telemetry and most recent forensic
 // alarm context — and /debug/incidents — the incident pipeline's

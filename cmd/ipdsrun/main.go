@@ -128,13 +128,15 @@ func main() {
 	}
 	var res vm.Result
 	var m *ipds.Machine
+	var alarms []ipds.Alarm
 	var events ipdsclient.Tracer
 	for i := 0; i < *repeat; i++ {
 		stop := tr.Span("run")
 		v := vm.New(art.Prog, vm.DefaultConfig, input)
 		m = ipds.New(art.Image, ipds.DefaultConfig)
 		m.Instrument(reg, "workload", name)
-		ipds.Attach(v, m)
+		alarms = alarms[:0]
+		ipds.Attach(v, m, func(a ipds.Alarm) { alarms = append(alarms, a) })
 		if *eventFile != "" {
 			v.AddHooks(events.Hooks())
 		}
@@ -191,10 +193,10 @@ func main() {
 	if res.Fault != nil {
 		fmt.Printf("-- fault: %v\n", res.Fault)
 	}
-	for _, a := range m.Alarms() {
+	for _, a := range alarms {
 		fmt.Printf("-- ALARM: %s\n", a)
 	}
-	if len(m.Alarms()) > 0 {
+	if len(alarms) > 0 {
 		os.Exit(2)
 	}
 }

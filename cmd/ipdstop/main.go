@@ -43,6 +43,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/obs/tsdb"
 	"repro/internal/server"
 )
@@ -54,7 +55,7 @@ func main() {
 		once      = flag.Bool("once", false, "print one snapshot and exit")
 		incidents = flag.Bool("incidents", false, "show the ranked incident view instead of the session table")
 		history   = flag.Bool("history", false, "show /debug/timeline metric history as sparklines")
-		fleet     = flag.String("fleet", "", "comma-separated telemetry base URLs: one merged session table across fleet nodes")
+		fleetURLs = flag.String("fleet", "", "comma-separated telemetry base URLs: one merged session table across fleet nodes")
 	)
 	flag.Parse()
 
@@ -63,7 +64,7 @@ func main() {
 		base = "http://" + base
 	}
 	var fleetBases []string
-	for _, u := range strings.Split(*fleet, ",") {
+	for _, u := range strings.Split(*fleetURLs, ",") {
 		if u = strings.TrimRight(strings.TrimSpace(u), "/"); u != "" {
 			if !strings.Contains(u, "://") {
 				u = "http://" + u
@@ -202,16 +203,9 @@ func renderFleet(nodes []fleetNode) string {
 		s    server.DebugSession
 	}
 	var rows []row
-	total := 0
-	// Cluster totals, rolled up from per-node /debug/sessions documents:
-	// kernel ns/event weighted by each node's event count, e2e p50 as
-	// the trace-weighted mean of node medians, e2e p99 as the worst
-	// node's tail.
-	var (
-		tEvents, tAlarms   uint64
-		kernelW            float64
-		p50W, traceW, p99M int64
-	)
+	// Cluster totals, rolled up from per-node /debug/sessions documents
+	// the way the router's /debug/fleet rolls them up.
+	fleetRows := make([]fleet.FleetNode, len(nodes))
 	fmt.Fprintf(&b, "ipds fleet — %d node(s)\n", len(nodes))
 	for i, n := range nodes {
 		stats := func(info server.DebugInfo) string {
@@ -230,33 +224,28 @@ func renderFleet(nodes []fleetNode) string {
 		default:
 			fmt.Fprintf(&b, "  node%-2d %-28s serving — %s\n", i, n.Base, stats(n.Info))
 		}
-		if n.Err == nil {
-			total += len(n.Info.Sessions)
-			tEvents += n.Info.Events
-			tAlarms += n.Info.Alarms
-			kernelW += n.Info.KernelNs * float64(n.Info.Events)
-			p50W += n.Info.E2EP50Ns * int64(n.Info.TraceN)
-			traceW += int64(n.Info.TraceN)
-			if n.Info.E2EP99Ns > p99M {
-				p99M = n.Info.E2EP99Ns
-			}
-			for _, s := range n.Info.Sessions {
-				rows = append(rows, row{i, s})
-			}
+		if n.Err != nil {
+			fleetRows[i].Err = n.Err.Error()
+			continue
+		}
+		fleetRows[i] = fleet.FleetNode{
+			Draining: n.Info.Draining, Sessions: len(n.Info.Sessions),
+			Events: n.Info.Events, Alarms: n.Info.Alarms, KernelNs: n.Info.KernelNs,
+			TraceN: n.Info.TraceN, E2EP50Ns: n.Info.E2EP50Ns, E2EP99Ns: n.Info.E2EP99Ns,
+		}
+		for _, s := range n.Info.Sessions {
+			rows = append(rows, row{i, s})
 		}
 	}
-	kernel := 0.0
-	if tEvents > 0 {
-		kernel = kernelW / float64(tEvents)
-	}
+	t := fleet.Rollup(fleetRows)
 	e2e := "e2e -/-"
-	if traceW > 0 {
-		e2e = fmt.Sprintf("e2e %s/%s", time.Duration(p50W/traceW), time.Duration(p99M))
+	if t.TraceN > 0 {
+		e2e = fmt.Sprintf("e2e %s/%s", time.Duration(t.E2EP50Ns), time.Duration(t.E2EP99Ns))
 	}
 	fmt.Fprintf(&b, "  totals: %d session(s), %d event(s), %d alarm(s), %.0fns/ev, %s\n",
-		total, tEvents, tAlarms, kernel, e2e)
+		t.Sessions, t.Events, t.Alarms, t.KernelNs, e2e)
 	b.WriteString("\n")
-	if total == 0 {
+	if t.Sessions == 0 {
 		b.WriteString("(no live sessions)\n")
 		return b.String()
 	}

@@ -21,9 +21,10 @@ import (
 )
 
 type process struct {
-	name string
-	vm   *vm.VM
-	st   *ipds.ProcessState
+	name   string
+	vm     *vm.VM
+	st     *ipds.ProcessState
+	alarms []ipds.Alarm // raised while this process's VM ran
 }
 
 func main() {
@@ -38,23 +39,23 @@ func main() {
 	hw := ipds.New(artA.Image, ipds.DefaultConfig)
 
 	vA := vm.New(artA.Prog, vm.DefaultConfig, telnetd.AttackSession)
-	ipds.Attach(vA, hw)
 	vB := vm.New(artB.Prog, vm.DefaultConfig, ftpd.AttackSession)
-	ipds.Attach(vB, hw)
+	procs := []*process{{name: "telnetd", vm: vA}, {name: "wu-ftpd", vm: vB}}
+	for _, p := range procs {
+		ipds.Attach(p.vm, hw, func(a ipds.Alarm) { p.alarms = append(p.alarms, a) })
+	}
 
 	// Boot both processes, capturing each one's initial IPDS state.
 	if err := vA.Start(); err != nil {
 		log.Fatal(err)
 	}
-	stA := hw.Suspend()
+	procs[0].st = hw.Suspend()
 	hwB := ipds.New(artB.Image, ipds.DefaultConfig)
 	hw.Resume(hwB.Suspend()) // bind the unit to B's image
 	if err := vB.Start(); err != nil {
 		log.Fatal(err)
 	}
-	stB := hw.Suspend()
-
-	procs := []*process{{name: "telnetd", vm: vA, st: stA}, {name: "wu-ftpd", vm: vB, st: stB}}
+	procs[1].st = hw.Suspend()
 
 	// Mid-run, forge telnetd's administrator flag (a guest session is
 	// active at that point), while B keeps timesharing the same checker.
@@ -109,7 +110,7 @@ func main() {
 		res := p.vm.Result()
 		fmt.Printf("%-8s exited=%v steps=%d branches-checked=%d alarms=%d\n",
 			p.name, res.Status, res.Steps, p.st.Stats().Verified, p.st.Stats().Alarms)
-		for _, a := range p.st.Alarms() {
+		for _, a := range p.alarms {
 			fmt.Printf("         ALARM: %s\n", a)
 		}
 	}

@@ -180,18 +180,14 @@ func (c *Campaign) Run() *Result {
 		ic = ipds.DefaultConfig
 	}
 
-	// Golden run (also sanity-checks zero false positives). Subscribe to
-	// the machine's event stream rather than polling the alarm ring: any
-	// alarm on an untampered run violates the scheme's core guarantee,
-	// so make it loud the instant it fires.
+	// Golden run (also sanity-checks zero false positives): any alarm on
+	// an untampered run violates the scheme's core guarantee, so make it
+	// loud the instant it fires.
 	gv := vm.New(c.Artifacts.Prog, cfg, c.Input)
 	gm := ipds.New(c.Artifacts.Image, ic)
-	gm.SetEventSink(ipds.FuncSink(func(e ipds.Event) {
-		if e.Kind == ipds.EvAlarm {
-			panic("attack: false positive on untampered golden run: " + e.Alarm.String())
-		}
-	}))
-	ipds.Attach(gv, gm)
+	ipds.Attach(gv, gm, func(a ipds.Alarm) {
+		panic("attack: false positive on untampered golden run: " + a.String())
+	})
 	var g golden
 	gv.AddHooks(vm.Hooks{OnInstr: func(in *ir.Instr, addr uint64, size int) {
 		if isInputCall(in) {
@@ -224,15 +220,13 @@ func (c *Campaign) runOne(seed int64, cfg vm.Config, ic ipds.Config, g *golden) 
 
 	v := vm.New(c.Artifacts.Prog, cfg, c.Input)
 	m := ipds.New(c.Artifacts.Image, ic)
-	// Subscribe to the alarm event stream; the first alarm decides the
-	// trial, independent of how many later alarms the bounded ring keeps.
+	// The first alarm decides the trial.
 	var firstAlarm *ipds.Alarm
-	m.SetEventSink(ipds.FuncSink(func(e ipds.Event) {
-		if e.Kind == ipds.EvAlarm && firstAlarm == nil {
-			firstAlarm = e.Alarm
+	ipds.Attach(v, m, func(a ipds.Alarm) {
+		if firstAlarm == nil {
+			firstAlarm = &a
 		}
-	}))
-	ipds.Attach(v, m)
+	})
 
 	prog := c.Artifacts.Prog
 	tampered := false

@@ -61,13 +61,14 @@ func TestPaperFigure2(t *testing.T) {
 	// alarm even though both x branches repeat many times.
 	v := vm.New(p, vm.DefaultConfig, []string{"-3"})
 	m := ipds.New(img, ipds.DefaultConfig)
-	ipds.Attach(v, m)
+	var alarms []ipds.Alarm
+	ipds.Attach(v, m, func(a ipds.Alarm) { alarms = append(alarms, a) })
 	res := v.Run()
 	if res.Status != vm.Exited || res.ExitCode != 7 {
 		t.Fatalf("clean run: %+v", res)
 	}
-	if len(m.Alarms()) != 0 {
-		t.Fatalf("false positive: %v", m.Alarms())
+	if len(alarms) != 0 {
+		t.Fatalf("false positive: %v", alarms)
 	}
 
 	// Tamper x from -3 to 50 mid-loop: "variable x must be corrupted
@@ -80,7 +81,8 @@ func TestPaperFigure2(t *testing.T) {
 	}
 	v2 := vm.New(p, vm.DefaultConfig, []string{"-3"})
 	m2 := ipds.New(img, ipds.DefaultConfig)
-	ipds.Attach(v2, m2)
+	var alarms2 []ipds.Alarm
+	ipds.Attach(v2, m2, func(a ipds.Alarm) { alarms2 = append(alarms2, a) })
 	poked := false
 	v2.AddHooks(vm.Hooks{OnStep: func(step uint64) {
 		if !poked && step == 40 {
@@ -90,7 +92,7 @@ func TestPaperFigure2(t *testing.T) {
 		}
 	}})
 	v2.Run()
-	if len(m2.Alarms()) == 0 {
+	if len(alarms2) == 0 {
 		t.Fatal("Figure 2 tampering not detected")
 	}
 }
@@ -163,7 +165,8 @@ func TestPaperFigure4Narrative(t *testing.T) {
 	// not taken).
 	v := vm.New(p, vm.DefaultConfig, []string{"2"})
 	m := ipds.New(img, ipds.DefaultConfig)
-	ipds.Attach(v, m)
+	var alarms []ipds.Alarm
+	ipds.Attach(v, m, func(a ipds.Alarm) { alarms = append(alarms, a) })
 
 	type snapshot struct {
 		after *ir.Instr
@@ -184,8 +187,8 @@ func TestPaperFigure4Narrative(t *testing.T) {
 	if res.Status != vm.Exited {
 		t.Fatalf("run: %+v", res)
 	}
-	if len(m.Alarms()) != 0 {
-		t.Fatalf("false positive: %v", m.Alarms())
+	if len(alarms) != 0 {
+		t.Fatalf("false positive: %v", alarms)
 	}
 
 	// Find the snapshot right after the first execution of BR1 (y<5).
@@ -261,7 +264,8 @@ func TestPaperFigure3cArithmetic(t *testing.T) {
 	}
 	v := vm.New(p, vm.DefaultConfig, []string{"3"})
 	m := ipds.New(img, ipds.DefaultConfig)
-	ipds.Attach(v, m)
+	var alarms []ipds.Alarm
+	ipds.Attach(v, m, func(a ipds.Alarm) { alarms = append(alarms, a) })
 	v.AddHooks(vm.Hooks{OnBranch: func(br *ir.Instr, taken bool) {
 		if br == brs[0] {
 			addr, _ := v.AddrOfObj(yID)
@@ -272,7 +276,7 @@ func TestPaperFigure3cArithmetic(t *testing.T) {
 	if resRun.ExitCode != 2 {
 		t.Fatalf("tamper did not change flow: exit %d", resRun.ExitCode)
 	}
-	if len(m.Alarms()) == 0 {
+	if len(alarms) == 0 {
 		t.Fatal("Figure 3.c tampering not detected")
 	}
 }
@@ -322,10 +326,11 @@ func TestStructFieldCorrelations(t *testing.T) {
 	for _, in := range []string{"1", "0"} {
 		v := vm.New(p, vm.DefaultConfig, []string{in})
 		m := ipds.New(img, ipds.DefaultConfig)
-		ipds.Attach(v, m)
+		var alarms []ipds.Alarm
+		ipds.Attach(v, m, func(a ipds.Alarm) { alarms = append(alarms, a) })
 		v.Run()
-		if len(m.Alarms()) != 0 {
-			t.Fatalf("false positive on struct field: %v", m.Alarms())
+		if len(alarms) != 0 {
+			t.Fatalf("false positive on struct field: %v", alarms)
 		}
 	}
 	// Tamper the field between the checks: detected.
@@ -340,7 +345,8 @@ func TestStructFieldCorrelations(t *testing.T) {
 	}
 	v := vm.New(p, vm.DefaultConfig, []string{"1"})
 	m := ipds.New(img, ipds.DefaultConfig)
-	ipds.Attach(v, m)
+	var alarms []ipds.Alarm
+	ipds.Attach(v, m, func(a ipds.Alarm) { alarms = append(alarms, a) })
 	poked := false
 	v.AddHooks(vm.Hooks{OnBranch: func(br *ir.Instr, taken bool) {
 		if !poked {
@@ -355,7 +361,7 @@ func TestStructFieldCorrelations(t *testing.T) {
 	if out.ExitCode != 0 {
 		t.Fatalf("tamper did not change flow: %d", out.ExitCode)
 	}
-	if len(m.Alarms()) == 0 {
+	if len(alarms) == 0 {
 		t.Fatal("struct-field tampering not detected")
 	}
 }

@@ -52,7 +52,6 @@ type TelemetryRow struct {
 	SpillPerKBranch float64 `json:"spills_per_k_branches"` // spill events per 1000 branches
 	BranchesPerSec  float64 `json:"branches_per_sec"`      // wall-clock checking throughput
 	Alarms          uint64  `json:"alarms"`
-	AlarmsDropped   uint64  `json:"alarms_dropped"`
 }
 
 // TelemetryResult is the registry-snapshot report across workloads.
@@ -83,7 +82,7 @@ func TelemetryReport() (*TelemetryResult, error) {
 		v := vm.New(art.Prog, vcfg, w.PerfSession)
 		m := ipds.New(art.Image, ipds.DefaultConfig)
 		m.Instrument(reg, "workload", w.Name)
-		ipds.Attach(v, m)
+		ipds.Attach(v, m, nil)
 		start := time.Now()
 		res := v.Run()
 		elapsed := time.Since(start)
@@ -98,10 +97,9 @@ func TelemetryReport() (*TelemetryResult, error) {
 		bat := reg.Counter(n("ipds_bat_accesses_total")).Value()
 		spills := reg.Counter(n("ipds_spill_events_total")).Value()
 		row := TelemetryRow{
-			Program:       w.Name,
-			Branches:      branches,
-			Alarms:        reg.Counter(n("ipds_alarms_total")).Value(),
-			AlarmsDropped: reg.Counter(n("ipds_alarms_dropped_total")).Value(),
+			Program:  w.Name,
+			Branches: branches,
+			Alarms:   reg.Counter(n("ipds_alarms_total")).Value(),
 		}
 		if branches > 0 {
 			row.CheckedPct = float64(verified) / float64(branches)

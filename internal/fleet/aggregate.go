@@ -52,10 +52,11 @@ type FleetNode struct {
 	E2EP99Ns int64   `json:"e2e_p99_ns"`
 }
 
-// FleetTotals is the cluster roll-up. KernelNs is the event-weighted
-// mean across nodes (each node's figure weighted by its event count).
-// E2EP50Ns is the trace-weighted mean of per-node medians; E2EP99Ns is
-// the worst node's p99 — the conservative cluster tail.
+// FleetTotals is the cluster roll-up (see Rollup). KernelNs is the
+// event-weighted mean across nodes (each node's figure weighted by its
+// event count). E2EP50Ns is the trace-weighted mean of per-node
+// medians, TraceN the weight; E2EP99Ns is the worst node's p99 — the
+// conservative cluster tail.
 type FleetTotals struct {
 	Nodes    int     `json:"nodes"`
 	Healthy  int     `json:"healthy"`
@@ -64,6 +65,7 @@ type FleetTotals struct {
 	Events   uint64  `json:"events_total"`
 	Alarms   uint64  `json:"alarms_total"`
 	KernelNs float64 `json:"kernel_ns_per_event"`
+	TraceN   int     `json:"trace_spans"`
 	E2EP50Ns int64   `json:"e2e_p50_ns"`
 	E2EP99Ns int64   `json:"e2e_p99_ns"`
 }
@@ -221,12 +223,17 @@ func (a *Aggregator) Scrape(ctx context.Context) FleetView {
 	}
 	wg.Wait()
 	sort.Slice(view.Series, func(i, j int) bool { return view.Series[i].Name < view.Series[j].Name })
+	view.Totals = Rollup(view.Nodes)
+	return view
+}
 
-	t := &view.Totals
-	t.Nodes = len(view.Nodes)
+// Rollup folds the node rows that answered (Err empty) into the
+// cluster totals; Scrape and `ipdstop -fleet` both report it.
+func Rollup(nodes []FleetNode) FleetTotals {
+	t := FleetTotals{Nodes: len(nodes)}
 	var kernelW float64
-	var p50W, traceW int64
-	for _, n := range view.Nodes {
+	var p50W int64
+	for _, n := range nodes {
 		if n.Err != "" {
 			continue
 		}
@@ -239,7 +246,7 @@ func (a *Aggregator) Scrape(ctx context.Context) FleetView {
 		t.Alarms += n.Alarms
 		kernelW += n.KernelNs * float64(n.Events)
 		p50W += n.E2EP50Ns * int64(n.TraceN)
-		traceW += int64(n.TraceN)
+		t.TraceN += n.TraceN
 		if n.E2EP99Ns > t.E2EP99Ns {
 			t.E2EP99Ns = n.E2EP99Ns
 		}
@@ -247,14 +254,15 @@ func (a *Aggregator) Scrape(ctx context.Context) FleetView {
 	if t.Events > 0 {
 		t.KernelNs = kernelW / float64(t.Events)
 	}
-	if traceW > 0 {
-		t.E2EP50Ns = p50W / traceW
+	if t.TraceN > 0 {
+		t.E2EP50Ns = p50W / int64(t.TraceN)
 	}
-	return view
+	return t
 }
 
 // Handler serves Scrape() as JSON — mounted by ipdsrouter at
-// /debug/fleet, polled by `ipdstop -fleet`.
+// /debug/fleet. (`ipdstop -fleet` polls each node's /debug/sessions
+// itself and rolls the rows up with Rollup.)
 func (a *Aggregator) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -11,7 +11,10 @@
 //
 // The Machine is purely functional with respect to time: it answers
 // "is this path infeasible" and "how many table accesses did this event
-// cost"; cycle accounting lives in internal/cpu.
+// cost"; cycle accounting lives in internal/cpu. Like the hardware,
+// which raises an exception at the violating branch, it keeps no alarm
+// history: OnBranch and OnBatch return the alarms they raise, Attach
+// hands them to a callback, and Stats counts them.
 package ipds
 
 import (
@@ -26,10 +29,6 @@ type Config struct {
 	BSVStackBits int
 	BCVStackBits int
 	BATStackBits int
-
-	// AlarmBuffer bounds the alarm ring (0 = DefaultAlarmBuffer). When
-	// full, the oldest alarm is overwritten and the drop is counted.
-	AlarmBuffer int
 
 	// Strict rejects branch PCs that are not known branches of the
 	// active function instead of letting the masked hash alias them
@@ -50,7 +49,7 @@ type Config struct {
 
 	// CtxGap throttles forensic capture under alarm storms: once a
 	// context is captured, later alarms are still counted and
-	// ring-buffered but not snapshotted until the branch-event
+	// returned but not snapshotted until the branch-event
 	// sequence has advanced by at least CtxGap. Sparse alarms — the
 	// anomaly-detection regime the paper targets — are never
 	// throttled; only floods degrade to sampled forensics, keeping
@@ -98,10 +97,8 @@ type Stats struct {
 	FillEvents  uint64 // frames moved back on-chip
 	SpillBits   uint64 // total bits spilled
 	FillBits    uint64 // total bits filled
-	Alarms      uint64
+	Alarms      uint64 // alarms raised (returned by OnBranch/OnBatch)
 
-	// AlarmsDropped counts alarms evicted from the full ring buffer.
-	AlarmsDropped uint64
 	// StrictRejects counts branch PCs refused by strict slot checking.
 	StrictRejects uint64
 }
@@ -164,26 +161,22 @@ type Machine struct {
 	ctxNext  uint64
 	ctxTotal uint64
 
-	alarms *alarmRing
-	sink   EventSink
-	met    *machineMetrics
-	stats  Stats
-	seq    uint64
+	sink  EventSink
+	met   *machineMetrics
+	stats Stats
+	seq   uint64
 }
 
 // New creates a machine for a program's table image. With
 // cfg.Recorder > 0 the flight-recorder ring and the alarm-context ring
 // are preallocated here, so enabling forensics never allocates on the
-// serve path later. The alarm ring is not: it allocates on the first
-// alarm and doubles up to cfg.AlarmBuffer, so a machine that never
-// alarms holds none.
+// serve path later.
 func New(img *tables.Image, cfg Config) *Machine {
 	m := &Machine{
-		img:    img,
-		cfg:    cfg,
-		alarms: newAlarmRing(cfg.AlarmBuffer),
-		rec:    newRecorder(cfg.Recorder),
-		met:    &machineMetrics{}, // disabled until Instrument
+		img: img,
+		cfg: cfg,
+		rec: newRecorder(cfg.Recorder),
+		met: &machineMetrics{}, // disabled until Instrument
 	}
 	if m.rec.enabled() {
 		n := cfg.AlarmCtxBuffer
@@ -207,7 +200,6 @@ func (m *Machine) Reset() {
 	m.resident = 0
 	m.bsvBits, m.bcvBits, m.batBits = 0, 0, 0
 	m.batchAlarms = m.batchAlarms[:0]
-	m.alarms.reset()
 	m.rec.reset()
 	m.ctxStart, m.ctxN, m.ctxNext, m.ctxTotal = 0, 0, 0, 0
 	m.stats = Stats{}
@@ -526,9 +518,9 @@ func (m *Machine) verify(evs []wire.Event) (walked uint64) {
 						Seq: cur, PC: pc, Func: img.Name, Slot: slot,
 						Expected: st, Taken: ev.Taken,
 					}
-					m.seq = cur // pushAlarm captures context off m.seq-consistent state
+					m.seq = cur // countAlarm captures context off m.seq-consistent state
 					m.batchAlarms = append(m.batchAlarms, a)
-					m.pushAlarm(a, evs[:i+1])
+					m.countAlarm(a, evs[:i+1])
 				}
 				// Update phase, checked or not: inline actions (unrolled
 				// — BakedInline is 4) or one contiguous scan of a
@@ -592,14 +584,10 @@ func (m *Machine) verify(evs []wire.Event) (walked uint64) {
 	return walked
 }
 
-// pushAlarm records an alarm in the bounded ring and publishes it; evs
-// is the batch prefix ending at the violating branch, for a forensic
-// capture. The event-stream copy is only materialised when a sink is
-// attached, so the alarmless fast path and the sinkless serving path
-// never box an alarm onto the heap.
-func (m *Machine) pushAlarm(a Alarm, evs []wire.Event) {
-	before := m.alarms.dropped
-	m.alarms.push(a)
+// countAlarm counts an alarm the caller has appended to m.batchAlarms
+// and, with the flight recorder on, captures its forensic context; evs
+// is the batch prefix ending at the violating branch.
+func (m *Machine) countAlarm(a Alarm, evs []wire.Event) {
 	m.stats.Alarms++
 	m.met.alarms.Inc()
 	if m.rec.enabled() {
@@ -609,14 +597,6 @@ func (m *Machine) pushAlarm(a Alarm, evs []wire.Event) {
 			m.captureContext(a, evs)
 			m.ctxNext = a.Seq + uint64(m.ctxGap)
 		}
-	}
-	if m.alarms.dropped != before {
-		m.stats.AlarmsDropped++
-		m.met.alarmsDropped.Inc()
-	}
-	if m.sink != nil {
-		boxed := a
-		m.sink.Emit(Event{Kind: EvAlarm, Seq: a.Seq, Depth: len(m.stack), Alarm: &boxed})
 	}
 }
 
@@ -641,12 +621,6 @@ func (m *Machine) Status(pc uint64) tables.Status {
 
 // Depth returns the current table-stack depth.
 func (m *Machine) Depth() int { return len(m.stack) }
-
-// Alarms returns the retained alarms (oldest first) since the last
-// Reset. Storage is a bounded ring: once more than the configured
-// AlarmBuffer alarms have fired, the oldest are gone and
-// Stats().AlarmsDropped says how many.
-func (m *Machine) Alarms() []Alarm { return m.alarms.all() }
 
 // Stats returns the activity counters.
 func (m *Machine) Stats() Stats { return m.stats }

@@ -35,17 +35,19 @@ func buildWorld(t testing.TB, src string) *world {
 	return &world{prog: p, img: img}
 }
 
-// runGuarded executes the program under IPDS and returns the VM result
-// and the machine.
-func (w *world) runGuarded(t *testing.T, input []string, tamper func(v *vm.VM)) (vm.Result, *Machine) {
+// runGuarded executes the program under IPDS and returns the VM result,
+// the alarms the run raised and the machine.
+func (w *world) runGuarded(t *testing.T, input []string, tamper func(v *vm.VM)) (vm.Result, []Alarm, *Machine) {
 	t.Helper()
 	v := vm.New(w.prog, vm.DefaultConfig, input)
 	m := New(w.img, DefaultConfig)
-	Attach(v, m)
+	var alarms []Alarm
+	Attach(v, m, func(a Alarm) { alarms = append(alarms, a) })
 	if tamper != nil {
 		tamper(v)
 	}
-	return v.Run(), m
+	res := v.Run()
+	return res, alarms, m
 }
 
 func objID(t *testing.T, p *ir.Program, name string) ir.ObjID {
@@ -77,12 +79,12 @@ int main() {
 func TestCleanRunRaisesNoAlarm(t *testing.T) {
 	w := buildWorld(t, guardedSrc)
 	for _, input := range []string{"1", "0", "-5", "999"} {
-		res, m := w.runGuarded(t, []string{input}, nil)
+		res, alarms, _ := w.runGuarded(t, []string{input}, nil)
 		if res.Status != vm.Exited {
 			t.Fatalf("input %s: status %v (%v)", input, res.Status, res.Fault)
 		}
-		if len(m.Alarms()) != 0 {
-			t.Errorf("input %s: false positive: %v", input, m.Alarms())
+		if len(alarms) != 0 {
+			t.Errorf("input %s: false positive: %v", input, alarms)
 		}
 	}
 }
@@ -90,7 +92,7 @@ func TestCleanRunRaisesNoAlarm(t *testing.T) {
 func TestTamperingDetected(t *testing.T) {
 	w := buildWorld(t, guardedSrc)
 	// Flip secret from 1 to 0 after the first branch consumed it.
-	res, m := w.runGuarded(t, []string{"1"}, func(v *vm.VM) {
+	res, alarms, _ := w.runGuarded(t, []string{"1"}, func(v *vm.VM) {
 		id := objID(t, w.prog, "secret")
 		poked := false
 		v.AddHooks(vm.Hooks{OnBranch: func(br *ir.Instr, taken bool) {
@@ -109,10 +111,10 @@ func TestTamperingDetected(t *testing.T) {
 	if res.ExitCode != 7 {
 		t.Fatalf("tampering did not change control flow (exit %d)", res.ExitCode)
 	}
-	if len(m.Alarms()) == 0 {
+	if len(alarms) == 0 {
 		t.Fatal("tampered control-flow change not detected")
 	}
-	a := m.Alarms()[0]
+	a := alarms[0]
 	if a.Func != "main" || a.Expected != tables.Taken || a.Taken {
 		t.Errorf("alarm = %+v", a)
 	}
@@ -121,7 +123,7 @@ func TestTamperingDetected(t *testing.T) {
 func TestTamperBothDirections(t *testing.T) {
 	w := buildWorld(t, guardedSrc)
 	// Start with secret==0 (branch not taken), then force it to 1.
-	res, m := w.runGuarded(t, []string{"0"}, func(v *vm.VM) {
+	res, alarms, _ := w.runGuarded(t, []string{"0"}, func(v *vm.VM) {
 		id := objID(t, w.prog, "secret")
 		poked := false
 		v.AddHooks(vm.Hooks{OnBranch: func(br *ir.Instr, taken bool) {
@@ -137,7 +139,7 @@ func TestTamperBothDirections(t *testing.T) {
 	if res.ExitCode != 42 {
 		t.Fatalf("exit = %d, want 42 (control flow changed)", res.ExitCode)
 	}
-	if len(m.Alarms()) == 0 {
+	if len(alarms) == 0 {
 		t.Fatal("NT->T flip not detected")
 	}
 }
@@ -158,12 +160,12 @@ func TestLegitRedefinitionNoFalsePositive(t *testing.T) {
 			return 0;
 		}`)
 	for _, in := range []string{"1", "2"} {
-		res, m := w.runGuarded(t, []string{in}, nil)
+		res, alarms, _ := w.runGuarded(t, []string{in}, nil)
 		if res.Status != vm.Exited {
 			t.Fatalf("status %v", res.Status)
 		}
-		if len(m.Alarms()) != 0 {
-			t.Errorf("input %s: false positive %v", in, m.Alarms())
+		if len(alarms) != 0 {
+			t.Errorf("input %s: false positive %v", in, alarms)
 		}
 	}
 }
@@ -185,12 +187,12 @@ func TestLoopSelfCorrelationDetectsTamper(t *testing.T) {
 			return 0;
 		}`)
 	// Clean loop: no alarms.
-	if _, m := w.runGuarded(t, nil, nil); len(m.Alarms()) != 0 {
-		t.Fatalf("false positive: %v", m.Alarms())
+	if _, alarms, _ := w.runGuarded(t, nil, nil); len(alarms) != 0 {
+		t.Fatalf("false positive: %v", alarms)
 	}
 	// Tamper limit right after its branch first resolves: the repeated
 	// branch flips in the next iteration.
-	_, m := w.runGuarded(t, nil, func(v *vm.VM) {
+	_, alarms, _ := w.runGuarded(t, nil, func(v *vm.VM) {
 		id := objID(t, w.prog, "limit")
 		poked := false
 		v.AddHooks(vm.Hooks{OnBranch: func(br *ir.Instr, taken bool) {
@@ -201,7 +203,7 @@ func TestLoopSelfCorrelationDetectsTamper(t *testing.T) {
 			}
 		}})
 	})
-	if len(m.Alarms()) == 0 {
+	if len(alarms) == 0 {
 		t.Fatal("loop-carried tamper not detected")
 	}
 }
@@ -222,12 +224,12 @@ func TestCalleeTablesPushedAndPopped(t *testing.T) {
 			}
 			return s;
 		}`)
-	res, m := w.runGuarded(t, nil, nil)
+	res, alarms, m := w.runGuarded(t, nil, nil)
 	if res.ExitCode != 4 {
 		t.Fatalf("exit = %d", res.ExitCode)
 	}
-	if len(m.Alarms()) != 0 {
-		t.Fatalf("false positive: %v", m.Alarms())
+	if len(alarms) != 0 {
+		t.Fatalf("false positive: %v", alarms)
 	}
 	st := m.Stats()
 	if st.Pushes != 5 { // main + 4 check calls
@@ -260,7 +262,7 @@ func TestCrossCallDetection(t *testing.T) {
 			}
 			return 0;
 		}`)
-	res, m := w.runGuarded(t, []string{"3"}, func(v *vm.VM) {
+	res, alarms, _ := w.runGuarded(t, []string{"3"}, func(v *vm.VM) {
 		id := objID(t, w.prog, "g")
 		v.AddHooks(vm.Hooks{OnCall: func(fn *ir.Func) {
 			if fn.Name == "work" {
@@ -272,7 +274,7 @@ func TestCrossCallDetection(t *testing.T) {
 	if res.ExitCode != 0 {
 		t.Fatalf("exit = %d, want 0 (flow changed)", res.ExitCode)
 	}
-	if len(m.Alarms()) == 0 {
+	if len(alarms) == 0 {
 		t.Fatal("cross-call tamper not detected")
 	}
 }
@@ -294,7 +296,7 @@ func TestSpillAndFill(t *testing.T) {
 	v := vm.New(w.prog, vm.DefaultConfig, nil)
 	// Tiny on-chip buffers force spills on the deep call chain.
 	m := New(w.img, Config{BSVStackBits: 64, BCVStackBits: 32, BATStackBits: 512})
-	Attach(v, m)
+	Attach(v, m, nil)
 	res := v.Run()
 	if res.Status != vm.Exited || res.ExitCode != 100 {
 		t.Fatalf("res = %+v", res)
@@ -303,8 +305,8 @@ func TestSpillAndFill(t *testing.T) {
 	if st.SpillEvents == 0 || st.FillEvents == 0 {
 		t.Errorf("expected spill/fill traffic, got %+v", st)
 	}
-	if len(m.Alarms()) != 0 {
-		t.Errorf("false positive under spilling: %v", m.Alarms())
+	if st.Alarms != 0 {
+		t.Errorf("false positive under spilling: %d alarms", st.Alarms)
 	}
 }
 
@@ -312,7 +314,7 @@ func TestStatsAndStatus(t *testing.T) {
 	w := buildWorld(t, guardedSrc)
 	v := vm.New(w.prog, vm.DefaultConfig, []string{"1"})
 	m := New(w.img, DefaultConfig)
-	Attach(v, m)
+	Attach(v, m, nil)
 	v.Run()
 	st := m.Stats()
 	if st.Branches == 0 || st.Updates == 0 || st.Verified == 0 {
@@ -323,7 +325,7 @@ func TestStatsAndStatus(t *testing.T) {
 	}
 	// After Reset everything zeroes.
 	m.Reset()
-	if m.Stats().Branches != 0 || m.Depth() != 0 || len(m.Alarms()) != 0 {
+	if m.Stats() != (Stats{}) || m.Depth() != 0 {
 		t.Error("reset incomplete")
 	}
 }
@@ -364,7 +366,7 @@ func TestStatusQuery(t *testing.T) {
 	w := buildWorld(t, guardedSrc)
 	v := vm.New(w.prog, vm.DefaultConfig, []string{"1"})
 	m := New(w.img, DefaultConfig)
-	Attach(v, m)
+	Attach(v, m, nil)
 	if m.Status(0x1004) != tables.Unknown {
 		t.Error("empty machine status must be unknown")
 	}
@@ -383,7 +385,7 @@ func TestStatusReflectsUpdates(t *testing.T) {
 		}`)
 	v := vm.New(w.prog, vm.DefaultConfig, []string{"5"})
 	m := New(w.img, DefaultConfig)
-	Attach(v, m)
+	Attach(v, m, nil)
 	brs := w.prog.ByName["main"].Branches()
 	statuses := []tables.Status{}
 	v.AddHooks(vm.Hooks{OnBranch: func(br *ir.Instr, taken bool) {

@@ -13,7 +13,6 @@ type machineMetrics struct {
 	updates       *obs.Counter
 	batAccesses   *obs.Counter
 	alarms        *obs.Counter
-	alarmsDropped *obs.Counter
 	strictRejects *obs.Counter
 	pushes        *obs.Counter
 	pops          *obs.Counter
@@ -49,7 +48,6 @@ func (m *Machine) Instrument(r *obs.Registry, labels ...string) {
 		updates:       r.Counter(n("ipds_updates_total")),
 		batAccesses:   r.Counter(n("ipds_bat_accesses_total")),
 		alarms:        r.Counter(n("ipds_alarms_total")),
-		alarmsDropped: r.Counter(n("ipds_alarms_dropped_total")),
 		strictRejects: r.Counter(n("ipds_strict_rejects_total")),
 		pushes:        r.Counter(n("ipds_pushes_total")),
 		pops:          r.Counter(n("ipds_pops_total")),

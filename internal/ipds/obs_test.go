@@ -26,130 +26,6 @@ int main() {
 }
 `
 
-// --- Alarm ring buffer ------------------------------------------------
-
-func TestAlarmRingBounded(t *testing.T) {
-	r := newAlarmRing(4)
-	for i := 0; i < 10; i++ {
-		r.push(Alarm{Seq: uint64(i)})
-	}
-	got := r.all()
-	if len(got) != 4 {
-		t.Fatalf("ring holds %d alarms, want 4", len(got))
-	}
-	for i, a := range got {
-		if a.Seq != uint64(6+i) {
-			t.Fatalf("ring[%d].Seq = %d, want %d (oldest-first after eviction)", i, a.Seq, 6+i)
-		}
-	}
-	if r.dropped != 6 {
-		t.Fatalf("dropped = %d, want 6", r.dropped)
-	}
-	r.reset()
-	if len(r.all()) != 0 || r.dropped != 0 {
-		t.Fatal("reset did not clear the ring")
-	}
-}
-
-// fixedRing is a reference alarm ring with its full capacity allocated
-// up front; TestAlarmRingGrowth holds the growing ring to its contents
-// and drop count.
-type fixedRing struct {
-	buf      []Alarm
-	start, n int
-	dropped  uint64
-}
-
-func (r *fixedRing) push(a Alarm) {
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = a
-		r.n++
-		return
-	}
-	r.buf[r.start] = a
-	r.start = (r.start + 1) % len(r.buf)
-	r.dropped++
-}
-
-// TestAlarmRingGrowth pushes past the default capacity while the ring
-// grows, and checks it retains exactly what a preallocated ring would,
-// allocates nothing before the first alarm, doubles from alarmRingMin,
-// and keeps its grown buffer across reset.
-func TestAlarmRingGrowth(t *testing.T) {
-	r := newAlarmRing(0)
-	if r.buf != nil || r.all() != nil {
-		t.Fatal("an empty ring must hold no buffer")
-	}
-	ref := &fixedRing{buf: make([]Alarm, DefaultAlarmBuffer)}
-	wantCap := alarmRingMin
-	for i := range 3000 {
-		a := Alarm{Seq: uint64(i), PC: uint64(4 * i), Func: "f"}
-		r.push(a)
-		ref.push(a)
-		if i < DefaultAlarmBuffer && i == wantCap {
-			wantCap *= 2
-		}
-		if len(r.buf) != min(wantCap, DefaultAlarmBuffer) {
-			t.Fatalf("after %d alarms the buffer holds %d, want %d", i+1, len(r.buf), min(wantCap, DefaultAlarmBuffer))
-		}
-	}
-	got, want := r.all(), make([]Alarm, 0, ref.n)
-	for i := range ref.n {
-		want = append(want, ref.buf[(ref.start+i)%len(ref.buf)])
-	}
-	if len(got) != DefaultAlarmBuffer || got[0].Seq != 3000-DefaultAlarmBuffer || r.dropped != 1976 {
-		t.Fatalf("ring keeps %d alarms from Seq %d, %d dropped; want 1024 from 1976, 1976 dropped", len(got), got[0].Seq, r.dropped)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("alarm %d: got %+v, preallocated ring has %+v", i, got[i], want[i])
-		}
-	}
-	if r.dropped != ref.dropped {
-		t.Fatalf("dropped %d, preallocated ring dropped %d", r.dropped, ref.dropped)
-	}
-	buf := r.buf
-	r.reset()
-	if r.all() != nil || r.dropped != 0 || &r.buf[0] != &buf[0] || len(r.buf) != DefaultAlarmBuffer {
-		t.Fatal("reset must empty the ring and keep its grown buffer")
-	}
-}
-
-func TestMachineAlarmOverflowCounted(t *testing.T) {
-	w := buildWorld(t, guardSrc)
-	cfg := DefaultConfig
-	cfg.AlarmBuffer = 2
-	reg := obs.NewRegistry()
-
-	v := vm.New(w.prog, vm.DefaultConfig, []string{"5"})
-	m := New(w.img, cfg)
-	m.Instrument(reg)
-	Attach(v, m)
-	// Force repeated mismatches by corrupting the BSV expectation after
-	// every branch: raise alarms straight from the machine instead.
-	v.Run()
-	main := w.img.FuncByName("main")
-	if main == nil {
-		t.Fatal("no main image")
-	}
-	// Raise 5 synthetic alarms through the bounded ring.
-	for i := 0; i < 5; i++ {
-		m.pushAlarm(Alarm{Seq: uint64(100 + i), Func: "main"}, nil)
-	}
-	if got := len(m.Alarms()); got != 2 {
-		t.Fatalf("retained %d alarms, want 2 (bounded)", got)
-	}
-	if m.Stats().AlarmsDropped != 3 {
-		t.Fatalf("AlarmsDropped = %d, want 3", m.Stats().AlarmsDropped)
-	}
-	if got := reg.Counter("ipds_alarms_dropped_total").Value(); got != 3 {
-		t.Fatalf("ipds_alarms_dropped_total = %d, want 3", got)
-	}
-	if got := reg.Counter("ipds_alarms_total").Value(); got != 5 {
-		t.Fatalf("ipds_alarms_total = %d, want 5", got)
-	}
-}
-
 // --- Event stream -----------------------------------------------------
 
 func TestEventSinkReceivesLifecycle(t *testing.T) {
@@ -158,27 +34,12 @@ func TestEventSinkReceivesLifecycle(t *testing.T) {
 	m := New(w.img, DefaultConfig)
 	counts := map[EventKind]int{}
 	m.SetEventSink(FuncSink(func(e Event) { counts[e.Kind]++ }))
-	Attach(v, m)
+	Attach(v, m, nil)
 	if res := v.Run(); res.Status != vm.Exited {
 		t.Fatalf("run: %+v", res)
 	}
 	if counts[EvEnter] == 0 || counts[EvLeave] == 0 {
 		t.Fatalf("missing enter/leave events: %v", counts)
-	}
-	if counts[EvAlarm] != 0 {
-		t.Fatalf("clean run published alarms: %v", counts)
-	}
-
-	// A tampered expectation must publish exactly the raised alarms.
-	var alarms []Alarm
-	m.SetEventSink(FuncSink(func(e Event) {
-		if e.Kind == EvAlarm {
-			alarms = append(alarms, *e.Alarm)
-		}
-	}))
-	m.pushAlarm(Alarm{Seq: 42, Func: "main"}, nil)
-	if len(alarms) != 1 || alarms[0].Seq != 42 {
-		t.Fatalf("alarm event not delivered: %v", alarms)
 	}
 }
 
@@ -430,7 +291,7 @@ func TestInstrumentMatchesStats(t *testing.T) {
 	v := vm.New(w.prog, vm.DefaultConfig, []string{"5"})
 	m := New(w.img, DefaultConfig)
 	m.Instrument(reg, "workload", "guard")
-	Attach(v, m)
+	Attach(v, m, nil)
 	if res := v.Run(); res.Status != vm.Exited {
 		t.Fatalf("run: %+v", res)
 	}
@@ -486,7 +347,7 @@ func TestInstrumentedRunIsRaceFreeUnderScrape(t *testing.T) {
 		v := vm.New(w.prog, vm.DefaultConfig, []string{"5"})
 		m := New(w.img, DefaultConfig)
 		m.Instrument(reg, "workload", "guard")
-		Attach(v, m)
+		Attach(v, m, nil)
 		if res := v.Run(); res.Status != vm.Exited {
 			t.Fatalf("run: %+v", res)
 		}

@@ -41,7 +41,7 @@ const DefaultRecorderDepth = 64
 // DefaultAlarmCtxBuffer is the number of alarm contexts retained when
 // Config.AlarmCtxBuffer is zero. Contexts are much heavier than alarms
 // (each carries a ring snapshot), so the ring is intentionally shallow:
-// forensics want the latest violations, the alarm ring keeps the count.
+// forensics want the latest violations, Stats().Alarms keeps the count.
 const DefaultAlarmCtxBuffer = 8
 
 // DefaultCtxGap is the alarm-storm capture throttle selected by
@@ -144,8 +144,8 @@ type recPend struct {
 	s   recSlot
 }
 
-// recorder is the fixed-capacity event ring. Unlike alarmRing it stores
-// small value events and overwrites silently: losing old history is the
+// recorder is the fixed-capacity event ring. It stores small value
+// events and overwrites silently: losing old history is the
 // point of a flight recorder, and RecorderTotal tracks how much was
 // seen. The capacity is rounded up to a power of two so a stream
 // position maps to a slot by mask. A disabled recorder is the zero

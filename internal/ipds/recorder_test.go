@@ -254,26 +254,10 @@ func TestCopyIntoReusesCapacity(t *testing.T) {
 	}
 }
 
-// sinkRecorder collects the sink stream with alarms flattened to values
-// so streams from different machines compare by value.
-type sinkEvent struct {
-	Kind  EventKind
-	Seq   uint64
-	Depth int
-	Bits  int
-	Base  uint64
-	Alarm Alarm
-}
-
-func collectSink(m *Machine) *[]sinkEvent {
-	var out []sinkEvent
-	m.SetEventSink(FuncSink(func(e Event) {
-		se := sinkEvent{Kind: e.Kind, Seq: e.Seq, Depth: e.Depth, Bits: e.Bits, Base: e.Base}
-		if e.Alarm != nil {
-			se.Alarm = *e.Alarm
-		}
-		out = append(out, se)
-	}))
+// collectSink records a machine's sink stream.
+func collectSink(m *Machine) *[]Event {
+	var out []Event
+	m.SetEventSink(FuncSink(func(e Event) { out = append(out, e) }))
 	return &out
 }
 
@@ -287,11 +271,11 @@ func TestEventSinkBatchedEquivalence(t *testing.T) {
 	for _, cfg := range []Config{DefaultConfig, recorderConfig(64)} {
 		perEvent := New(w.img, cfg)
 		perStream := collectSink(perEvent)
-		replayPerEvent(perEvent, bent)
+		perAlarms := replayCollect(perEvent, bent)
 
 		batched := New(w.img, cfg)
 		batStream := collectSink(batched)
-		batched.OnBatch(bent)
+		batAlarms := batched.OnBatch(bent)
 
 		if !reflect.DeepEqual(*perStream, *batStream) {
 			t.Fatalf("recorder=%d: sink streams diverge (%d vs %d events)",
@@ -300,8 +284,8 @@ func TestEventSinkBatchedEquivalence(t *testing.T) {
 		if perEvent.Stats() != batched.Stats() {
 			t.Fatalf("recorder=%d: stats diverge", cfg.Recorder)
 		}
-		if !reflect.DeepEqual(perEvent.Alarms(), batched.Alarms()) {
-			t.Fatalf("recorder=%d: retained alarms diverge", cfg.Recorder)
+		if !reflect.DeepEqual(perAlarms, batAlarms) {
+			t.Fatalf("recorder=%d: returned alarms diverge", cfg.Recorder)
 		}
 		if cfg.Recorder > 0 && !reflect.DeepEqual(perEvent.Contexts(), batched.Contexts()) {
 			t.Fatalf("recorder=%d: captured contexts diverge", cfg.Recorder)
@@ -387,7 +371,7 @@ type eagerRef struct {
 	at    []int // at[s-1]: len(all) right after branch s
 	seq   uint64
 	depth int32
-	stack *[]sinkEvent
+	stack *[]Event
 	next  int    // first stack event of *stack not yet folded in
 	seen  uint64 // contexts already checked (Machine.CtxCaptured)
 }
@@ -397,9 +381,6 @@ func newEagerRef(m *Machine) *eagerRef { return &eagerRef{stack: collectSink(m)}
 func (r *eagerRef) foldStack(upto uint64) {
 	for ; r.next < len(*r.stack) && (*r.stack)[r.next].Seq <= upto; r.next++ {
 		e := (*r.stack)[r.next]
-		if e.Kind == EvAlarm {
-			continue
-		}
 		r.all = append(r.all, RecEvent{Seq: e.Seq, PC: e.Base, Kind: e.Kind, Depth: int32(e.Depth), Bits: int32(e.Bits)})
 		r.depth = int32(e.Depth)
 	}
@@ -585,11 +566,11 @@ func TestRecorderPendingBounded(t *testing.T) {
 	cfg.Recorder = DefaultRecorderDepth
 	m := New(w.img, cfg)
 	buf, pend := &m.rec.buf[0], &m.rec.pend[0]
-	var stack []sinkEvent
+	var stack []Event
 	high := 0
 	m.SetEventSink(FuncSink(func(e Event) {
 		high = max(high, m.rec.pN)
-		stack = append(stack, sinkEvent{Kind: e.Kind, Seq: e.Seq, Depth: e.Depth, Bits: e.Bits, Base: e.Base})
+		stack = append(stack, e)
 	}))
 	ref := &eagerRef{stack: &stack}
 	for _, s := range shapes {

@@ -20,7 +20,6 @@ type ProcessState struct {
 	bsvBits  int
 	bcvBits  int
 	batBits  int
-	alarms   *alarmRing
 	stats    Stats
 	seq      uint64
 }
@@ -53,9 +52,6 @@ func (ps *ProcessState) Depth() int { return len(ps.stack) }
 // Stats returns the suspended process's activity counters.
 func (ps *ProcessState) Stats() Stats { return ps.stats }
 
-// Alarms returns the alarms the suspended process accumulated.
-func (ps *ProcessState) Alarms() []Alarm { return ps.alarms.all() }
-
 // Suspend captures the machine's per-process state and resets the
 // machine for the next process. The returned state resumes exactly
 // where it left off.
@@ -71,14 +67,12 @@ func (m *Machine) Suspend() *ProcessState {
 		bsvBits:  m.bsvBits,
 		bcvBits:  m.bcvBits,
 		batBits:  m.batBits,
-		alarms:   m.alarms,
 		stats:    m.stats,
 		seq:      m.seq,
 	}
 	m.stack = nil
 	m.resident = 0
 	m.bsvBits, m.bcvBits, m.batBits = 0, 0, 0
-	m.alarms = newAlarmRing(m.cfg.AlarmBuffer)
 	m.stats = Stats{}
 	m.seq = 0
 	m.syncGauges()
@@ -93,7 +87,6 @@ func (m *Machine) Resume(ps *ProcessState) {
 	m.bsvBits = ps.bsvBits
 	m.bcvBits = ps.bcvBits
 	m.batBits = ps.batBits
-	m.alarms = ps.alarms
 	m.stats = ps.stats
 	m.seq = ps.seq
 	m.syncGauges()

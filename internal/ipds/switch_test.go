@@ -40,9 +40,9 @@ func TestContextSwitchTwoProcesses(t *testing.T) {
 	hw := New(wA.img, DefaultConfig)
 
 	vA := vm.New(wA.prog, vm.DefaultConfig, nil)
-	Attach(vA, hw)
+	Attach(vA, hw, nil)
 	vB := vm.New(wB.prog, vm.DefaultConfig, nil)
-	Attach(vB, hw)
+	Attach(vB, hw, nil)
 
 	// Process A starts on the hardware; B's state begins suspended and
 	// empty (bound to B's image).
@@ -106,9 +106,8 @@ func TestContextSwitchTwoProcesses(t *testing.T) {
 	}
 	// Zero false positives across interleaving, and per-process stats
 	// stayed separated.
-	if len(procs[0].ps.Alarms()) != 0 || len(procs[1].ps.Alarms()) != 0 {
-		t.Fatalf("false positives across context switches: %v %v",
-			procs[0].ps.Alarms(), procs[1].ps.Alarms())
+	if a, b := procs[0].ps.Stats().Alarms, procs[1].ps.Stats().Alarms; a != 0 || b != 0 {
+		t.Fatalf("false positives across context switches: %d %d alarms", a, b)
 	}
 	if procs[0].ps.stats.Branches == 0 || procs[1].ps.stats.Branches == 0 {
 		t.Error("per-process branch counts lost across switches")
@@ -133,7 +132,7 @@ func TestContextSwitchDetectionSurvives(t *testing.T) {
 		}`)
 	hw := New(w.img, DefaultConfig)
 	v := vm.New(w.prog, vm.DefaultConfig, nil)
-	Attach(v, hw)
+	Attach(v, hw, nil)
 	if err := v.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,7 @@ func TestContextSwitchDetectionSurvives(t *testing.T) {
 			_ = v.Poke(addr, 0, 8)
 		}
 	}
-	if len(hw.Alarms()) == 0 {
+	if hw.Stats().Alarms == 0 {
 		t.Fatal("tamper across a context switch went undetected")
 	}
 }

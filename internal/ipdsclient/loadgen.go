@@ -112,8 +112,10 @@ func RunLoad(cfg LoadConfig) LoadResult {
 	if len(cfg.Trace) > 0 {
 		const targetBlock = 16384 // events per block: enough to amortize per-write marks
 		reps := targetBlock / len(cfg.Trace)
-		if c := cfg.EventsPerConn / len(cfg.Trace); c >= 1 && c < reps {
-			reps = c // keep the overshoot past EventsPerConn bounded
+		// Passes rounded up: when EventsPerConn fits in one block, that
+		// block covers it, so the overshoot stays under one trace pass.
+		if c := (cfg.EventsPerConn + len(cfg.Trace) - 1) / len(cfg.Trace); c < reps {
+			reps = c
 		}
 		if reps < 1 {
 			reps = 1

@@ -262,9 +262,6 @@ func (op BinaryOp) String() string {
 		"<", "<=", ">", ">=", "==", "!=", "&&", "||"}[op]
 }
 
-// IsComparison reports whether the operator yields a boolean 0/1.
-func (op BinaryOp) IsComparison() bool { return op >= BLt && op <= BNe }
-
 // BinaryExpr is a binary operation.
 type BinaryExpr struct {
 	exprBase

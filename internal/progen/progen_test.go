@@ -50,15 +50,16 @@ func TestZeroFalsePositives(t *testing.T) {
 		}
 		v := vm.New(art.Prog, vm.DefaultConfig, p.Input)
 		m := ipds.New(art.Image, ipds.DefaultConfig)
-		ipds.Attach(v, m)
+		var alarms []ipds.Alarm
+		ipds.Attach(v, m, func(a ipds.Alarm) { alarms = append(alarms, a) })
 		res := v.Run()
 		if res.Status == vm.Faulted {
 			t.Fatalf("seed %d: generated program faulted: %v\n--- source ---\n%s",
 				seed, res.Fault, p.Source)
 		}
-		if len(m.Alarms()) > 0 {
+		if len(alarms) > 0 {
 			t.Fatalf("seed %d: FALSE POSITIVE %v\n--- source ---\n%s",
-				seed, m.Alarms()[0], p.Source)
+				seed, alarms[0], p.Source)
 		}
 	}
 }
@@ -82,14 +83,15 @@ func TestZeroFalsePositivesUnderAblations(t *testing.T) {
 			}
 			v := vm.New(art.Prog, vm.DefaultConfig, p.Input)
 			m := ipds.New(art.Image, ipds.DefaultConfig)
-			ipds.Attach(v, m)
+			var alarms []ipds.Alarm
+			ipds.Attach(v, m, func(a ipds.Alarm) { alarms = append(alarms, a) })
 			res := v.Run()
 			if res.Status == vm.Faulted {
 				t.Fatalf("seed %d opts %+v: fault %v", seed, o, res.Fault)
 			}
-			if len(m.Alarms()) > 0 {
+			if len(alarms) > 0 {
 				t.Fatalf("seed %d opts %+v: FALSE POSITIVE %v\n%s",
-					seed, o, m.Alarms()[0], p.Source)
+					seed, o, alarms[0], p.Source)
 			}
 		}
 	}

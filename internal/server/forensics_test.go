@@ -134,10 +134,10 @@ func TestForensicsE2E(t *testing.T) {
 	}
 }
 
-// TestForensicsDisabled: a negative RecorderDepth turns the machinery
+// TestForensicsDisabled: a negative IPDS.Recorder turns the machinery
 // off — no AlarmCtx frames, no context counters, alarms unchanged.
 func TestForensicsDisabled(t *testing.T) {
-	w := startWorld(t, server.Config{RecorderDepth: -1})
+	w := startWorld(t, server.Config{IPDS: ipds.Config{Recorder: -1}})
 	trace := ipdsclient.Tamper(ipdsclient.Capture(w.art, nil), 5)
 	c, err := ipdsclient.Dial(ipdsclient.Config{Addr: w.addr, Image: w.hash, Program: "noforensics"})
 	if err != nil {

@@ -97,6 +97,31 @@ func TestDepthLimitSparesLoopedCapture(t *testing.T) {
 	}
 }
 
+// TestRunLoadOvershootBounded: a load session stops within one trace
+// pass of EventsPerConn. With a 3-event trace and 4,000 events a
+// session, a block rounded down to 3,999 events fell just short, and a
+// second whole block followed (7,998 events).
+func TestRunLoadOvershootBounded(t *testing.T) {
+	w := startWorld(t, server.Config{})
+	check := w.art.Prog.ByName["check"]
+	trace := []wire.Event{
+		{Kind: wire.EvEnter, PC: check.Base},
+		{Kind: wire.EvBranch, PC: check.Branches()[0].PC, Taken: true},
+		{Kind: wire.EvLeave},
+	}
+	const perConn = 4000
+	res := ipdsclient.RunLoad(ipdsclient.LoadConfig{
+		Addr: w.addr, Image: w.hash, Program: "overshoot",
+		Trace: trace, Sessions: 2, EventsPerConn: perConn,
+	})
+	if len(res.Errors) > 0 {
+		t.Fatalf("session errors: %v", res.Errors)
+	}
+	if lo, hi := uint64(2*perConn), uint64(2*(perConn+len(trace))); res.Events < lo || res.Events >= hi {
+		t.Fatalf("2 sessions acked %d events, want at least %d and fewer than %d", res.Events, lo, hi)
+	}
+}
+
 // depthAfter returns the table-stack depth a stream leaves behind.
 func depthAfter(evs []wire.Event) int {
 	d := 0

@@ -43,12 +43,9 @@ type metrics struct {
 	ctxDropped *obs.Counter // server_alarm_ctx_dropped_total
 
 	// Aggregated machine counters, absorbed from each session's
-	// ipds.Machine when the session ends. alarmsDropped is the
-	// satellite fix: ring drops were only visible in per-machine Stats;
-	// the daemon surfaces them registry-wide.
+	// ipds.Machine when the session ends.
 	mBranches      *obs.Counter // server_machine_branches_total
 	mVerified      *obs.Counter // server_machine_verified_total
-	mAlarmsDropped *obs.Counter // server_alarms_dropped_total
 	mStrictRejects *obs.Counter // server_strict_rejects_total
 }
 
@@ -75,7 +72,6 @@ func newMetrics(r *obs.Registry) metrics {
 		ctxDropped:     r.Counter("server_alarm_ctx_dropped_total"),
 		mBranches:      r.Counter("server_machine_branches_total"),
 		mVerified:      r.Counter("server_machine_verified_total"),
-		mAlarmsDropped: r.Counter("server_alarms_dropped_total"),
 		mStrictRejects: r.Counter("server_strict_rejects_total"),
 	}
 }
@@ -85,6 +81,5 @@ func newMetrics(r *obs.Registry) metrics {
 func (m *metrics) absorb(st ipds.Stats) {
 	m.mBranches.Add(st.Branches)
 	m.mVerified.Add(st.Verified)
-	m.mAlarmsDropped.Add(st.AlarmsDropped)
 	m.mStrictRejects.Add(st.StrictRejects)
 }

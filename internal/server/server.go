@@ -89,17 +89,15 @@ type Config struct {
 	// stalls the session's reader — backpressure to the socket.
 	RingSize int
 
-	// IPDS configures each session's machine (zero value selects
-	// ipds.DefaultConfig, matching in-process runs).
+	// IPDS configures each session's machine (zero value, Recorder
+	// aside, selects ipds.DefaultConfig, matching in-process runs).
+	// IPDS.Recorder sizes each session's flight recorder: 0 selects
+	// ipds.DefaultRecorderDepth — forensics are ON by default in the
+	// daemon, the recorder being allocation-free on the warm path — and
+	// a negative depth disables them. With the recorder enabled, every
+	// Alarm frame is followed by a wire.AlarmCtx frame carrying the
+	// captured forensic context.
 	IPDS ipds.Config
-
-	// RecorderDepth sizes each session machine's flight recorder when
-	// IPDS.Recorder is zero: 0 selects ipds.DefaultRecorderDepth —
-	// forensics are ON by default in the daemon, the recorder being
-	// allocation-free on the warm path — and a negative depth disables
-	// them. With the recorder enabled, every Alarm frame is followed by
-	// a wire.AlarmCtx frame carrying the captured forensic context.
-	RecorderDepth int
 
 	// DisableIncidents turns off the incident analytics stage. It is ON
 	// by default: the stage runs behind a bounded queue off the serve
@@ -161,14 +159,16 @@ func (c Config) withDefaults() Config {
 	case c.TraceRing < 0:
 		c.TraceRing = 0
 	}
+	rec := c.IPDS.Recorder
+	c.IPDS.Recorder = 0
 	if c.IPDS == (ipds.Config{}) {
 		c.IPDS = ipds.DefaultConfig
 	}
-	if c.IPDS.Recorder == 0 && c.RecorderDepth >= 0 {
-		c.IPDS.Recorder = c.RecorderDepth
-		if c.RecorderDepth == 0 {
-			c.IPDS.Recorder = ipds.DefaultRecorderDepth
-		}
+	switch {
+	case rec == 0:
+		c.IPDS.Recorder = ipds.DefaultRecorderDepth
+	case rec > 0:
+		c.IPDS.Recorder = rec
 	}
 	return c
 }

@@ -354,34 +354,6 @@ func TestShutdownTwiceErrors(t *testing.T) {
 	}
 }
 
-// TestAlarmsDroppedSurfaced holds the satellite: machine-level ring
-// drops become the registry-wide server_alarms_dropped_total series
-// when sessions retire.
-func TestAlarmsDroppedSurfaced(t *testing.T) {
-	w := startWorld(t, server.Config{
-		IPDS: ipds.Config{AlarmBuffer: 1},
-	})
-	trace := ipdsclient.Tamper(ipdsclient.Capture(w.art, nil), 5)
-	c, err := ipdsclient.Dial(ipdsclient.Config{Addr: w.addr, Image: w.hash, Program: "droppy"})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	if err := c.Send(trace...); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	if err := c.Drain(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if len(c.Alarms()) < 2 {
-		t.Fatalf("want >= 2 alarms to overflow a 1-slot ring, got %d", len(c.Alarms()))
-	}
-	c.Close()
-	w.waitSessions(t, 0)
-	if got := w.reg.Counter("server_alarms_dropped_total").Value(); got == 0 {
-		t.Fatal("server_alarms_dropped_total = 0 after overflowing a 1-slot alarm ring")
-	}
-}
-
 func TestServerMetrics(t *testing.T) {
 	w := startWorld(t, server.Config{})
 	trace := ipdsclient.Capture(w.art, nil)

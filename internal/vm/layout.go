@@ -1,10 +1,6 @@
 package vm
 
-import (
-	"fmt"
-
-	"repro/internal/ir"
-)
+import "repro/internal/ir"
 
 // Layout fixes the data-memory addresses of a program: globals and
 // string constants get static addresses; locals and parameters get
@@ -13,8 +9,6 @@ import (
 // buffer overruns into the variables declared after it — the classic
 // stack-overflow behaviour the paper's attacks rely on (Figure 1).
 type Layout struct {
-	prog *ir.Program
-
 	// staticAddr is the absolute address of globals and strings
 	// (0 for frame-resident objects).
 	staticAddr []uint64
@@ -42,7 +36,6 @@ func objAlign(o *ir.Object) uint64 {
 // NewLayout computes the memory layout for prog.
 func NewLayout(prog *ir.Program, globalBase, stackBase uint64) *Layout {
 	l := &Layout{
-		prog:       prog,
 		staticAddr: make([]uint64, len(prog.Objects)),
 		frameOff:   make([]uint64, len(prog.Objects)),
 		frameSize:  map[*ir.Func]uint64{},
@@ -80,18 +73,6 @@ func NewLayout(prog *ir.Program, globalBase, stackBase uint64) *Layout {
 
 // FrameSize returns the frame size of fn in bytes.
 func (l *Layout) FrameSize(fn *ir.Func) uint64 { return l.frameSize[fn] }
-
-// StaticAddr returns the absolute address of a global or string object.
-func (l *Layout) StaticAddr(id ir.ObjID) (uint64, error) {
-	o := l.prog.Object(id)
-	if o.Kind != ir.ObjGlobal && o.Kind != ir.ObjString {
-		return 0, fmt.Errorf("vm: object %s is frame-resident", o.Name)
-	}
-	return l.staticAddr[id], nil
-}
-
-// FrameOff returns the frame-relative offset of a local or parameter.
-func (l *Layout) FrameOff(id ir.ObjID) uint64 { return l.frameOff[id] }
 
 // GlobalEnd returns the first address past the static data segment.
 func (l *Layout) GlobalEnd() uint64 { return l.globalEnd }

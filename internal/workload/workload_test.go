@@ -68,13 +68,14 @@ func TestAllRunCleanSessions(t *testing.T) {
 			for name, session := range sessions {
 				v := vm.New(art.Prog, vm.DefaultConfig, session)
 				m := ipds.New(art.Image, ipds.DefaultConfig)
-				ipds.Attach(v, m)
+				var alarms []ipds.Alarm
+				ipds.Attach(v, m, func(a ipds.Alarm) { alarms = append(alarms, a) })
 				res := v.Run()
 				if res.Status != vm.Exited {
 					t.Fatalf("%s session: %v (%v)", name, res.Status, res.Fault)
 				}
-				if len(m.Alarms()) != 0 {
-					t.Fatalf("%s session: false positive: %v", name, m.Alarms()[0])
+				if len(alarms) != 0 {
+					t.Fatalf("%s session: false positive: %v", name, alarms[0])
 				}
 				if len(res.Output) == 0 {
 					t.Errorf("%s session: no output", name)

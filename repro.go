@@ -75,7 +75,9 @@ type RunResult struct {
 	ExitCode int64
 	Output   []string
 	Steps    uint64
-	Alarms   []Alarm
+	// Alarms holds every alarm the run raised, oldest first; the VM's
+	// step budget (vm.Config.MaxSteps) bounds how many there can be.
+	Alarms []Alarm
 
 	// Faulted is set when the program crashed (memory fault, division
 	// by zero); Fault carries the cause.
@@ -93,13 +95,14 @@ func (r RunResult) Detected() bool { return len(r.Alarms) > 0 }
 func (p *Program) Run(input []string) (RunResult, error) {
 	v := vm.New(p.art.Prog, vm.DefaultConfig, input)
 	m := ipds.New(p.art.Image, ipds.DefaultConfig)
-	ipds.Attach(v, m)
+	var alarms []Alarm
+	ipds.Attach(v, m, func(a Alarm) { alarms = append(alarms, a) })
 	res := v.Run()
 	out := RunResult{
 		ExitCode: res.ExitCode,
 		Output:   res.Output,
 		Steps:    res.Steps,
-		Alarms:   m.Alarms(),
+		Alarms:   alarms,
 		Faulted:  res.Status == vm.Faulted,
 		Fault:    res.Fault,
 	}
