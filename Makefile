@@ -96,10 +96,10 @@ incident-gate:
 incident-flood-gate:
 	./scripts/checkincidentflood.sh
 
-# Scale gate: the per-core serve path must actually scale. Runs the
-# 64-session load in SCALE_PAIRS (default 7) alternating pairs —
-# pinned to 1 verifier, then one verifier per core — and fails unless
-# the median multi/single ratio reaches SCALE_FLOOR (default 1.5x).
+# Scale gate: the serve path must actually scale. Runs the 64-session
+# load in SCALE_PAIRS (default 7) alternating pairs — under
+# GOMAXPROCS=1, then one P per core — and fails unless the median
+# multi/single ratio reaches SCALE_FLOOR (default 1.5x).
 # Skips on single-core hosts, where there is nothing to scale onto.
 scale-gate:
 	./scripts/checkscale.sh
@@ -120,10 +120,10 @@ fleet-gate:
 # one span per verified batch, each chain complete and monotonic
 # client → router → core → ack flush; the daemon-side span tests and
 # the tsdb metric-history tests ride along, all under -race. Untraced
-# traffic's zero-alloc invariant from the verifier on — every 64th
-# batch's span record and its commit into the wait histograms included
-# — is held separately by alloc-gate (BenchmarkVerifyBatchIncident in
-# scripts/checkallocs.sh); no gate bench runs the reader.
+# traffic's zero-alloc invariant on the session serve loop — decode,
+# verify, reply encoding and every 64th batch's span record and its
+# commit into the wait histogram included — is held separately by
+# alloc-gate (BenchmarkVerifyBatchIncident in scripts/checkallocs.sh).
 trace-gate:
 	$(GO) test -race -run 'TestTraceGate' ./internal/fleet
 	$(GO) test -race -run 'TestTrace|TestSpan' ./internal/server

@@ -11,8 +11,7 @@
 // recompiling anything.
 //
 // With -telemetry the daemon serves /metrics (server_sessions_active,
-// server_events_total, server_batches_total,
-// server_backpressure_stalls_total, server_alarms_total,
+// server_events_total, server_batches_total, server_alarms_total,
 // incident_* …), /debug/vars, /debug/pprof, /debug/sessions — a JSON
 // document of every live session's telemetry and most recent forensic
 // alarm context — and /debug/incidents — the incident pipeline's
@@ -32,7 +31,7 @@
 // Usage:
 //
 //	ipdsd [-addr :7077] [-workload name]... [-all] [-cachedir dir]
-//	      [-telemetry :6060] [-idle 60s] [-verifiers n]
+//	      [-telemetry :6060] [-idle 60s]
 //	      [-incidents=false] [-registry :7078] [-fetch host:7078,...]
 //	      [file.mc]...
 package main
@@ -75,13 +74,12 @@ func main() {
 		cacheN    = flag.Int("cachesize", 1024, "in-memory cache entries")
 		telemetry = flag.String("telemetry", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 		idle      = flag.Duration("idle", 60*time.Second, "evict sessions idle longer than this")
-		verifiers = flag.Int("verifiers", 0, "verifier worker pool size (0 = GOMAXPROCS)")
 		incidents = flag.Bool("incidents", true, "fold alarm floods into ranked incidents (off-path analytics stage)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown budget on SIGINT/SIGTERM")
 		regAddr   = flag.String("registry", "", "serve this node's image blobs to fleet peers on this address")
 		fetch     = flag.String("fetch", "", "comma-separated peer registry addresses to pull unknown image hashes from")
 		history   = flag.Int("history", 240, "metric-history samples retained for /debug/timeline (1/s; 0 disables)")
-		traceRing = flag.Int("tracering", 0, "per-core span records retained for /debug/trace (0 = default 256, <0 disables)")
+		traceRing = flag.Int("tracering", 0, "per-row span records retained for /debug/trace (0 = default 256, <0 disables)")
 	)
 	flag.Var(&wlNames, "workload", "serve a built-in server workload (repeatable)")
 	flag.Parse()
@@ -153,7 +151,6 @@ func main() {
 
 	srv := server.New(store, server.Config{
 		ReadTimeout:      *idle,
-		Verifiers:        *verifiers,
 		DisableIncidents: !*incidents,
 		TraceRing:        *traceRing,
 		Reg:              reg,

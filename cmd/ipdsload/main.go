@@ -12,15 +12,14 @@
 // loopback listener and loads that instead of a remote ipdsd — one
 // command for benchmarks and CI smoke runs. Self-served runs also
 // print the daemon-side batch-verify latency quantiles, the kernel's
-// verify cost per event and a per-core breakdown (events, parks,
-// stalls, ring high-water per verifier core), read from the in-process
-// daemon. To load a routed fleet, point -addr at an ipdsrouter.
+// verify cost per event and the CoreStats breakdown (sessions, events,
+// alarms and kernel cost per row), read from the in-process daemon. To load a routed fleet, point -addr at an ipdsrouter.
 //
 // Usage:
 //
 //	ipdsload [-addr host:7077 | -selfserve] [-workload telnetd]
 //	         [-sessions n] [-events n] [-batch n] [-tamper stride]
-//	         [-repeat n] [-verifiers n] [-events-file in.events]
+//	         [-repeat n] [-events-file in.events]
 //	         [-trace-sample n] [-incidents] [-cpuprofile cpu.pprof]
 //	         [-memprofile mem.pprof] [file.mc]
 //	ipdsload trace [-url http://host:6060] [-spans] [-out file]
@@ -30,9 +29,9 @@
 // hosts. The daemon-side verify quantiles are cumulative over all
 // repeats.
 //
-// -verifiers (with -selfserve) pins the in-process daemon's per-core
-// verifier count — 1 gives the single-core control run the scale gate
-// compares against; 0 (the default) uses GOMAXPROCS.
+// The in-process daemon serves each session on its own goroutine, so
+// GOMAXPROCS bounds its parallelism: GOMAXPROCS=1 gives the
+// single-core control run the scale gate compares against.
 //
 // -events-file replays a canonical-text event file (ipdsrun
 // -eventfile) instead of a capture. The load loops the trace, so a
@@ -108,7 +107,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		batch     = fs.Int("batch", 512, "events per wire frame")
 		tamper    = fs.Int("tamper", 0, "flip every stride-th branch (0 = benign replay)")
 		repeat    = fs.Int("repeat", 1, "run the load n times and report the best run (suppresses host noise)")
-		verifiers = fs.Int("verifiers", 0, "with -selfserve: per-core verifier loops (0 = GOMAXPROCS; 1 = single-core control)")
 		evFile    = fs.String("events-file", "", "replay this canonical-text event file (from ipdsrun -eventfile) instead of capturing")
 		traceN    = fs.Int("trace-sample", 0, "stamp every Nth batch with a wire trace id + origin timestamp (0 = off)")
 		incidents = fs.Bool("incidents", false, "report the daemon's ranked incident fold of the alarm flood after the run")
@@ -178,7 +176,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reg = obs.NewRegistry()
 		store := server.NewImageStore(nil)
 		store.Add(name, art.Image)
-		srv = server.New(store, server.Config{Reg: reg, Verifiers: *verifiers})
+		srv = server.New(store, server.Config{Reg: reg})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return fail(err)
@@ -276,10 +274,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			time.Duration(verify.Quantile(0.50)), time.Duration(verify.Quantile(0.99)),
 			time.Duration(verify.Quantile(0.999)), verify.Count)
 
-		// Per-core breakdown: counters are cumulative over all repeats;
-		// each core's events/sec is its event share of the reported
-		// aggregate rate (the cores ran concurrently, so shares — not
-		// per-core wall clocks — are the meaningful split).
+		// CoreStats breakdown: counters are cumulative over all repeats;
+		// each row's events/sec is its event share of the reported
+		// aggregate rate (its sessions ran concurrently with the others,
+		// so shares — not per-row wall clocks — are the meaningful split).
 		stats := srv.CoreStats()
 		var total, totalNs uint64
 		for _, cs := range stats {
@@ -294,9 +292,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if cs.Events > 0 {
 				coreNs = float64(cs.VerifyNs) / float64(cs.Events)
 			}
-			fmt.Fprintf(stdout, "-- core %d: %d sessions, %d events (%.0f events/sec share, %.1f kernel ns/event), %d alarms, ring hw=%d, parks=%d (%.1f ms parked), writer parked %.1f ms, stalls=%d\n",
-				cs.Core, cs.SessionsTotal, cs.Events, share*res.EventsSec, coreNs, cs.Alarms,
-				cs.RingHighWater, cs.Parks, float64(cs.ParkedNs)/1e6, float64(cs.WriterParkedNs)/1e6, cs.Stalls)
+			fmt.Fprintf(stdout, "-- row %d: %d sessions, %d events (%.0f events/sec share, %.1f kernel ns/event), %d alarms\n",
+				cs.Core, cs.SessionsTotal, cs.Events, share*res.EventsSec, coreNs, cs.Alarms)
 		}
 		if total > 0 && totalNs > 0 {
 			fmt.Fprintf(stdout, "-- kernel: %.1f ns/event verify cost (daemon side, all cores)\n",

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,17 +14,18 @@ import (
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/ring"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
-// TestContextDedupMatchesEveryCapture holds the verifier's incident
+// TestContextDedupMatchesEveryCapture holds the sessions' incident
 // feed — per-pass records folding the pass's alarms by signal and
 // bucket, and forensic captures offered only until the session's first
 // one for their signal is accepted — to the plain feed it replaces:
 // every alarm offered on its own, then every fresh capture of its
-// batch. Three tampered sessions share one verifier, passes of random
-// length interleave them, and a reference analyzer fed the plain way
+// batch. Passes of random length from three tampered sessions
+// interleave, and a reference analyzer fed the plain way
 // from in-process replays must end up with the same stats and the same
 // ranked incidents, fold counts and retained contexts included.
 func TestContextDedupMatchesEveryCapture(t *testing.T) {
@@ -33,20 +35,12 @@ func TestContextDedupMatchesEveryCapture(t *testing.T) {
 		t.Fatalf("compile: %v", err)
 	}
 	base := ipdsclient.Capture(art, w.PerfSession)
-	store := NewImageStore(nil)
-	store.Add("telnetd", art.Image)
-	srv := New(store, Config{Verifiers: 1, IncidentQueue: 1 << 20, Reg: obs.NewRegistry()})
+	srv := New(NewImageStore(nil), Config{IncidentQueue: 1 << 20, Reg: obs.NewRegistry()})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		srv.Shutdown(ctx)
 	}()
-	// The test goroutine plays a verifier of its own, as in
-	// BenchmarkVerifyBatchIncident.
-	v := newVerifier(srv, len(srv.verifiers))
-	srv.writerWG.Add(1)
-	go v.wr.loop()
-	defer v.send(writeOp{stop: true})
 
 	type stream struct {
 		ss     *session
@@ -58,13 +52,7 @@ func TestContextDedupMatchesEveryCapture(t *testing.T) {
 	for i, stride := range []int{5, 97, 13} {
 		trace := ipdsclient.Tamper(base, stride)
 		st := &stream{
-			ss: &session{
-				id: uint64(i + 1), srv: srv, conn: discardConn{}, v: v,
-				m:         ipds.New(art.Image, srv.cfg.IPDS),
-				program:   "telnetd",
-				forensics: true,
-				started:   time.Now(),
-			},
+			ss:  testSession(srv, uint64(i+1), discardConn{}, art.Image),
 			ref: ipds.New(art.Image, srv.cfg.IPDS),
 		}
 		for off := 0; off < len(trace); off += 256 {
@@ -75,7 +63,6 @@ func TestContextDedupMatchesEveryCapture(t *testing.T) {
 
 	ref := incident.NewAnalyzer(incident.Config{})
 	rng := rand.New(rand.NewSource(1))
-	var tasks [verifyPop]task
 	for live := len(streams); live > 0; {
 		live = 0
 		for _, st := range streams {
@@ -83,11 +70,9 @@ func TestContextDedupMatchesEveryCapture(t *testing.T) {
 				continue
 			}
 			live++
-			k := min(1+rng.Intn(verifyPop), len(st.chunks))
-			for j, evs := range st.chunks[:k] {
-				bt := srv.batchPool.Get().(*wire.Batch)
-				bt.Events = evs
-				tasks[j] = task{b: bt}
+			k := min(1+rng.Intn(32), len(st.chunks))
+			for _, evs := range st.chunks[:k] {
+				st.ss.verify(&wire.Batch{Events: evs})
 
 				// The plain feed: every alarm, then every fresh capture.
 				for _, a := range st.ref.OnBatch(evs) {
@@ -100,7 +85,7 @@ func TestContextDedupMatchesEveryCapture(t *testing.T) {
 					ref.ObserveContext(st.ref.ContextAt(i))
 				}
 			}
-			v.pass(st.ss, tasks[:k])
+			st.ss.flush()
 			st.chunks = st.chunks[k:]
 		}
 	}
@@ -145,7 +130,7 @@ func TestContextDedupMatchesEveryCapture(t *testing.T) {
 // next capture, its alarm accepted, is marked, and the one after it is
 // skipped.
 func TestContextMarkNeedsItsAlarm(t *testing.T) {
-	srv := New(NewImageStore(nil), Config{Verifiers: 1, IncidentQueue: 64, Reg: obs.NewRegistry()})
+	srv := New(NewImageStore(nil), Config{IncidentQueue: 64, Reg: obs.NewRegistry()})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -153,8 +138,8 @@ func TestContextMarkNeedsItsAlarm(t *testing.T) {
 	}()
 	st := srv.incidents
 	release := st.stall()
-	v := newVerifier(srv, len(srv.verifiers))
-	ss := &session{id: 1, srv: srv, v: v}
+	ss := srv.newSession(nil, nil, nil, "test")
+	ss.id = 1
 	capture := func(seq uint64) (*ipds.Alarm, *ipds.AlarmContext) {
 		a := ipds.Alarm{Seq: seq, PC: 0x99, Func: "act"}
 		return &a, &ipds.AlarmContext{Alarm: a, Recorded: seq}
@@ -166,10 +151,10 @@ func TestContextMarkNeedsItsAlarm(t *testing.T) {
 	st.bound = 0
 	a, c := capture(10)
 	drops := ss.incDrops
-	v.collect(ss, a)
-	v.offerRecords(ss)
+	ss.collect(a)
+	ss.offerRecords()
 	st.bound = 64
-	v.offerCtx(ss, c, drops)
+	ss.offerCtx(c, drops)
 	if st.dropped.Value() != 1 || st.n != 1 {
 		t.Fatalf("dropped %d, queued %d items; want the alarm dropped and its capture queued", st.dropped.Value(), st.n)
 	}
@@ -179,18 +164,18 @@ func TestContextMarkNeedsItsAlarm(t *testing.T) {
 
 	a, c = capture(20)
 	drops = ss.incDrops
-	v.collect(ss, a)
-	v.offerCtx(ss, c, drops)
+	ss.collect(a)
+	ss.offerCtx(c, drops)
 	if len(ss.ctxMarks) != 1 || st.n != 3 {
 		t.Fatalf("%d marks, %d queued items; want the capture marked behind its alarm", len(ss.ctxMarks), st.n)
 	}
 	a, c = capture(30)
-	v.collect(ss, a)
-	v.offerCtx(ss, c, drops)
+	ss.collect(a)
+	ss.offerCtx(c, drops)
 	if st.n != 3 {
 		t.Fatalf("%d queued items; a marked signal's capture must be skipped, record flush included", st.n)
 	}
-	v.offerRecords(ss)
+	ss.offerRecords()
 	release()
 
 	incs := srv.Incidents()
@@ -208,7 +193,7 @@ func TestContextMarkNeedsItsAlarm(t *testing.T) {
 // a run that wraps past the ring's end reaches the analyzer whole and
 // in order.
 func TestIncidentQueueFillsToBound(t *testing.T) {
-	srv := New(NewImageStore(nil), Config{Verifiers: 1, IncidentQueue: 64, Reg: obs.NewRegistry()})
+	srv := New(NewImageStore(nil), Config{IncidentQueue: 64, Reg: obs.NewRegistry()})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -220,17 +205,17 @@ func TestIncidentQueueFillsToBound(t *testing.T) {
 	if st.buf != nil {
 		t.Fatalf("queue holds %d slots before the first alarm", len(st.buf))
 	}
-	v := newVerifier(srv, len(srv.verifiers))
-	ss := &session{id: 1, srv: srv, v: v}
+	ss := srv.newSession(nil, nil, nil, "test")
+	ss.id = 1
 	seq := uint64(0)
 	// pass raises n alarms over the given number of signals, step
-	// Seqs apart, as one verifier pass.
+	// Seqs apart, as one session pass.
 	pass := func(n, signals int, step uint64) {
 		for i := range n {
 			seq += step
-			v.collect(ss, &ipds.Alarm{Seq: seq, PC: 0x99 + uint64(i%signals), Func: "act"})
+			ss.collect(&ipds.Alarm{Seq: seq, PC: 0x99 + uint64(i%signals), Func: "act"})
 		}
-		v.offerRecords(ss)
+		ss.offerRecords()
 	}
 	pass(1, 1, 1)
 	if len(st.buf) != incQueueMin {
@@ -252,7 +237,8 @@ func TestIncidentQueueFillsToBound(t *testing.T) {
 
 	// The ring's head is back at slot 0: 50 records, one alarm each,
 	// move it to slot 50, and the next 30 wrap.
-	ss = &session{id: 2, srv: srv, v: v}
+	ss = srv.newSession(nil, nil, nil, "test")
+	ss.id = 2
 	seq = 0
 	pass(50, 1, 512)
 	st.sync()
@@ -273,5 +259,77 @@ func TestIncidentQueueFillsToBound(t *testing.T) {
 		if in.PC == 0x99 && (in.Sessions != 2 || in.LastSeq != 80*512) {
 			t.Fatalf("incident %+v, want both sessions, the second through seq %d", in, 80*512)
 		}
+	}
+}
+
+// TestBackloggedOfferHelps: a session that offers into a FIFO more
+// than a quarter full feeds the analyzer itself, so a flood that the
+// consumer cannot keep up with loses nothing. The stage here has no
+// consumer at all: 200 one-record passes into a 64-record queue must
+// all reach the analyzer, none dropped, and the queue never holds more
+// than a quarter of its bound after an offer returns.
+func TestBackloggedOfferHelps(t *testing.T) {
+	t.Run("no consumer", testBacklogNoConsumer)
+	t.Run("concurrent", testBacklogConcurrent)
+}
+
+func testBacklogNoConsumer(t *testing.T) {
+	an := incident.NewAnalyzer(incident.Config{})
+	st := &incidentStage{an: an, pk: ring.NewParker(), bound: 64,
+		dropped: obs.NewRegistry().Counter("incident_queue_dropped_total")}
+	st.drained.L = &st.mu
+	srv := &Server{incidents: st}
+	ss := srv.newSession(nil, nil, nil, "test")
+	ss.id = 1
+	for i := range 200 {
+		ss.collect(&ipds.Alarm{Seq: uint64(i+1) * 512, PC: 0x99, Func: "act"})
+		ss.offerRecords()
+		if st.n > st.bound/4 {
+			t.Fatalf("pass %d: %d items queued after the offer, want at most %d", i, st.n, st.bound/4)
+		}
+	}
+	if d := st.dropped.Value(); d != 0 {
+		t.Fatalf("%d alarms dropped", d)
+	}
+	st.feed.Lock()
+	st.feedRun()
+	st.feed.Unlock()
+	if s := an.Stats(); s.Alarms != 200 {
+		t.Fatalf("analyzer saw %d alarms, want 200", s.Alarms)
+	}
+}
+
+// testBacklogConcurrent: eight sessions flood a 64-record queue at once
+// beside the live consumer, helping and feeding concurrently. A queue
+// held to a quarter of its bound plus one record per producer never
+// fills, so nothing is dropped, and every alarm reaches the analyzer.
+func testBacklogConcurrent(t *testing.T) {
+	const producers, passes = 8, 500
+	srv := New(NewImageStore(nil), Config{IncidentQueue: 64, Reg: obs.NewRegistry()})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+	var wg sync.WaitGroup
+	for p := range producers {
+		ss := srv.newSession(nil, nil, nil, "test")
+		ss.id = uint64(p + 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range passes {
+				ss.collect(&ipds.Alarm{Seq: uint64(i+1) * 512, PC: 0x99, Func: "act"})
+				ss.offerRecords()
+			}
+		}()
+	}
+	wg.Wait()
+	srv.Incidents()
+	if d := srv.incidents.dropped.Value(); d != 0 {
+		t.Fatalf("%d alarms dropped", d)
+	}
+	if s := srv.incidents.an.Stats(); s.Alarms != producers*passes {
+		t.Fatalf("analyzer saw %d alarms, want %d", s.Alarms, producers*passes)
 	}
 }

@@ -4,14 +4,16 @@ import (
 	"encoding/json"
 	"net/http"
 	"sort"
+	"sync/atomic"
 	"time"
 )
 
 // Live-session introspection: the JSON document behind the daemon's
-// /debug/sessions endpoint and the ipdstop CLI. Everything here reads
-// session telemetry the verifiers maintain as atomics (plus one short
-// mutex hold for the forensic snapshot), so the endpoint never touches
-// an ipds.Machine — those stay owned by their pinned per-core verifier.
+// /debug/sessions endpoint and the ipdstop CLI, and the per-row
+// CoreStats breakdown. Everything here reads telemetry the sessions
+// publish as atomics (plus one short mutex hold for the forensic
+// snapshot), so the endpoint never touches an ipds.Machine — each
+// stays owned by its session's goroutine.
 
 // DebugAlarm summarises a session's most recent alarm and its captured
 // forensic context.
@@ -29,7 +31,7 @@ type DebugAlarm struct {
 type DebugSession struct {
 	ID        uint64      `json:"id"`
 	Program   string      `json:"program"`
-	Core      int         `json:"core"` // verifier core the session is pinned to
+	Core      int         `json:"core"` // CoreStats row the session's counters sum into
 	AgeMs     int64       `json:"age_ms"`
 	UptimeS   float64     `json:"uptime_s"`
 	IdleMs    int64       `json:"idle_ms"`
@@ -75,10 +77,10 @@ func (s *Server) Debug() DebugInfo {
 		Sessions:  make([]DebugSession, 0, len(live)),
 	}
 	var verifyNs uint64
-	for _, v := range s.verifiers {
-		info.Events += v.events.Load()
-		info.Alarms += v.alarms.Load()
-		verifyNs += v.verifyNs.Load()
+	for _, r := range s.rows {
+		info.Events += r.events.Load()
+		info.Alarms += r.alarms.Load()
+		verifyNs += r.verifyNs.Load()
 	}
 	if info.Events > 0 {
 		info.KernelNs = float64(verifyNs) / float64(info.Events)
@@ -140,4 +142,61 @@ func (s *Server) DebugHandler() http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(s.Debug())
 	})
+}
+
+// coreRow is one CoreStats row: the lifetime counters of every session
+// whose id falls on it, published once per pass, and the row's
+// committed span ring (nil when tracing is disabled).
+type coreRow struct {
+	sessions, events, batches, alarms, verifyNs atomic.Uint64
+	spans                                       *spanRing
+}
+
+// CoreStats is one row of the serve work's breakdown, behind
+// BENCH_pr6.json and `ipdsload -selfserve`. A server has one row per P
+// (GOMAXPROCS at New), and each session's counters are summed into row
+// id mod rows; the session goroutines themselves run wherever Go's
+// scheduler puts them. Events/Batches/Alarms are lifetime totals of the
+// row's sessions and VerifyNs their cumulative wall time in the verify
+// kernel. Parks, Wakes, WriterParks, ParkedNs, WriterParkedNs, Stalls
+// and RingHighWater read 0: no serve-path goroutine parks on a ring.
+type CoreStats struct {
+	Core           int    `json:"core"`
+	Sessions       int    `json:"sessions"`       // live now
+	SessionsTotal  uint64 `json:"sessions_total"` // ever summed here
+	Events         uint64 `json:"events"`
+	Batches        uint64 `json:"batches"`
+	Alarms         uint64 `json:"alarms"`
+	VerifyNs       uint64 `json:"verify_ns"` // cumulative wall time in verify
+	Parks          uint64 `json:"parks"`
+	Wakes          uint64 `json:"wakes"`
+	WriterParks    uint64 `json:"writer_parks"`
+	ParkedNs       uint64 `json:"parked_ns"`
+	WriterParkedNs uint64 `json:"writer_parked_ns"`
+	Stalls         uint64 `json:"stalls"`
+	RingHighWater  int    `json:"ring_high_water"`
+}
+
+// CoreStats snapshots every row. Safe from any goroutine; the numbers
+// are racy snapshots of live counters.
+func (s *Server) CoreStats() []CoreStats {
+	live := make([]int, len(s.rows))
+	s.mu.Lock()
+	for _, ss := range s.sessions {
+		live[ss.core]++
+	}
+	s.mu.Unlock()
+	out := make([]CoreStats, len(s.rows))
+	for i, r := range s.rows {
+		out[i] = CoreStats{
+			Core:          i,
+			Sessions:      live[i],
+			SessionsTotal: r.sessions.Load(),
+			Events:        r.events.Load(),
+			Batches:       r.batches.Load(),
+			Alarms:        r.alarms.Load(),
+			VerifyNs:      r.verifyNs.Load(),
+		}
+	}
+	return out
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Forensic frame emission. When a session's machine runs with the
-// flight recorder enabled, every Alarm frame the verifier streams out
+// flight recorder enabled, every Alarm frame the session streams out
 // is followed by an AlarmCtx frame carrying the machine's captured
 // forensic context (recent-event window, activation stack, BSV).
 //
@@ -17,7 +17,7 @@ import (
 // three differently-typed slices — converting per alarm would put three
 // allocations back on the serve path the rest of the server works hard
 // to keep allocation-free. appendAlarmCtx therefore encodes the frame
-// directly from the machine's representation into the pooled outbound
+// directly from the machine's representation into the session's write
 // buffer. TestAppendAlarmCtxMatchesWire pins it byte-identical to the
 // wire package's canonical encoder, so clients cannot tell which side
 // produced the bytes.

@@ -12,14 +12,15 @@ import (
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/tables"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
-// discardConn is a no-op net.Conn: writes succeed and vanish. The
-// bench routes the session's output through the real core writer but
-// must not touch sockets (net.Pipe deadlines allocate timers, which
-// would poison the allocs/op measurement).
+// discardConn is a no-op net.Conn: writes succeed and vanish, reads
+// end the stream. Tests that drive a session's methods directly give it
+// one, so replies cost no socket (net.Pipe deadlines allocate timers,
+// which would poison an allocs/op measurement).
 type discardConn struct{}
 
 func (discardConn) Read(p []byte) (int, error)         { return 0, io.EOF }
@@ -30,6 +31,56 @@ func (discardConn) RemoteAddr() net.Addr               { return nil }
 func (discardConn) SetDeadline(t time.Time) error      { return nil }
 func (discardConn) SetReadDeadline(t time.Time) error  { return nil }
 func (discardConn) SetWriteDeadline(t time.Time) error { return nil }
+
+// feedConn is a discardConn whose reads replay a cycle of encoded
+// Batch frames: feed queues the next n frames of the cycle, and a read
+// past them ends the stream (io.EOF), so a session's serve loop returns
+// with every queued frame verified and its replies written.
+type feedConn struct {
+	discardConn
+	block []byte // one cycle of encoded frames
+	sizes []int  // each frame's length in block, prefix included
+	off   int    // next byte of block to deliver
+	left  int    // bytes queued and not yet delivered
+	next  int    // the frame feed queues next
+}
+
+func newFeedConn(chunks [][]wire.Event) *feedConn {
+	c := &feedConn{}
+	for _, evs := range chunks {
+		n := len(c.block)
+		c.block = wire.AppendBatches(c.block, evs, len(evs))
+		c.sizes = append(c.sizes, len(c.block)-n)
+	}
+	return c
+}
+
+func (c *feedConn) feed(n int) {
+	for range n {
+		c.left += c.sizes[c.next]
+		c.next = (c.next + 1) % len(c.sizes)
+	}
+}
+
+func (c *feedConn) Read(p []byte) (int, error) {
+	if c.left == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), c.left)], c.block[c.off:])
+	c.off = (c.off + n) % len(c.block)
+	c.left -= n
+	return n, nil
+}
+
+// testSession makes an unregistered session of srv on conn, verifying
+// against img, with the given id; tests drive its methods directly.
+func testSession(srv *Server, id uint64, conn net.Conn, img *tables.Image) *session {
+	ss := srv.newSession(conn, wire.NewReader(conn), ipds.New(img, srv.cfg.IPDS), "test")
+	ss.id = id
+	ss.core = int(id % uint64(len(srv.rows)))
+	ss.row = srv.rows[ss.core]
+	return ss
+}
 
 // stall holds the analyzer off the queue until the returned release
 // is called: it closes the stage, which drains what is queued and stops
@@ -46,18 +97,18 @@ func (st *incidentStage) stall() (release func()) {
 	}
 }
 
-// BenchmarkVerifyBatchIncident measures the verifier's per-batch cost
+// BenchmarkVerifyBatchIncident measures a session's per-batch cost
 // with the incident stage enabled — the serve path's side of the
-// analytics contract. It drives the verifier's pass directly (no
-// sockets, no client), verifyPop batches at a time as a busy session's
-// ring hands them over, and the analyzer is stalled for the timed section (the
+// analytics contract. It runs the session's serve loop over a feedConn
+// (decode, verify, reply encoding and the write, no sockets, no
+// client), and the analyzer is stalled for the timed section (the
 // roomy queue absorbs every offer), so the allocs/op it reports — which
-// b.ReportAllocs counts process-wide — is the verifier's and its core
-// writer's alone: `make alloc-gate` requires it to stay 0 even while
-// every alarm is folded into the verifier's records and offered to the
-// incident queue, every forensic capture the session has not already
-// had accepted for its signal is deep-copied across it, and every 64th
-// batch's span record feeds the (live) wait histograms.
+// b.ReportAllocs counts process-wide — is the serve loop's alone: `make
+// alloc-gate` requires it to stay 0 even while every alarm is folded
+// into the session's records and offered to the incident queue, every
+// forensic capture the session has not already had accepted for its
+// signal is deep-copied across it, and every 64th batch's span record
+// feeds the (live) wait histogram.
 func BenchmarkVerifyBatchIncident(b *testing.B) {
 	w := workload.ByName("telnetd")
 	if w == nil {
@@ -72,76 +123,38 @@ func BenchmarkVerifyBatchIncident(b *testing.B) {
 		b.Fatal("empty trace")
 	}
 
-	store := NewImageStore(nil)
-	store.Add("bench", art.Image)
 	// A roomy queue: benchmark iterations outrun the analyzer goroutine,
 	// and overflow drops — while allocation-free — would leave the
 	// offer path itself unmeasured.
-	srv := New(store, Config{IncidentQueue: 1 << 16, Reg: obs.NewRegistry()})
+	srv := New(NewImageStore(nil), Config{IncidentQueue: 1 << 16, Reg: obs.NewRegistry()})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		srv.Shutdown(ctx)
 	}()
 
-	// The bench goroutine plays a verifier of its own, outside the
-	// server's pool: it is the sole producer into its writer's ring and
-	// the sole sleeper on its Parker (send parks there while the ring is
-	// full), as a verifier loop would be. Its core writer runs for real
-	// — coalescing into wbuf, "writing" to the discard conn, releasing
-	// pooled frames — so the measurement covers the whole verifier-side
-	// serve path. The stop op ends that writer before Shutdown waits on
-	// it.
-	v := newVerifier(srv, len(srv.verifiers))
-	srv.writerWG.Add(1)
-	go v.wr.loop()
-	defer v.send(writeOp{stop: true})
-	ss := &session{
-		srv:       srv,
-		conn:      discardConn{},
-		m:         ipds.New(art.Image, srv.cfg.IPDS),
-		v:         v,
-		program:   "bench",
-		forensics: srv.cfg.IPDS.Recorder > 0,
-		started:   time.Now(),
-	}
-	if !ss.forensics {
-		b.Fatal("daemon default config has forensics off; benchmark would under-measure")
-	}
-
 	const batchLen = 512
 	var chunks [][]wire.Event
 	for off := 0; off < len(trace); off += batchLen {
-		end := min(off+batchLen, len(trace))
-		chunks = append(chunks, trace[off:end])
+		chunks = append(chunks, trace[off:min(off+batchLen, len(trace))])
 	}
-	events := 0
-	var tasks [verifyPop]task
+	conn := newFeedConn(chunks)
+	ss := testSession(srv, 1, conn, art.Image)
+	if !ss.forensics {
+		b.Fatal("daemon default config has forensics off; benchmark would under-measure")
+	}
 	feed := func(n int) {
-		for i := 0; i < n; {
-			k := min(n-i, verifyPop)
-			for j := range k {
-				bt := srv.batchPool.Get().(*wire.Batch)
-				bt.Events = chunks[(i+j)%len(chunks)]
-				events += len(bt.Events)
-				// Sampled as the reader samples — every spanSampleEvery-th
-				// batch leases a span record — so the writer's span commit
-				// and wait-histogram path is measured too.
-				tasks[j] = task{b: bt, sp: ss.sample(bt)}
-			}
-			v.pass(ss, tasks[:k])
-			i += k
-		}
+		conn.feed(n)
+		ss.serve()
 	}
-	// Warm everything the steady state reuses: pools, encode buffers,
-	// the machine's rings, the analyzer's signal and series maps. Then
-	// rehearse the timed section — the same batches, analyzer stalled —
-	// so the forensic-context free list holds one for every capture
-	// the timed section queues, the queue has grown to hold all of its
-	// records, and the frame-buffer pool already holds as many buffers
-	// as that run keeps in flight. Each sync barrier lets the analyzer
-	// drain its backlog, emptying the queue and putting every context
-	// back on its free list.
+	// Warm everything the steady state reuses: the session's batch and
+	// write buffer, the machine's rings, the analyzer's signal and series
+	// maps. Then rehearse the timed section — the same batches, analyzer
+	// stalled — so the forensic-context free list holds one for every
+	// capture the timed section queues and the queue has grown to hold
+	// all of its records. Each sync barrier lets the analyzer drain its
+	// backlog, emptying the queue and putting every context back on its
+	// free list.
 	feed(max(512, 64*len(chunks)))
 	srv.incidents.sync()
 	release := srv.incidents.stall()
@@ -149,7 +162,7 @@ func BenchmarkVerifyBatchIncident(b *testing.B) {
 	release()
 	srv.incidents.sync()
 	release = srv.incidents.stall()
-	events = 0
+	acked := ss.acked
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -157,9 +170,9 @@ func BenchmarkVerifyBatchIncident(b *testing.B) {
 	b.StopTimer()
 	release()
 	if srv.met.writeWaitNs.Count() == 0 {
-		b.Fatal("no sampled span reached the wait histograms")
+		b.Fatal("no sampled span reached the wait histogram")
 	}
 	if s := b.Elapsed().Seconds(); s > 0 {
-		b.ReportMetric(float64(events)/s, "events/s")
+		b.ReportMetric(float64(ss.acked-acked)/s, "events/s")
 	}
 }

@@ -15,37 +15,37 @@ import (
 )
 
 // The incident stage: a bounded FIFO and one consumer goroutine
-// between the verifier pool and an incident.Analyzer. A verifier never
+// between the sessions and an incident.Analyzer. A session never
 // hands the stage one alarm at a time: it folds a pass's alarms into
 // one incident.Record per (signal, bucket) and offers the pass's
 // records as one run — one lock, one copy into the FIFO — so an alarm
 // flood costs the serve path one queue operation per pass and the
 // analyzer one update per record, not per alarm. The serve loop keeps
-// its zero-allocation, never-blocks-on-analytics contract (the FIFO
-// grows to its high-water mark and stays there, context copies are
-// recycled through a free list); when the analytics fall behind the
-// queue, records are dropped from analysis — their alarms counted,
-// never silently — while verification and alarm delivery continue
-// untouched.
+// its zero-allocation contract (the FIFO grows to its high-water mark
+// and stays there, context copies are recycled through a free list),
+// and while the FIFO is at most a quarter full an offer never waits on
+// analysis. Past a quarter, the offering session feeds the analyzer
+// itself until the backlog is gone (help): with a session goroutine per
+// client, a flood can outrun the one consumer's share of the CPU. Only
+// what meets a full FIFO is dropped from analysis — its alarms counted,
+// never silently — while verification and alarm delivery continue.
 
 // DefaultIncidentQueue bounds the analytics feed queue between the
-// verifier pool and the analyzer, in records and forensic contexts.
+// sessions and the analyzer, in records and forensic contexts.
 const DefaultIncidentQueue = 8192
 
-// foldCap is the record capacity of a verifier's folder. A verifier
+// foldCap is the record capacity of a session's folder. A session
 // offers its records when the folder fills, before any forensic
 // context (the analyzer discards a context whose signal it has not yet
-// seen), and at the end of every pass. 256 records hold every pass of
-// the measured floods whole, even one record an alarm: at most 158
-// alarms a pass on perfbench's tamper workload and 224 (32 batches of
-// ~7) on the 64-session tampered telnetd load (docs/PERFORMANCE.md,
-// "Slab size, measured").
+// seen), and at the end of every pass, so a pass that folds more
+// records than this offers them 256 at a time (docs/PERFORMANCE.md,
+// "Slab size, measured", has the pass sizes of the measured floods).
 const foldCap = 256
 
 // incQueueMin is the FIFO's first allocation, made by the first offer.
 const incQueueMin = 16
 
-// incPop bounds the items the consumer takes from the FIFO per lock.
+// incPop bounds the items one feed takes from the FIFO per lock.
 const incPop = 64
 
 // incItem is one FIFO entry: a record of alarms (rec.Count > 0), a
@@ -59,6 +59,14 @@ type incItem struct {
 type incidentStage struct {
 	an *incident.Analyzer
 	pk *ring.Parker // the consumer's wait; offers wake it
+
+	// feed serialises taking items off the FIFO with handing them to the
+	// analyzer, so the analyzer meets them in FIFO order whoever feeds
+	// them: the consumer, or a producer helping with a backlog (help).
+	// items and recs are the feed's scratch.
+	feed  sync.Mutex
+	items [incPop]incItem
+	recs  [incPop]incident.Record
 
 	// mu guards the FIFO, the counts, the context free list and closed.
 	// The FIFO is a ring over buf holding n items from head. buf is nil
@@ -82,7 +90,7 @@ type incidentStage struct {
 	// free recycles the deep copies that carry forensic captures across
 	// the queue (the machine-owned originals are only valid until the
 	// machine's next batch). It is a free list rather than a sync.Pool
-	// because a GC empties a Pool, after which every verifier would
+	// because a GC empties a Pool, after which every session would
 	// allocate afresh; copies in flight never outnumber the queue's
 	// bound, so it keeps every copy ever made.
 	free []*ipds.AlarmContext
@@ -158,71 +166,101 @@ func (st *incidentStage) pop(dst []incItem) int {
 	return k
 }
 
-// run is the single consumer: it preserves FIFO order, which is what
-// makes sync mean "everything offered before me has been analyzed". It
-// feeds each stretch of records to the analyzer under one analyzer
-// lock, counts what it is done with as it takes the next items, parks
-// while the queue is empty, and returns once the stage is closed and
-// drained.
+// run is the consumer: it feeds the FIFO to the analyzer a run at a
+// time, parks while the FIFO is empty, and returns once the stage is
+// closed and drained.
 func (st *incidentStage) run() {
 	defer st.wg.Done()
-	var (
-		items [incPop]incItem
-		recs  [incPop]incident.Record
-		n     int
-	)
 	for {
-		st.mu.Lock()
+		st.feed.Lock()
+		n := st.feedRun()
+		st.feed.Unlock()
 		if n > 0 {
-			st.consumed += uint64(n)
-			st.drained.Broadcast()
-		}
-		n = st.pop(items[:])
-		closed := st.closed
-		st.mu.Unlock()
-		if n == 0 {
-			if closed {
-				return
-			}
-			st.pk.Prepare()
-			st.mu.Lock()
-			ready := st.n > 0 || st.closed
-			st.mu.Unlock()
-			if ready {
-				st.pk.Cancel()
-			} else {
-				st.pk.Park()
-			}
 			continue
 		}
-		k := 0
-		for i := range items[:n] {
-			it := &items[i]
-			if it.rec.Count > 0 {
-				recs[k] = it.rec
-				k++
-				continue
-			}
-			st.an.ObserveRecords(recs[:k])
-			k = 0
-			if it.ctx != nil {
-				st.an.ObserveContext(it.ctx)
-				st.mu.Lock()
-				st.free = append(st.free, it.ctx)
-				st.mu.Unlock()
-			} else {
-				st.an.EndSession(it.rec.Session)
-			}
+		st.pk.Prepare()
+		st.mu.Lock()
+		queued, closed := st.n, st.closed
+		st.mu.Unlock()
+		switch {
+		case queued > 0:
+			st.pk.Cancel()
+		case closed:
+			st.pk.Cancel()
+			return
+		default:
+			st.pk.Park()
 		}
-		st.an.ObserveRecords(recs[:k])
-		clear(items[:n])
+	}
+}
+
+// feedRun takes up to incPop items off the FIFO, oldest first, hands
+// them to the analyzer — each stretch of records under one analyzer
+// lock — and returns how many it fed. It counts them consumed once the
+// analyzer is done with them: FIFO order is what makes sync mean
+// "everything offered before me has been analyzed". st.feed is held.
+func (st *incidentStage) feedRun() int {
+	st.mu.Lock()
+	n := st.pop(st.items[:])
+	st.mu.Unlock()
+	if n == 0 {
+		return 0
+	}
+	k := 0
+	for i := range st.items[:n] {
+		it := &st.items[i]
+		if it.rec.Count > 0 {
+			st.recs[k] = it.rec
+			k++
+			continue
+		}
+		st.an.ObserveRecords(st.recs[:k])
+		k = 0
+		if it.ctx != nil {
+			st.an.ObserveContext(it.ctx)
+			st.mu.Lock()
+			st.free = append(st.free, it.ctx)
+			st.mu.Unlock()
+		} else {
+			st.an.EndSession(it.rec.Session)
+		}
+	}
+	st.an.ObserveRecords(st.recs[:k])
+	clear(st.items[:n])
+	st.mu.Lock()
+	st.consumed += uint64(n)
+	st.drained.Broadcast()
+	st.mu.Unlock()
+	return n
+}
+
+// backlogged reports whether the FIFO holds more than a quarter of its
+// bound; st.mu is held.
+func (st *incidentStage) backlogged() bool { return st.n > st.bound/4 }
+
+// help feeds the FIFO from a producer's goroutine until it is no longer
+// backlogged, taking its turn at the feed. With many sessions busy, the
+// consumer is one goroutine among many, and its turns on a P come too
+// seldom to keep up with a flood: a session that meets a backlog pays
+// for analysis on its own path instead of having its records dropped.
+// A closed stage is left to its consumer.
+func (st *incidentStage) help() {
+	st.feed.Lock()
+	defer st.feed.Unlock()
+	for {
+		st.mu.Lock()
+		more := st.backlogged() && !st.closed
+		st.mu.Unlock()
+		if !more || st.feedRun() == 0 {
+			return
+		}
 	}
 }
 
 // offer queues a run of records, non-blocking, and returns how many it
 // accepted: the run's head, as much of it as the queue has room for,
 // or none when it is full. The alarms of the rest are dropped from
-// analysis (counted) rather than stalling a verifier. recs stays
+// analysis (counted) rather than stalling a session. recs stays
 // caller-owned.
 func (st *incidentStage) offer(recs []incident.Record) int {
 	st.mu.Lock()
@@ -231,9 +269,13 @@ func (st *incidentStage) offer(recs []incident.Record) int {
 		k++
 	}
 	st.depth.Set(int64(st.n))
+	backlog := st.backlogged()
 	st.mu.Unlock()
 	if k > 0 {
 		st.pk.Wake()
+	}
+	if backlog {
+		st.help()
 	}
 	var lost uint64
 	for _, r := range recs[k:] {
@@ -262,7 +304,11 @@ func (st *incidentStage) offerCtx(c *ipds.AlarmContext) bool {
 		c.CopyInto(cc)
 		st.push(incItem{ctx: cc}, true)
 	}
+	backlog := st.backlogged()
 	st.mu.Unlock()
+	if backlog {
+		st.help()
+	}
 	if !ok {
 		st.dropped.Inc()
 		return false
@@ -292,8 +338,8 @@ func (st *incidentStage) sync() {
 }
 
 // close stops the consumer after draining the queue. Callable once all
-// producers have stopped (the server sequences this after its worker
-// and writer pools exit).
+// producers have stopped (the server sequences this after every
+// session goroutine exits).
 func (st *incidentStage) close() {
 	st.mu.Lock()
 	if st.closed {

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,50 +83,62 @@ func (a *ackSession) roundTrip(tb testing.TB, frame []byte) {
 	}
 }
 
-// parks sums the verifier and writer park counters over every core.
-func parks(srv *server.Server) (verifier, writer uint64) {
-	for _, cs := range srv.CoreStats() {
-		verifier += cs.Parks
-		writer += cs.WriterParks
-	}
-	return verifier, writer
-}
-
-// TestIsolatedBatchesPark holds the serve loops to parking whenever
-// they run out of work: with each batch sent only after the previous
-// one's Ack arrived, the verifier and the writer have nothing queued
-// between batches, so each must park once per gap. The client pauses
-// briefly after each Ack so every gap is a real idle period: without
-// it, the OS may preempt the writer's thread right after its write
-// syscall (waking the client's thread on the same CPU), and the next
-// batch's Ack can be queued before the writer ever sees its ring
-// empty.
-func TestIsolatedBatchesPark(t *testing.T) {
-	const n = 200
+// TestStalledReaderDoesNotDelayOthers: a client that stops reading its
+// replies wedges only its own session. Session A streams tampered
+// frames — an alarm and forensic context flood — and never reads, so
+// the daemon's reply write to it blocks (for up to WriteTimeout) once
+// the socket buffers between them fill, and A's own writes stop. While
+// A is wedged, session B's round trips must complete promptly: no
+// goroutine serving B ever waits on A's socket.
+func TestStalledReaderDoesNotDelayOthers(t *testing.T) {
 	art, frames := isolatedFrames(t)
 	w := startWorldWith(t, art, "telnetd", server.Config{})
+	trace := ipdsclient.Tamper(ipdsclient.Capture(art, workload.ByName("telnetd").Sessions()[0]), 5)
+	flood := wire.AppendBatches(nil, trace, 512)
+
 	a := dialAck(t, w.addr, w.hash)
 	defer a.conn.Close()
-	a.roundTrip(t, frames[0]) // session adopted and warm
-	v0, w0 := parks(w.srv)
-	for i := 0; i < n; i++ {
-		time.Sleep(time.Millisecond)
-		a.roundTrip(t, frames[(i+1)%len(frames)])
+	var lastWrite atomic.Int64
+	lastWrite.Store(time.Now().UnixNano())
+	go func() {
+		for {
+			if _, err := a.conn.Write(flood); err != nil {
+				return // closed at the end of the test
+			}
+			lastWrite.Store(time.Now().UnixNano())
+		}
+	}()
+	// A is wedged once its writes stop completing: the daemon stopped
+	// reading it, blocked writing replies A never reads.
+	deadline := time.Now().Add(20 * time.Second)
+	for time.Since(time.Unix(0, lastWrite.Load())) < 300*time.Millisecond {
+		if time.Now().After(deadline) {
+			t.Fatal("the flooding session's writes never stalled")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	v1, w1 := parks(w.srv)
-	if got := v1 - v0; got < n-1 {
-		t.Errorf("verifier parks grew by %d over %d isolated batches, want >= %d", got, n, n-1)
+
+	b := dialAck(t, w.addr, w.hash)
+	defer b.conn.Close()
+	start := time.Now()
+	const trips = 50
+	for i := 0; i < trips; i++ {
+		b.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		b.roundTrip(t, frames[i%len(frames)])
 	}
-	if got := w1 - w0; got < n-1 {
-		t.Errorf("writer parks grew by %d over %d isolated batches, want >= %d", got, n, n-1)
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("%d round trips took %v beside a wedged session", trips, took)
+	}
+	if time.Since(time.Unix(0, lastWrite.Load())) < 300*time.Millisecond {
+		t.Fatal("the flooding session came unwedged during the round trips; the test proved nothing")
 	}
 }
 
 // BenchmarkServeIsolatedBatch times one session's round trip over
 // loopback TCP: send one 512-event frame, block until its Ack, repeat.
 // Nothing is queued between frames, so every round trip pays the
-// daemon's full wake-up chain (reader → verifier → writer) plus two
-// socket hops, with no timer or pacer in the loop.
+// session goroutine's wake-up plus two socket hops, with no timer or
+// pacer in the loop.
 func BenchmarkServeIsolatedBatch(b *testing.B) {
 	art, frames := isolatedFrames(b)
 	w := startWorldWith(b, art, "telnetd", server.Config{})

@@ -65,6 +65,71 @@ func TestDepthLimitEndsEnterFlood(t *testing.T) {
 	}
 }
 
+// TestMaxBatchFloodHeapBounded: a session holds one decoded batch, its
+// frame and write buffers, and nothing more, however far its client
+// runs ahead. One client streams 256 frames of wire.MaxBatch benign
+// events (16M events, 1 MiB decoded a frame) faster than the daemon
+// verifies them; the surplus waits in the session's socket, not in the
+// daemon's heap, so the live heap sampled while the stream runs stays
+// within a few MiB of its baseline; a queue of decoded batches behind
+// the session would hold 1 MiB for every frame it let the client run
+// ahead.
+func TestMaxBatchFloodHeapBounded(t *testing.T) {
+	w := startWorld(t, server.Config{})
+	trace := ipdsclient.Capture(w.art, nil)
+	if d := depthAfter(trace); d != 0 {
+		t.Fatalf("capture ends at depth %d, want 0", d)
+	}
+	// Whole traces, so the stream stays balanced however often the
+	// block repeats; cut into MaxBatch-event frames, the last ragged.
+	var stream []wire.Event
+	for len(stream) < 8*wire.MaxBatch {
+		stream = append(stream, trace...)
+	}
+	block := wire.AppendBatches(nil, stream, wire.MaxBatch)
+	events, perBlock := uint64(len(stream)), (len(stream)+wire.MaxBatch-1)/wire.MaxBatch
+	stream = nil
+	const frames = 256
+	heap0 := liveHeap()
+
+	c, err := ipdsclient.Dial(ipdsclient.Config{Addr: w.addr, Image: w.hash, Program: "flood", Batch: wire.MaxBatch})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	sent := make(chan error, 1)
+	go func() {
+		var err error
+		for n := 0; n < frames && err == nil; n += perBlock {
+			err = c.SendEncoded(block, events, 0)
+		}
+		if err == nil {
+			err = c.Drain()
+		}
+		sent <- err
+	}()
+	var peak uint64
+	for done := false; !done; {
+		select {
+		case err := <-sent:
+			if err != nil {
+				t.Fatalf("stream: %v", err)
+			}
+			done = true
+		case <-time.After(10 * time.Millisecond):
+			peak = max(peak, liveHeap())
+		}
+	}
+	grown := int64(peak) - int64(heap0)
+	t.Logf("peak live heap %d bytes over a baseline of %d", grown, heap0)
+	if grown > 4<<20 {
+		t.Fatalf("live heap grew %d bytes while the flood streamed", grown)
+	}
+	if c.Acked() != c.Sent() || c.Sent() < frames*wire.MaxBatch*7/8 {
+		t.Fatalf("acked %d of %d events sent", c.Acked(), c.Sent())
+	}
+}
+
 // TestDepthLimitSparesLoopedCapture: the depth bound ends floods, not
 // looped load. telnetd's attack session ends in exit_prog inside main,
 // so its run never returns from main; Capture closes that frame, and

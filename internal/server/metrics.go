@@ -13,7 +13,6 @@ type metrics struct {
 	sessionsTotal  *obs.Counter // server_sessions_total
 	eventsTotal    *obs.Counter // server_events_total
 	batchesTotal   *obs.Counter // server_batches_total
-	backpressure   *obs.Counter // server_backpressure_stalls_total
 	alarmsTotal    *obs.Counter // server_alarms_total
 	errorsTotal    *obs.Counter // server_errors_total
 	evictionsTotal *obs.Counter // server_evictions_total
@@ -21,15 +20,10 @@ type metrics struct {
 	batchLen       *obs.Histogram
 	verifyNs       *obs.Histogram
 
-	// Serve-path telemetry: ring and coalescing shape plus the span
-	// waits. readFrames is the reader-side coalescing twin of
-	// coalesceBytes — frames one socket read delivered per ring publish.
-	// The wait histograms are fed at span commit from every sampled
-	// batch's record (DESIGN.md §9), so their _count counts samples.
-	ringDepth     *obs.Histogram // server_ring_depth (at publish)
-	readFrames    *obs.Histogram // server_read_coalesced_frames (per publish)
-	coalesceBytes *obs.Histogram // server_write_coalesced_bytes (per flush)
-	queueWaitNs   *obs.Histogram // server_queue_wait_ns (ReadNs → DequeueNs)
+	// Serve-path telemetry: reply coalescing and the write wait. The
+	// wait histogram is fed at span commit from every sampled batch's
+	// record (DESIGN.md §9), so its _count counts samples.
+	coalesceBytes *obs.Histogram // server_write_coalesced_bytes (per write)
 	writeWaitNs   *obs.Histogram // server_write_wait_ns (OfferEndNs → AckNs)
 
 	// e2eNs is the traced-batch end-to-end latency (client origin → ack
@@ -55,17 +49,13 @@ func newMetrics(r *obs.Registry) metrics {
 		sessionsTotal:  r.Counter("server_sessions_total"),
 		eventsTotal:    r.Counter("server_events_total"),
 		batchesTotal:   r.Counter("server_batches_total"),
-		backpressure:   r.Counter("server_backpressure_stalls_total"),
 		alarmsTotal:    r.Counter("server_alarms_total"),
 		errorsTotal:    r.Counter("server_errors_total"),
 		evictionsTotal: r.Counter("server_evictions_total"),
 		sessionLimit:   r.Counter("server_session_limit_total"),
 		batchLen:       r.Histogram("server_batch_events"),
 		verifyNs:       r.Histogram("server_verify_ns"),
-		ringDepth:      r.Histogram("server_ring_depth"),
-		readFrames:     r.Histogram("server_read_coalesced_frames"),
 		coalesceBytes:  r.Histogram("server_write_coalesced_bytes"),
-		queueWaitNs:    r.Histogram("server_queue_wait_ns"),
 		writeWaitNs:    r.Histogram("server_write_wait_ns"),
 		e2eNs:          r.Histogram("server_e2e_ns"),
 		ctxTotal:       r.Counter("server_alarm_ctx_total"),

@@ -32,11 +32,12 @@ func TestUpdateRateNoOverflow(t *testing.T) {
 	}
 }
 
-// TestPassTelemetryExact holds the verifier's per-pass publication to
-// exactness: with many frames queued in a session's ring before its
-// verifier runs, every pass verifies up to verifyPop batches and
-// publishes once, and once the ring drains the server-wide, per-core
-// and per-session counters and the Acks all equal what the client sent.
+// TestPassTelemetryExact holds the session's per-pass publication to
+// exactness: with hundreds of frames sent in one write, a pass verifies
+// everything one socket read delivered and publishes once, before the
+// pass's replies are written — so as soon as the client holds the Ack
+// for everything it sent, the server-wide, per-row and per-session
+// counters all equal what it sent.
 func TestPassTelemetryExact(t *testing.T) {
 	w := workload.ByName("telnetd")
 	art, err := pipeline.Compile(w.Source, ir.DefaultOptions)
@@ -49,14 +50,14 @@ func TestPassTelemetryExact(t *testing.T) {
 	first := wire.AppendBatches(nil, trace[:batch], batch)
 	rest := wire.AppendBatches(nil, trace[batch:], batch)
 	frames := 1 + (len(trace)-batch+batch-1)/batch
-	if frames <= 4*verifyPop {
+	if frames <= 128 {
 		t.Fatalf("trace too short: %d frames", frames)
 	}
 
 	reg := obs.NewRegistry()
 	store := NewImageStore(nil)
 	hash := store.Add("telnetd", art.Image)
-	srv := New(store, Config{Verifiers: 1, RingSize: 2 * frames, Reg: reg})
+	srv := New(store, Config{Reg: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -103,33 +104,13 @@ func TestPassTelemetryExact(t *testing.T) {
 			}
 		}
 	}
-	// One round trip proves the session adopted and its verifier live.
+	// One round trip proves the session live.
 	if _, err := conn.Write(first); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	ackTo(batch)
-
-	// Hold the verifier at the top of its loop: it takes inMu there
-	// whenever hasNew is set, so it blocks until release while the
-	// reader fills the ring.
-	srv.mu.Lock()
-	ss := srv.sessions[1]
-	srv.mu.Unlock()
-	v := ss.v
-	v.inMu.lock()
-	v.hasNew.Store(true)
 	if _, err := conn.Write(rest); err != nil {
-		v.inMu.unlock()
 		t.Fatalf("send: %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for ss.ring.Len() < frames-1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	queued := ss.ring.Len()
-	v.inMu.unlock()
-	if queued != frames-1 {
-		t.Fatalf("%d of %d frames queued before the verifier ran", queued, frames-1)
 	}
 	events := uint64(len(trace))
 	ackTo(events)

@@ -10,34 +10,34 @@ import (
 
 // Wire-level trace expansion: a client that stamps a Batch with the
 // trace extension (wire.Batch.TraceID) gets that batch expanded, on
-// the daemon, into a per-stage span record — read/decode, ring
-// enqueue→dequeue wait, kernel verify, incident offer + forensics
-// emission, write coalesce → ack flush — committed into a bounded
-// per-core ring once the ack bytes are on the wire. /debug/trace
-// exports the rings as Chrome trace-event JSON (chrome://tracing,
-// Perfetto), one track per verifier core.
+// the daemon, into a per-stage span record — read/decode, kernel
+// verify, incident offer + forensics emission, reply coalesce → ack
+// write — committed into a bounded ring on the session's CoreStats row
+// once the ack bytes are on the wire. /debug/trace exports the rings as
+// Chrome trace-event JSON (chrome://tracing, Perfetto), one track per
+// row.
 //
-// The same records are the daemon's only latency sampler: the reader
-// also leases one for every spanSampleEvery-th batch of a session,
-// stamped or not, and every committed record feeds the
-// server_queue_wait_ns and server_write_wait_ns histograms.
+// The same records are the daemon's only latency sampler: a session
+// also takes one for every spanSampleEvery-th batch, stamped or not,
+// and every committed record feeds the server_write_wait_ns histogram.
 //
-// Cost model: an unsampled batch pays two predictable branches on the
-// reader (trace stamp, sample counter) — the zero-alloc serve path,
-// alloc-gate enforced. A sampled batch borrows its record from a pool,
-// stamps five timestamps as it moves through the stages it already
-// moves through, and feeds the wait histograms at ack-flush time.
-// Only a client-stamped record goes on into the e2e histogram and the
-// core's ring, under a mutex no untraced batch ever touches.
+// Cost model: an unsampled batch pays two predictable branches (trace
+// stamp, sample counter) — the zero-alloc serve path, alloc-gate
+// enforced. A sampled batch appends one record to its session's pass,
+// stamps it with one extra clock read, and feeds the wait histogram at
+// write time. Only a client-stamped record goes on into the e2e
+// histogram and its row's ring, under a mutex no untraced batch ever
+// touches.
 
 // SpanRec is one sampled batch's per-stage latency record; TraceID is
 // 0 on one the daemon sampled on its own, which never reaches the
 // rings or TraceSpans. All *Ns fields except OriginNs are the daemon's
-// clock (unix nanoseconds) stamped by the stage that owns the batch at
-// that moment, so within a record ReadNs ≤ DequeueNs ≤ VerifyEndNs ≤
-// OfferEndNs ≤ AckNs by construction. OriginNs is the client's clock:
-// the wire leg derived from it absorbs any cross-host skew, never the
-// daemon-side ordering.
+// clock (unix nanoseconds) stamped by the session as the batch moves
+// through it, so within a record ReadNs ≤ DequeueNs ≤ VerifyEndNs ≤
+// OfferEndNs ≤ AckNs by construction. The session verifies a batch as
+// soon as it is decoded, so DequeueNs equals ReadNs: no queue is left
+// between them. OriginNs is the client's clock: the wire leg derived
+// from it absorbs any cross-host skew, never the daemon-side ordering.
 type SpanRec struct {
 	TraceID uint64 `json:"trace_id"`
 	Session uint64 `json:"session"`
@@ -50,7 +50,7 @@ type SpanRec struct {
 	DequeueNs   int64 `json:"dequeue_ns"`
 	VerifyEndNs int64 `json:"verify_end_ns"`
 	OfferEndNs  int64 `json:"offer_end_ns"`
-	AckNs       int64 `json:"ack_ns"` // writer: coalesced flush completed
+	AckNs       int64 `json:"ack_ns"` // the reply write completed
 }
 
 // E2ENs is the record's end-to-end batch latency: client origin → ack
@@ -64,10 +64,10 @@ func (r SpanRec) E2ENs() int64 {
 	return r.AckNs - r.ReadNs
 }
 
-// spanRing is one core's bounded committed-record ring. The core's
-// writer is the only committer; the debug endpoint snapshots under the
-// same mutex. Untraced traffic never touches it, and its records are
-// allocated by the first commit, so a core that never sees a stamped
+// spanRing is one CoreStats row's bounded committed-record ring. The
+// row's sessions commit and the debug endpoint snapshots under its
+// mutex. Untraced traffic never touches it, and its records are
+// allocated by the first commit, so a row that never sees a stamped
 // batch holds none.
 type spanRing struct {
 	mu   sync.Mutex
@@ -115,13 +115,13 @@ func (r *spanRing) snapshot(dst []SpanRec) []SpanRec {
 	return dst
 }
 
-// TraceSpans snapshots every core's committed span records, ordered by
-// daemon read time. The rings are bounded (Config.TraceRing per core),
+// TraceSpans snapshots every row's committed span records, ordered by
+// daemon read time. The rings are bounded (Config.TraceRing per row),
 // so this is the most recent window, not a full history.
 func (s *Server) TraceSpans() []SpanRec {
 	var out []SpanRec
-	for _, v := range s.verifiers {
-		out = v.wr.spans.snapshot(out)
+	for _, r := range s.rows {
+		out = r.spans.snapshot(out)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ReadNs < out[j].ReadNs })
 	return out
@@ -154,7 +154,7 @@ func e2eQuantiles(recs []SpanRec) (p50, p99 int64) {
 
 // chromeTraceEvent is one Chrome trace-event entry ("X" = complete
 // event, ts/dur in microseconds). Pid groups the daemon, tid is the
-// verifier core, so each core renders as its own track.
+// CoreStats row, so each row renders as its own track.
 type chromeTraceEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
@@ -189,7 +189,7 @@ func traceStages(r SpanRec, epoch int64) []chromeTraceEvent {
 	}
 	// The wire leg (client encode + router splice + socket read) is
 	// derived from the client's origin stamp; it renders on a separate
-	// track (-1) because it is not a core's work.
+	// track (-1) because it is not the daemon's work.
 	if r.OriginNs > 0 && r.OriginNs <= r.ReadNs {
 		add("wire", r.OriginNs, r.ReadNs, -1)
 	}
@@ -242,17 +242,13 @@ func (s *Server) TraceHandler() http.Handler {
 	})
 }
 
-// spanCommit finishes a record at ack-flush time: stamps AckNs, feeds
-// the wait histograms and, for a client-stamped record, the e2e
-// histogram and the core's ring, then returns the lease to the pool.
-// Runs on the core writer.
-func (s *Server) spanCommit(w *coreWriter, sp *SpanRec, ackNs int64) {
+// spanCommit finishes a record at reply-write time: stamps AckNs,
+// feeds the wait histogram and, for a client-stamped record, the e2e
+// histogram and the row's ring.
+func (s *Server) spanCommit(r *coreRow, sp *SpanRec, ackNs int64) {
 	sp.AckNs = ackNs
 	// The span clock is the wall clock: a sample straddling a clock
 	// step backwards comes out negative and is skipped.
-	if d := sp.DequeueNs - sp.ReadNs; d >= 0 {
-		s.met.queueWaitNs.Observe(uint64(d))
-	}
 	if d := sp.AckNs - sp.OfferEndNs; d >= 0 {
 		s.met.writeWaitNs.Observe(uint64(d))
 	}
@@ -260,15 +256,8 @@ func (s *Server) spanCommit(w *coreWriter, sp *SpanRec, ackNs int64) {
 		if e2e := sp.E2ENs(); e2e > 0 {
 			s.met.e2eNs.Observe(uint64(e2e))
 		}
-		w.spans.commit(*sp)
+		r.spans.commit(*sp)
 	}
-	s.spanPool.Put(sp)
-}
-
-// spanDiscard abandons a record whose batch never reached the wire (a
-// failed session's output is discarded, not acked).
-func (s *Server) spanDiscard(sp *SpanRec) {
-	s.spanPool.Put(sp)
 }
 
 // nowNs is the span clock: one name for "the daemon's monotonic-ish

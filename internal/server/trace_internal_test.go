@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ipds"
 	"repro/internal/ipdsclient"
 	"repro/internal/ir"
 	"repro/internal/obs"
@@ -14,11 +13,11 @@ import (
 	"repro/internal/workload"
 )
 
-// TestUntracedServerHoldsNoSpanRing: a core's committed span-record
+// TestUntracedServerHoldsNoSpanRing: a row's committed span-record
 // ring is allocated by its first stamped batch. Untraced traffic —
 // whose every 64th batch still carries a span record into the wait
-// histograms — leaves every core without one; the first stamped batch
-// gives its core the whole TraceRing.
+// histogram — leaves every row without one; the first stamped batch
+// gives its row the whole TraceRing.
 func TestUntracedServerHoldsNoSpanRing(t *testing.T) {
 	w := workload.ByName("telnetd")
 	art, err := pipeline.Compile(w.Source, ir.DefaultOptions)
@@ -26,62 +25,40 @@ func TestUntracedServerHoldsNoSpanRing(t *testing.T) {
 		t.Fatalf("compile: %v", err)
 	}
 	trace := ipdsclient.Capture(art, w.PerfSession)
-	store := NewImageStore(nil)
-	store.Add("telnetd", art.Image)
-	srv := New(store, Config{Reg: obs.NewRegistry()})
+	srv := New(NewImageStore(nil), Config{Reg: obs.NewRegistry()})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		srv.Shutdown(ctx)
 	}()
-	// The test goroutine plays a verifier of its own, as in
-	// BenchmarkVerifyBatchIncident.
-	v := newVerifier(srv, len(srv.verifiers))
-	srv.writerWG.Add(1)
-	go v.wr.loop()
-	defer v.send(writeOp{stop: true})
-	ss := &session{
-		id: 1, srv: srv, conn: discardConn{}, v: v,
-		m:       ipds.New(art.Image, srv.cfg.IPDS),
-		program: "telnetd",
-		started: time.Now(),
-	}
+	ss := testSession(srv, 1, discardConn{}, art.Image)
 	ringLen := func(r *spanRing) (int, uint64) {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		return len(r.buf), r.n
 	}
 	send := func(traceID uint64) {
-		bt := srv.batchPool.Get().(*wire.Batch)
-		bt.Events = trace[:min(len(trace), 512)]
-		bt.TraceID = traceID
-		v.pass(ss, []task{{b: bt, sp: ss.sample(bt)}})
-	}
-	waitFor := func(what string, done func() bool) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); !done(); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-		}
+		ss.verify(&wire.Batch{Events: trace[:min(len(trace), 512)], TraceID: traceID})
+		ss.flush()
 	}
 
 	for range 4 * spanSampleEvery {
 		send(0)
 	}
-	waitFor("sampled spans to reach the wait histograms", func() bool { return srv.met.writeWaitNs.Count() == 4 })
-	for _, c := range append(srv.verifiers, v) {
-		if n, _ := ringLen(c.wr.spans); n != 0 {
-			t.Fatalf("core %d holds a %d-record span ring after untraced traffic", c.id, n)
+	if n := srv.met.writeWaitNs.Count(); n != 4 {
+		t.Fatalf("%d sampled spans reached the wait histogram, want 4", n)
+	}
+	for i, r := range srv.rows {
+		if n, _ := ringLen(r.spans); n != 0 {
+			t.Fatalf("row %d holds a %d-record span ring after untraced traffic", i, n)
 		}
 	}
 
 	send(1)
-	waitFor("the stamped batch's span to commit", func() bool { _, n := ringLen(v.wr.spans); return n == 1 })
-	if n, _ := ringLen(v.wr.spans); n != srv.cfg.TraceRing {
-		t.Fatalf("first stamped batch allocated a %d-record ring, want %d", n, srv.cfg.TraceRing)
+	if n, c := ringLen(ss.row.spans); n != srv.cfg.TraceRing || c != 1 {
+		t.Fatalf("first stamped batch allocated a %d-record ring holding %d, want %d holding 1", n, c, srv.cfg.TraceRing)
 	}
-	if got := v.wr.spans.snapshot(nil); len(got) != 1 || got[0].TraceID != 1 {
+	if got := ss.row.spans.snapshot(nil); len(got) != 1 || got[0].TraceID != 1 {
 		t.Fatalf("trace spans %+v, want the one stamped batch", got)
 	}
 }

@@ -52,7 +52,7 @@ func TestTraceSpansE2E(t *testing.T) {
 	w := startWorld(t, server.Config{TraceRing: 1024})
 	t0 := time.Now().UnixNano()
 	batches := sendTraced(t, w, "traced", 8, 1)
-	w.shut(t) // spans commit on the core writers; drain flushes them all
+	w.shut(t) // spans commit with their reply writes; drain flushes them all
 
 	spans := w.srv.TraceSpans()
 	if len(spans) != batches {
@@ -101,7 +101,7 @@ func TestTraceSamplingAndDisable(t *testing.T) {
 		long = append(long, ipdsclient.Capture(art, nil)...)
 	}
 	// run serves one session of single-event batches, drains the
-	// daemon (span commits happen on the core writers; drain flushes
+	// daemon (span commits happen at reply writes; drain flushes
 	// them) and checks the span count, both wait histograms and the
 	// e2e histogram against the number of batches B it verified.
 	run := func(name string, cfg server.Config, sample int, spans, waits, e2e func(b uint64) uint64) {
@@ -116,10 +116,8 @@ func TestTraceSamplingAndDisable(t *testing.T) {
 		if n := uint64(len(w.srv.TraceSpans())); n != spans(b) {
 			t.Errorf("%s: committed %d spans for %d batches, want %d", name, n, b, spans(b))
 		}
-		for _, h := range []string{"server_queue_wait_ns", "server_write_wait_ns"} {
-			if n := w.reg.Histogram(h).Count(); n != waits(b) {
-				t.Errorf("%s: %s saw %d observations for %d batches, want %d", name, h, n, b, waits(b))
-			}
+		if n := w.reg.Histogram("server_write_wait_ns").Count(); n != waits(b) {
+			t.Errorf("%s: server_write_wait_ns saw %d observations for %d batches, want %d", name, n, b, waits(b))
 		}
 		if n := w.reg.Histogram("server_e2e_ns").Count(); n != e2e(b) {
 			t.Errorf("%s: server_e2e_ns saw %d observations for %d batches, want %d", name, n, b, e2e(b))

@@ -15,7 +15,9 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // Workload is one server program plus the sessions that drive it.
@@ -47,18 +49,44 @@ func (w *Workload) Sessions() [][]string {
 	return append(out, w.ExtraSessions...)
 }
 
-// All returns the ten servers in the paper's order.
+// All returns the ten servers in the paper's order. Each call returns
+// its own copies: a caller may change them freely.
 func All() []*Workload {
+	built := builtAll()
+	out := make([]*Workload, len(built))
+	for i, w := range built {
+		out[i] = w.clone()
+	}
+	return out
+}
+
+// builtAll builds the ten workloads once; All and ByName hand out
+// copies, so building every perf session's command lines is paid once
+// per process, not per call.
+var builtAll = sync.OnceValue(func() []*Workload {
 	return []*Workload{
 		Telnetd(), WuFTPD(), Xinetd(), Crond(), Sysklogd(),
 		ATFTPD(), HTTPD(), Sendmail(), SSHD(), Portmap(),
 	}
+})
+
+// clone copies w deeply enough that changing the copy — its fields or
+// the elements of its session slices — leaves w as it was.
+func (w *Workload) clone() *Workload {
+	c := *w
+	c.AttackSession = slices.Clone(w.AttackSession)
+	c.PerfSession = slices.Clone(w.PerfSession)
+	c.ExtraSessions = make([][]string, len(w.ExtraSessions))
+	for i, s := range w.ExtraSessions {
+		c.ExtraSessions[i] = slices.Clone(s)
+	}
+	return &c
 }
 
 // Names lists the workload names in the paper's order, for CLI
 // help strings and iteration without building every program.
 func Names() []string {
-	ws := All()
+	ws := builtAll()
 	out := make([]string, len(ws))
 	for i, w := range ws {
 		out[i] = w.Name
@@ -66,11 +94,11 @@ func Names() []string {
 	return out
 }
 
-// ByName returns the named workload, or nil.
+// ByName returns a copy of the named workload, or nil.
 func ByName(name string) *Workload {
-	for _, w := range All() {
+	for _, w := range builtAll() {
 		if w.Name == name {
-			return w
+			return w.clone()
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/ipds"
@@ -153,5 +154,31 @@ func TestOverflowsActuallyOverflow(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("overflow did not escalate: output = %v", res.Output)
+	}
+}
+
+// TestAllReturnsIndependentCopies: All and ByName build the workloads
+// once and hand out copies. Two calls return equal workloads, and
+// changing a returned one — a field, or an element of a session
+// slice — does not change what the next call returns.
+func TestAllReturnsIndependentCopies(t *testing.T) {
+	a, b := All(), All()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("two All() calls returned different workloads")
+	}
+	w := a[0]
+	w.Name = "changed"
+	w.Source = ""
+	w.AttackSession[0] = "changed"
+	w.PerfSession[0] = "changed"
+	w.ExtraSessions[0][0] = "changed"
+	w.ExtraSessions = nil
+	if c := All(); !reflect.DeepEqual(b, c) {
+		t.Fatal("changing a returned workload changed the next All()")
+	}
+	n := ByName("telnetd")
+	n.PerfSession[0] = "changed"
+	if m := ByName("telnetd"); !reflect.DeepEqual(m, b[0]) {
+		t.Fatal("changing a ByName workload changed the next ByName")
 	}
 }

@@ -9,7 +9,7 @@
 # internal/wire cover the same property under `make test`; this script
 # holds the benchmarks themselves to it, so a regression shows up even
 # if someone relaxes the unit tests.) Two serve-path benchmarks ride
-# along: the verifier's batch loop with the incident stage on, and the
+# along: a session's serve loop with the incident stage on, and the
 # client's alarm ingest (decode, intern, record, seal), whose delta-coded log
 # allocates one 16 KiB chunk per several thousand alarms and one sealed
 # block per four chunks, and so must amortise to 0 allocs/op. The client's ack ingest (decode, retire the
@@ -27,10 +27,10 @@ echo "$out" | grep -q '^BenchmarkOnBatchRecorder' || {
 	exit 1
 }
 
-# The verifier's serve path with the incident stage enabled: feeding
-# the analytics queue, and committing every 64th batch's span record
-# into the wait histograms, must not cost the verify loop a single
-# allocation per batch.
+# A session's serve loop with the incident stage enabled: decoding,
+# verifying, encoding and writing replies, feeding the analytics
+# queue, and committing every 64th batch's span record into the wait
+# histogram, must not cost a single allocation per batch.
 srvout=$(go test -run '^$' -bench 'BenchmarkVerifyBatchIncident' -benchtime 2000x -benchmem ./internal/server)
 echo "$srvout"
 echo "$srvout" | grep -q '^BenchmarkVerifyBatchIncident' || {
