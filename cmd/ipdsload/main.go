@@ -310,8 +310,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !di.Enabled {
 			fmt.Fprintln(stdout, "-- incidents: stage disabled on the in-process daemon")
 		} else {
-			fmt.Fprintf(stdout, "-- incidents: %d alarm(s) folded into %d incident(s) (%.1f%% reduction, %d dropped)\n",
-				di.Alarms, di.Incidents, di.Reduction*100, di.Dropped)
+			fmt.Fprintf(stdout, "-- incidents: %d alarm(s) folded into %d incident(s) (%.1f%% reduction)\n",
+				di.Alarms, di.Incidents, di.Reduction*100)
 			for i, in := range di.List {
 				if i == incidentTop {
 					fmt.Fprintf(stdout, "   … %d more\n", len(di.List)-incidentTop)

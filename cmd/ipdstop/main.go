@@ -390,8 +390,8 @@ func renderIncidents(doc server.DebugIncidents) string {
 		b.WriteString("ipdsd incident stage disabled (-incidents=false on the daemon)\n")
 		return b.String()
 	}
-	fmt.Fprintf(&b, "ipdsd incidents — %d alarm(s) folded into %d incident(s) (%.1f%% reduction, %d deduped, %d dropped) — %s\n\n",
-		doc.Alarms, doc.Incidents, doc.Reduction*100, doc.Folded, doc.Dropped,
+	fmt.Fprintf(&b, "ipdsd incidents — %d alarm(s) folded into %d incident(s) (%.1f%% reduction, %d deduped) — %s\n\n",
+		doc.Alarms, doc.Incidents, doc.Reduction*100, doc.Folded,
 		time.Unix(0, doc.NowUnixNs).Format(time.TimeOnly))
 	if len(doc.List) == 0 {
 		b.WriteString("(no incidents)\n")

@@ -196,12 +196,12 @@ func newIncidentMetrics(r *obs.Registry) metrics {
 	}
 }
 
-// Analyzer is the streaming incident pipeline. One goroutine may feed
-// Observe/ObserveRecords/ObserveContext/EndSession while
-// others call Incidents/Stats: a single mutex guards all state (the
-// analyzer runs off the serve hot path and the daemon feeds it a run of
-// records per lock, so locking is cheap where an ipds.Machine's would
-// not be).
+// Analyzer is the streaming incident pipeline. Any number of sessions
+// may feed Observe/ObserveRecords/ObserveContext/EndSession
+// concurrently, each in its own Seq order, while others call
+// Incidents/Stats: a single mutex guards all state (the daemon's
+// sessions feed it a run of records per lock, so locking is cheap
+// where an ipds.Machine's would not be).
 type Analyzer struct {
 	cfg Config
 	met metrics

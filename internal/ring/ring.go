@@ -1,6 +1,7 @@
-// Package ring provides the single-producer/single-consumer bounded
-// ring buffer and the park/wake primitive underneath the daemon's
-// per-core serve path (internal/server).
+// Package ring provides a single-producer/single-consumer bounded
+// ring buffer and a park/wake primitive. No daemon code imports it any
+// more: it stays only for perfbench's ring.handoff_ns_per_batch rung,
+// and goes with that rung.
 //
 // Concurrency contract. An SPSC ring has exactly two parties: ONE
 // producer goroutine, which may call TryPush, PushSlice, Len, Cap and

@@ -82,33 +82,17 @@ func testSession(srv *Server, id uint64, conn net.Conn, img *tables.Image) *sess
 	return ss
 }
 
-// stall holds the analyzer off the queue until the returned release
-// is called: it closes the stage, which drains what is queued and stops
-// the consumer, and release reopens it under a new consumer, which
-// meets everything offered meanwhile in order. The caller must be the
-// stage's only producer while stalled.
-func (st *incidentStage) stall() (release func()) {
-	st.close()
-	return func() {
-		st.mu.Lock()
-		st.closed = false
-		st.mu.Unlock()
-		st.start()
-	}
-}
-
 // BenchmarkVerifyBatchIncident measures a session's per-batch cost
 // with the incident stage enabled — the serve path's side of the
 // analytics contract. It runs the session's serve loop over a feedConn
 // (decode, verify, reply encoding and the write, no sockets, no
-// client), and the analyzer is stalled for the timed section (the
-// roomy queue absorbs every offer), so the allocs/op it reports — which
-// b.ReportAllocs counts process-wide — is the serve loop's alone: `make
-// alloc-gate` requires it to stay 0 even while every alarm is folded
-// into the session's records and offered to the incident queue, every
-// forensic capture the session has not already had accepted for its
-// signal is deep-copied across it, and every 64th batch's span record
-// feeds the (live) wait histogram.
+// client), with the session feeding the analyzer itself, so the
+// allocs/op it reports — which b.ReportAllocs counts process-wide —
+// covers the serve loop and the analyzer's steady state together:
+// `make alloc-gate` requires it to stay 0 even while every alarm is
+// folded into the session's records and fed to the analyzer, every
+// fresh forensic capture is fed behind them, and every 64th batch's
+// span record feeds the (live) wait histogram.
 func BenchmarkVerifyBatchIncident(b *testing.B) {
 	w := workload.ByName("telnetd")
 	if w == nil {
@@ -123,10 +107,7 @@ func BenchmarkVerifyBatchIncident(b *testing.B) {
 		b.Fatal("empty trace")
 	}
 
-	// A roomy queue: benchmark iterations outrun the analyzer goroutine,
-	// and overflow drops — while allocation-free — would leave the
-	// offer path itself unmeasured.
-	srv := New(NewImageStore(nil), Config{IncidentQueue: 1 << 16, Reg: obs.NewRegistry()})
+	srv := New(NewImageStore(nil), Config{Reg: obs.NewRegistry()})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -148,27 +129,15 @@ func BenchmarkVerifyBatchIncident(b *testing.B) {
 		ss.serve()
 	}
 	// Warm everything the steady state reuses: the session's batch and
-	// write buffer, the machine's rings, the analyzer's signal and series
-	// maps. Then rehearse the timed section — the same batches, analyzer
-	// stalled — so the forensic-context free list holds one for every
-	// capture the timed section queues and the queue has grown to hold
-	// all of its records. Each sync barrier lets the analyzer drain its
-	// backlog, emptying the queue and putting every context back on its
-	// free list.
+	// write buffer, the machine's rings, the analyzer's signals, the
+	// session's series and dedup filter, and each signal's kept context.
 	feed(max(512, 64*len(chunks)))
-	srv.incidents.sync()
-	release := srv.incidents.stall()
-	feed(b.N)
-	release()
-	srv.incidents.sync()
-	release = srv.incidents.stall()
 	acked := ss.acked
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	feed(b.N)
 	b.StopTimer()
-	release()
 	if srv.met.writeWaitNs.Count() == 0 {
 		b.Fatal("no sampled span reached the wait histogram")
 	}

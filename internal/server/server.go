@@ -31,10 +31,9 @@
 // live telemetry is exact for every Ack a client has read. Shutdown
 // drains gracefully: frames a client had in flight are verified and
 // their alarms delivered, each session ending in a final Ack and Bye.
-// The incident analytics queue remains the system's single
-// multi-producer merge point, off the serve path until a flood backs
-// it up; each session feeds it once per pass, with one run of records
-// folding the pass's alarms.
+// Each session feeds the incident analyzer itself, under the
+// analyzer's lock, once per pass, with one run of records folding the
+// pass's alarms.
 package server
 
 import (
@@ -80,21 +79,12 @@ type Config struct {
 	IPDS ipds.Config
 
 	// DisableIncidents turns off the incident analytics stage. It is ON
-	// by default: the stage runs behind a bounded queue off the serve
-	// path, so its steady-state cost is folding each alarm into the
-	// session's records of its pass and, per pass, one copy of those
-	// records into the stage's queue under one lock. The queue holds
-	// nothing until the first alarm.
+	// by default: its steady-state cost on the serve path is folding
+	// each alarm into the session's records of its pass (one per
+	// signal and bucket) and, per pass, feeding those records to the
+	// analyzer under its lock, plus one analyzer call per fresh
+	// forensic capture. A session that never alarms feeds nothing.
 	DisableIncidents bool
-
-	// IncidentQueue bounds the analytics feed queue, in records and
-	// forensic contexts (default DefaultIncidentQueue); a record holds
-	// one session's alarms at one signal in one bucket. A session that
-	// offers into a queue more than a quarter full feeds the analyzer
-	// itself until it is back under a quarter. When full, observations
-	// are dropped from analysis — their alarms counted as
-	// incident_queue_dropped_total.
-	IncidentQueue int
 
 	// Incident configures the analyzer (zero value selects the
 	// incident package defaults).
@@ -155,18 +145,16 @@ func (c Config) withDefaults() Config {
 const sessionReadBuffer = 4 << 20
 
 // Server hosts verifier sessions. Create with New, feed with Serve (or
-// ListenAndServe), stop with Shutdown — which must be called exactly
-// once to release the incident stage.
+// ListenAndServe), stop with Shutdown.
 type Server struct {
 	cfg   Config
 	store *ImageStore
 	met   metrics
 
-	// incidents is the off-path analytics stage (nil when disabled):
-	// sessions offer runs of alarm records and forensic captures to its
-	// bounded queue and a dedicated goroutine folds them into ranked
-	// incidents.
-	incidents *incidentStage
+	// incidents is the analytics stage (nil when disabled): sessions
+	// feed it runs of alarm records and forensic captures, and it folds
+	// them into ranked incidents.
+	incidents *incident.Analyzer
 
 	// rows are the CoreStats rows, one per P at New: each session's
 	// counters and committed span records are summed into the row its
@@ -193,7 +181,9 @@ func New(store *ImageStore, cfg Config) *Server {
 	}
 	s.met = newMetrics(s.cfg.Reg)
 	if !s.cfg.DisableIncidents {
-		s.incidents = newIncidentStage(s.cfg.Incident, s.cfg.IncidentQueue, s.cfg.Reg)
+		ic := s.cfg.Incident
+		ic.Reg = s.cfg.Reg
+		s.incidents = incident.NewAnalyzer(ic)
 	}
 	s.rows = make([]*coreRow, runtime.GOMAXPROCS(0))
 	for i := range s.rows {
@@ -253,7 +243,7 @@ func (s *Server) ActiveSessions() int {
 
 // Shutdown drains the server: stop accepting, wake every session,
 // verify what each client already had in flight and deliver its
-// replies (final Ack + Bye per session), then stop the incident stage.
+// replies (final Ack + Bye per session).
 // It returns nil on a full drain or ctx.Err() if the context expired
 // first (remaining connections are then closed hard).
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -280,11 +270,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.sessionWG.Wait()
-		// Every producer into the incident queue is a session goroutine;
-		// with them gone the stage can close and flush.
-		if s.incidents != nil {
-			s.incidents.close()
-		}
 		close(done)
 	}()
 	select {

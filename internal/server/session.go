@@ -75,14 +75,6 @@ type session struct {
 	// count; fresh captures past it are emitted once.
 	ctxSeen uint64
 
-	// ctxMarks holds the (func, branch) signals whose forensic context
-	// the incident stage has accepted from this session; later captures
-	// of a marked signal are not offered (offerCtx). incDrops counts the
-	// session's incident-queue drops, each of which clears the marks.
-	// The set is bounded by the image's branch count.
-	ctxMarks map[ctxMark]struct{}
-	incDrops uint64
-
 	// fold collects the pass's alarms for the incident stage as
 	// records; it is empty between passes and holds no storage until
 	// the session's first alarm.
@@ -116,15 +108,9 @@ func (s *Server) newSession(conn net.Conn, rd *wire.Reader, m *ipds.Machine, pro
 		started:   time.Now(),
 	}
 	if s.incidents != nil {
-		ss.fold = s.incidents.an.NewFolder(foldCap)
+		ss.fold = s.incidents.NewFolder(foldCap)
 	}
 	return ss
-}
-
-// ctxMark names one (func, branch) alarm signal in session.ctxMarks.
-type ctxMark struct {
-	pc uint64
-	fn string
 }
 
 // passTally is one pass's verify bookkeeping: what the pass's batches
@@ -283,7 +269,6 @@ func (s *session) verify(b *wire.Batch) {
 		verifyEnd = nowNs()
 	}
 	inc := srv.incidents
-	drops := s.incDrops
 	for i := range alarms {
 		var err error
 		if s.wbuf, err = wire.AppendAlarm(s.wbuf, alarmFrame(&alarms[i])); err != nil {
@@ -319,7 +304,7 @@ func (s *session) verify(b *wire.Batch) {
 					srv.met.ctxDropped.Inc()
 				}
 				if inc != nil {
-					s.offerCtx(c, drops)
+					s.offerCtx(c)
 				}
 			}
 		}
@@ -364,7 +349,7 @@ func (s *session) appendFrame(f wire.Frame) {
 	s.wbuf = wire.MustAppend(s.wbuf, f)
 }
 
-// flush ends a pass: it offers the pass's incident records, publishes
+// flush ends a pass: it feeds the pass's incident records, publishes
 // its tally, writes its replies with one conn.Write and commits the
 // span records that write acknowledged. Telemetry is published before
 // the write, so a client holding an Ack reads counters that cover it.
@@ -418,17 +403,14 @@ func (s *session) finish() {
 	srv := s.srv
 	s.offerRecords()
 	s.publish()
-	// The barrier sync inside Server.Incidents guarantees every alarm
-	// this session offered has been analyzed: its offers happened on
-	// this goroutine, and the queue is FIFO. The end of a session that
-	// alarmed goes behind its last records, so the analyzer frees its
-	// dedup filter only once they are in.
+	// Every record this session fed is in the analyzer: the feeds ran on
+	// this goroutine. Its dedup filter is freed behind its last records.
 	if inc := srv.incidents; inc != nil {
 		if s.alarmsN.Load() > 0 {
-			inc.endSession(s.id)
+			inc.EndSession(s.id)
 		}
 		if !s.wfailed {
-			incs := srv.Incidents()
+			incs := inc.Incidents()
 			if len(incs) > maxIncidentFrames {
 				incs = incs[:maxIncidentFrames]
 			}
@@ -482,65 +464,30 @@ func (s *session) publish() {
 	*t = passTally{}
 }
 
-// collect folds one alarm into the pass's incident records, offering
-// them when the folder fills.
+// collect folds one alarm into the pass's incident records, feeding
+// them to the analyzer when the folder fills.
 func (s *session) collect(a *ipds.Alarm) {
 	if s.fold.Add(s.id, a.Seq, a.PC, a.Func) {
 		s.offerRecords()
 	}
 }
 
-// offerRecords hands the records folded so far to the incident stage
-// and empties the folder. Records the queue had no room for are
-// dropped (their alarms counted by the stage).
+// offerRecords feeds the records folded so far to the analyzer and
+// empties the folder.
 func (s *session) offerRecords() {
-	recs := s.fold.Records()
-	if len(recs) == 0 {
-		return
+	if recs := s.fold.Records(); len(recs) > 0 {
+		s.srv.incidents.ObserveRecords(recs)
+		s.fold.Reset()
 	}
-	if s.srv.incidents.offer(recs) < len(recs) {
-		s.incidentDrop()
-	}
-	s.fold.Reset()
 }
 
-// offerCtx offers one forensic capture to the incident stage. The
-// analyzer keeps only the lowest-Seq context of each (func, branch)
-// signal and a session's Seqs only grow, so once one of the session's
-// captures for a signal has been accepted — with its alarm ahead of it
-// in the queue — every later one would be discarded unread: those are
-// skipped here, deep copy and queue slot included. drops is the
-// session's drop count when the capture's batch began; a drop since
-// then may have cost the capture's alarm, so the capture is not marked.
-func (s *session) offerCtx(c *ipds.AlarmContext, drops uint64) {
-	k := ctxMark{pc: c.Alarm.PC, fn: c.Alarm.Func}
-	if _, ok := s.ctxMarks[k]; ok {
-		return
-	}
-	// The capture's alarm goes first: the analyzer drops a context whose
-	// signal it has not seen yet.
+// offerCtx feeds one forensic capture to the analyzer, after its alarm:
+// the analyzer drops a context whose signal it has not seen yet. The
+// analyzer copies only a capture that precedes its signal's kept one;
+// c stays machine-owned.
+func (s *session) offerCtx(c *ipds.AlarmContext) {
 	s.offerRecords()
-	if !s.srv.incidents.offerCtx(c) {
-		s.incidentDrop()
-		return
-	}
-	if s.incDrops == drops {
-		if s.ctxMarks == nil {
-			s.ctxMarks = map[ctxMark]struct{}{}
-		}
-		s.ctxMarks[k] = struct{}{}
-	}
-}
-
-// incidentDrop records that some of the session's alarms or contexts
-// were dropped from the incident queue, and clears the session's
-// context marks. That is conservative — a capture accepted behind its
-// alarm stays the signal's lowest-Seq one through any later drop — but
-// a cleared mark costs only one more offer, and no mark can rest on an
-// alarm the analyzer did not see.
-func (s *session) incidentDrop() {
-	clear(s.ctxMarks)
-	s.incDrops++
+	s.srv.incidents.ObserveContext(c)
 }
 
 // updateRate advances the session's alarm-rate window: called when a

@@ -28,8 +28,8 @@ echo "$out" | grep -q '^BenchmarkOnBatchRecorder' || {
 }
 
 # A session's serve loop with the incident stage enabled: decoding,
-# verifying, encoding and writing replies, feeding the analytics
-# queue, and committing every 64th batch's span record into the wait
+# verifying, encoding and writing replies, feeding the incident
+# analyzer, and committing every 64th batch's span record into the wait
 # histogram, must not cost a single allocation per batch.
 srvout=$(go test -run '^$' -bench 'BenchmarkVerifyBatchIncident' -benchtime 2000x -benchmem ./internal/server)
 echo "$srvout"
